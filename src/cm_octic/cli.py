@@ -77,7 +77,6 @@ def _build_parser() -> _Parser:
     scan_p.add_argument("--jobs", type=int, default=1)
     scan_p.add_argument("--format", choices=("csv", "json"), default="csv")
     scan_p.add_argument("--out", default=None, help="output path (default: stdout)")
-    scan_p.add_argument("--seed", type=int, default=None)
 
     decompose_p = sub.add_parser("decompose", help="print p = a^2+b^2 and p = c^2+8d^2")
     decompose_p.add_argument("p", type=int)
@@ -117,20 +116,19 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         hi=args.hi,
         class_number_cap=args.class_number_cap,
         jobs=args.jobs,
-        format=args.format,
-        seed=resolve_seed(args.seed),
     )
     report = scan(config)
+    # Certified rows are written even when some prime broke an invariant.
+    if args.out is None:
+        _write_report(report, args.format, sys.stdout)
+    else:
+        with open(args.out, "w") as fh:
+            _write_report(report, args.format, fh)
     if report.errors:
         for err in report.errors:
             print(f"invariant violation at p={err.p} [{err.stage}]: {err.message}",
                   file=sys.stderr)
         return EXIT_INVARIANT
-    if args.out is None:
-        _write_report(report, config, sys.stdout)
-    else:
-        with open(args.out, "w") as fh:
-            _write_report(report, config, fh)
     print(
         f"checked {report.primes_checked} primes in [{config.lo}, {config.hi}) "
         f"in {report.timing:.2f}s; counterexamples: {len(report.counterexamples)}",
@@ -139,8 +137,8 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     return EXIT_COUNTEREXAMPLE if report.counterexamples else EXIT_OK
 
 
-def _write_report(report, config: ScanConfig, fh) -> None:
-    if config.format == "csv":
+def _write_report(report, fmt: str, fh) -> None:
+    if fmt == "csv":
         write_scan_csv(report.certificates, fh)
     else:
         write_scan_json(report, fh)

@@ -258,79 +258,46 @@ def all_points(p: Prime) -> Iterator[Point]:
             yield Point(xe, hi)
 
 
-def _factorization(k: int) -> tuple[tuple[int, int], ...]:
-    out = []
-    q = 2
-    while q * q <= k:
-        if k % q == 0:
-            j = 0
-            while k % q == 0:
-                k //= q
-                j += 1
-            out.append((q, j))
-        q += 1
-    if k > 1:
-        out.append((k, 1))
-    return tuple(out)
-
-
-def _has_exact_order(P: Point, k: int, factors: tuple[int, ...]) -> bool:
-    if not scalar_mul(k, P).is_infinity:
-        return False
-    return all(not scalar_mul(k // q, P).is_infinity for q in factors)
-
-
-def _sylow_order_exponent(S: Point, q: int) -> int:
-    """t with ord(S) = q^t, for S already inside the q-Sylow subgroup."""
-    t = 0
-    while not S.is_infinity:
-        S = scalar_mul(q, S)
-        t += 1
-    return t
+def _has_exact_order(P: Point, k: int) -> bool:
+    # k a power of two, k >= 2
+    return scalar_mul(k, P).is_infinity and not scalar_mul(k // 2, P).is_infinity
 
 
 def find_point_of_order(p: Prime, k: int, seed: int = 0) -> Point | None:
-    """A point of exact order k, or None if there is none.
+    """A point of exact order k, a power of two, or None if there is none.
 
     k must divide #E(F_p).  The group need not be cyclic (it never is here:
     the full 2-torsion is rational), so multiplying a sample by n/k can
-    annihilate too much.  Instead, per prime q^j || k, project a sample into
-    the q-Sylow subgroup, measure its q-power order, and scale down to exact
-    order q^j; the sum over q has exact order k.  A bounded number of
-    deterministic samples is tried; for p < 10^4 a miss falls back to
-    exhaustive search, so None is then a certificate of absence.  For larger
-    p, None after the sampling phase carries no proof of absence.
+    annihilate too much.  Instead, project a sample into the 2-Sylow
+    subgroup, measure its order 2^t there, and when 2^t >= k scale it down
+    to exact order k.  A bounded number of deterministic samples is tried;
+    for p < 10^4 a miss falls back to exhaustive search, so None is then a
+    certificate of absence.  For larger p, None after the sampling phase
+    carries no proof of absence.
     """
+    if k <= 0 or k & (k - 1):
+        raise ValueError(f"order {k} is not a power of two")
     n = curve_order(p)
-    if k <= 0 or n % k != 0:
+    if n % k != 0:
         raise ValueError(f"order {k} does not divide #E(F_p) = {n}")
     if k == 1:
         return INFINITY
-    factorization = _factorization(k)
-    factors = tuple(q for q, _ in factorization)
-    coprime_parts = []
-    for q, _ in factorization:
-        m = n
-        while m % q == 0:
-            m //= q
-        coprime_parts.append(m)
+    odd_part = n // (n & -n)
     x_seed = seed
     for _ in range(_SAMPLE_RETRIES):
         P = random_point(p, x_seed)
         x_seed = P.x.residue + 1
-        T = INFINITY
-        for (q, j), m in zip(factorization, coprime_parts):
-            S = scalar_mul(m, P)
-            t = _sylow_order_exponent(S, q)
-            if t < j:
-                T = None
-                break
-            T = add(T, scalar_mul(q ** (t - j), S))
-        if T is not None and _has_exact_order(T, k, factors):
-            return T
+        S = scalar_mul(odd_part, P)
+        T, order = S, 1
+        while not T.is_infinity:
+            T, order = add(T, T), order * 2
+        if order >= k:
+            T = scalar_mul(order // k, S)
+            if _has_exact_order(T, k):
+                return T
     if p.value < _EXHAUSTIVE_BOUND:
         for P in all_points(p):
-            if _has_exact_order(P, k, factors):
+            if _has_exact_order(P, k):
                 return P
         return None
     return None  # probabilistic miss; no exhaustive certificate at this size

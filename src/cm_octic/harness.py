@@ -1,9 +1,11 @@
 """Range scanning: prime streaming, parallel certificate checks, output.
 
-Scans are deterministic: given the same configuration the emitted CSV/JSON
-bytes are identical regardless of worker count, because the per-prime work
-is pure and results are merged in prime order.  Wall-clock timing lives
-only on the ScanReport, never in the serialized output.
+A scan cuts [lo, hi) into segments; each segment is streamed and checked
+by one worker.  Scans are deterministic: given the same configuration the
+emitted CSV/JSON bytes are identical regardless of worker count, because
+the per-prime work is pure and results are joined in segment order.
+Wall-clock timing lives only on the ScanReport, never in the serialized
+output.
 """
 
 from __future__ import annotations
@@ -29,23 +31,18 @@ class ScanConfig:
     """A scan over primes p = 1 (mod 8) in [lo, hi).
 
     class_number_cap: compute h(-4p) only for p <= cap (0 disables).
-    seed feeds any randomized point searches so runs are reproducible.
     """
 
     lo: int
     hi: int
     class_number_cap: int = 0
     jobs: int = 1
-    format: str = "csv"
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if not 0 <= self.lo < self.hi <= MODULUS_BOUND:
             raise ValueError(f"need 0 <= lo < hi <= 2**62, got [{self.lo}, {self.hi})")
         if self.jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {self.jobs}")
-        if self.format not in ("csv", "json"):
-            raise ValueError(f"format must be csv or json, got {self.format!r}")
         if self.class_number_cap < 0:
             raise ValueError("class_number_cap must be >= 0")
 
@@ -97,33 +94,41 @@ def primes_1_mod_8(lo: int, hi: int) -> Iterator[Prime]:
     """Stream the primes p = 1 (mod 8) in [lo, hi), in increasing order."""
     if not 0 <= lo < hi <= MODULUS_BOUND:
         raise ValueError(f"need 0 <= lo < hi <= 2**62, got [{lo}, {hi})")
+    # Each value is proven prime here, by the sieve or by is_prime, so it is
+    # wrapped without a second proof.
     if hi <= _SIEVE_LIMIT:
         for q in _sieved_primes(lo, hi):
             if q % 8 == 1:
-                yield Prime(q)
+                yield Prime._proven(q)
     else:
         start = lo + (1 - lo) % 8  # first value = 1 (mod 8) at or above lo
         for q in range(max(start, 17), hi, 8):
             if is_prime(q):
-                yield Prime(q)
+                yield Prime._proven(q)
 
 
-def _check_one(args: tuple[Prime, int]) -> Certificate | ErrorCertificate:
-    p, cap = args
-    with_h = 0 < p.value <= cap
-    return check_prime(p, with_class_number=with_h, class_number_cap=max(cap, 1))
+def _check_segment(segment: tuple[int, int, int]) -> list[Certificate | ErrorCertificate]:
+    lo, hi, cap = segment
+    return [
+        check_prime(p, with_class_number=p.value <= cap, class_number_cap=max(cap, 1))
+        for p in primes_1_mod_8(lo, hi)
+    ]
 
 
 def scan(config: ScanConfig) -> ScanReport:
     """Check every prime p = 1 (mod 8) in [lo, hi); deterministic output order."""
     t0 = time.perf_counter()
-    work = [(p, config.class_number_cap) for p in primes_1_mod_8(config.lo, config.hi)]
-    if config.jobs == 1 or len(work) < 2:
-        results = [_check_one(w) for w in work]
+    lo, hi, jobs = config.lo, config.hi, config.jobs
+    # About four segments per worker, each at most one sieve segment long.
+    step = min(_SEGMENT, -(-(hi - lo) // (4 * jobs)))
+    segments = ((start, min(start + step, hi), config.class_number_cap)
+                for start in range(lo, hi, step))
+    if jobs == 1:
+        parts = map(_check_segment, segments)
     else:
-        chunk = max(1, len(work) // (config.jobs * 8))
-        with multiprocessing.Pool(config.jobs) as pool:
-            results = pool.map(_check_one, work, chunksize=chunk)
+        with multiprocessing.Pool(jobs) as pool:
+            parts = pool.map(_check_segment, segments, chunksize=1)
+    results = [r for part in parts for r in part]
     certificates = [r for r in results if isinstance(r, Certificate)]
     errors = [r for r in results if isinstance(r, ErrorCertificate)]
     counterexamples = [c for c in certificates if not c.all_hold]

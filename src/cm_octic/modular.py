@@ -64,6 +64,15 @@ class Prime:
             raise ValueError(f"modulus must be prime, got {self.value}")
         object.__setattr__(self, "residue_class", self.value % 8)
 
+    @classmethod
+    def _proven(cls, value: int) -> Prime:
+        # For a value its caller has already proven prime in (2, 2**62):
+        # skips the range check and the second Miller-Rabin run.
+        p = object.__new__(cls)
+        object.__setattr__(p, "value", value)
+        object.__setattr__(p, "residue_class", value % 8)
+        return p
+
 
 def pipeline_prime(n: int) -> Prime:
     """Construct a Prime for the main pipeline, which needs p = 1 (mod 8)."""

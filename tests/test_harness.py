@@ -1,5 +1,6 @@
 """Prime streaming, scan determinism, serialization, CLI exit codes."""
 
+import dataclasses
 import io
 import json
 
@@ -18,7 +19,7 @@ from cm_octic.harness import (
     write_scan_csv,
     write_scan_json,
 )
-from cm_octic.modular import Prime
+from cm_octic.modular import Prime, is_prime
 
 from conftest import trial_division_primes
 
@@ -52,6 +53,31 @@ class TestPrimeStream:
         assert wheel == sieved
         assert wheel, "window unexpectedly empty"
 
+    def test_each_prime_is_proven_once(self, monkeypatch):
+        # The wheel proves each candidate once; sieved primes need no proof.
+        import cm_octic.harness as harness_mod
+        import cm_octic.modular as modular_mod
+
+        calls = []
+
+        def counting_is_prime(n):
+            calls.append(n)
+            return is_prime(n)
+
+        monkeypatch.setattr(harness_mod, "is_prime", counting_is_prime)
+        monkeypatch.setattr(modular_mod, "is_prime", counting_is_prime)
+        lo, hi = 2**61, 2**61 + 10**4
+        wheel = list(primes_1_mod_8(lo, hi))
+        assert wheel and calls == list(range(lo + 1, hi, 8))
+        calls.clear()
+        assert len(list(primes_1_mod_8(0, 10**5))) > 0
+        assert calls == []
+
+    def test_streamed_primes_equal_proven_ones(self):
+        for p in primes_1_mod_8(0, 200):
+            assert p == Prime(p.value) and hash(p) == hash(Prime(p.value))
+            assert p.residue_class == 1
+
     def test_range_validation(self):
         with pytest.raises(ValueError):
             list(primes_1_mod_8(-1, 10))
@@ -63,8 +89,9 @@ class TestPrimeStream:
 
 class TestScanConfig:
     def test_valid(self):
-        cfg = ScanConfig(lo=0, hi=100, jobs=2, format="json")
-        assert (cfg.lo, cfg.hi, cfg.jobs, cfg.format) == (0, 100, 2, "json")
+        cfg = ScanConfig(lo=0, hi=100, class_number_cap=50, jobs=2)
+        assert (cfg.lo, cfg.hi, cfg.class_number_cap, cfg.jobs) == (0, 100, 50, 2)
+        assert len(dataclasses.fields(ScanConfig)) == 4
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -73,7 +100,7 @@ class TestScanConfig:
             dict(lo=10, hi=10),
             dict(lo=0, hi=(1 << 62) + 1),
             dict(lo=0, hi=10, jobs=0),
-            dict(lo=0, hi=10, format="xml"),
+            dict(lo=20, hi=10),
             dict(lo=0, hi=10, class_number_cap=-1),
         ],
     )
@@ -115,6 +142,30 @@ class TestScan:
             write_scan_json(report, json_buf)
             outputs[jobs] = (csv_buf.getvalue(), json_buf.getvalue())
         assert outputs[1] == outputs[4]
+
+    @staticmethod
+    def _csv(cfg):
+        buf = io.StringIO()
+        write_scan_csv(scan(cfg).certificates, buf)
+        return buf.getvalue()
+
+    @pytest.mark.parametrize(
+        "lo, hi, jobs",
+        [
+            # 8 segments, each starting at 1 (mod 8); 17, 8017 and 48017 start one
+            (17, 17 + 64_000, 2),
+            # 8 wheel segments; 2^61 + 10017 starts one
+            (2**61 + 1, 2**61 + 1 + 8 * 2504, 2),
+            # windows shorter than 4 segments per worker
+            (89, 98, 3),
+            (17, 18, 2),
+        ],
+    )
+    def test_segments_neither_lose_nor_repeat_primes(self, lo, hi, jobs):
+        serial = self._csv(ScanConfig(lo=lo, hi=hi))
+        assert self._csv(ScanConfig(lo=lo, hi=hi, jobs=jobs)) == serial
+        listed = [int(row.split(",", 1)[0]) for row in serial.splitlines()[1:]]
+        assert listed == [p.value for p in primes_1_mod_8(lo, hi)]
 
 
 class TestSerialization:
@@ -240,7 +291,6 @@ class TestCliScan:
             harness_mod, "check_prime",
             lambda p, **kw: rigged_certificate(thm2_holds=False),
         )
-        # [0, 20) holds only p = 17, so the serial path runs the patched check
         assert main(["scan", "--from", "0", "--to", "20"]) == 2
         captured = capsys.readouterr()
         assert "counterexamples: 1" in captured.err
@@ -255,6 +305,31 @@ class TestCliScan:
         )
         assert main(["scan", "--from", "0", "--to", "20"]) == 3
         assert "invariant violation at p=17" in capsys.readouterr().err
+
+    def test_invariant_exit_keeps_certified_rows(self, tmp_path, capsys, monkeypatch):
+        import cm_octic.harness as harness_mod
+
+        real_check = harness_mod.check_prime
+
+        def fail_at_41(p, **kw):
+            if p.value == 41:
+                return ErrorCertificate(p=41, stage="chi", message="boom")
+            return real_check(p, **kw)
+
+        monkeypatch.setattr(harness_mod, "check_prime", fail_at_41)
+        target = tmp_path / "scan.csv"
+        assert main(["scan", "--from", "0", "--to", "100", "--out", str(target)]) == 3
+        lines = target.read_text().splitlines()
+        assert lines[0] == CSV_HEADER
+        assert [row.split(",", 1)[0] for row in lines[1:]] == ["17", "73", "89", "97"]
+        assert "invariant violation at p=41" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("extra", [["--format", "xml"], ["--seed", "1"]])
+    def test_rejected_options(self, extra, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["scan", "--from", "0", "--to", "100", *extra])
+        assert exc.value.code == 1
+        assert "error" in capsys.readouterr().err
 
 
 class TestCliOther:
