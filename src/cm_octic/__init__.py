@@ -4,109 +4,30 @@ For primes p = 1 (mod 8) the package checks, prime by prime, that the
 character (1 + sqrt(2) | p) is pinned down by three equivalent conditions:
 the curve order #E(F_p) = (a-1)^2 + b^2 of E: y^2 = x^3 - x mod 32, the
 parity of d in p = c^2 + 8*d^2, and the class number h(-4p) mod 8.
+
+The names below are the library API; everything else lives in the
+submodules (modular, decompose, curve, classnumber, criteria, harness).
 """
 
 from .classnumber import class_number
-from .criteria import (
-    Certificate,
-    ErrorCertificate,
-    ProofTrace,
-    check_prime,
-    chi_one_plus_sqrt2,
-    euler_symbol,
-    proof_trace,
-)
-from .curve import (
-    INFINITY,
-    EtaLevelSets,
-    Point,
-    add,
-    affine,
-    all_points,
-    curve_order,
-    eta_apply,
-    eta_level_sets,
-    eta_preimages,
-    find_point_of_order,
-    i_action,
-    kernel,
-    naive_point_count,
-    negate,
-    point,
-    random_point,
-    scalar_mul,
-)
-from .decompose import (
-    EightDecomposition,
-    TwoSquares,
-    curve_order_from_two_squares,
-    eight_decomposition,
-    eight_decomposition_search,
-    two_squares,
-)
+from .criteria import Certificate, ErrorCertificate, ProofTrace, check_prime, proof_trace
 from .errors import InvariantViolation
-from .harness import ScanConfig, ScanReport, primes_1_mod_8, scan
-from .modular import (
-    FieldElement,
-    Prime,
-    canonical_i,
-    canonical_sqrt2,
-    element,
-    is_prime,
-    jacobi,
-    pipeline_prime,
-    pow_mod,
-    sqrt_mod,
-)
+from .harness import ScanConfig, ScanReport, scan
+from .modular import Prime, pipeline_prime
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Certificate",
-    "EightDecomposition",
     "ErrorCertificate",
-    "EtaLevelSets",
-    "FieldElement",
-    "INFINITY",
     "InvariantViolation",
-    "Point",
     "Prime",
     "ProofTrace",
     "ScanConfig",
     "ScanReport",
-    "TwoSquares",
-    "add",
-    "affine",
-    "all_points",
-    "canonical_i",
-    "canonical_sqrt2",
     "check_prime",
-    "chi_one_plus_sqrt2",
     "class_number",
-    "curve_order",
-    "curve_order_from_two_squares",
-    "eight_decomposition",
-    "eight_decomposition_search",
-    "element",
-    "eta_apply",
-    "eta_level_sets",
-    "eta_preimages",
-    "euler_symbol",
-    "find_point_of_order",
-    "i_action",
-    "is_prime",
-    "jacobi",
-    "kernel",
-    "naive_point_count",
-    "negate",
     "pipeline_prime",
-    "point",
-    "pow_mod",
-    "primes_1_mod_8",
     "proof_trace",
-    "random_point",
-    "scalar_mul",
     "scan",
-    "sqrt_mod",
-    "two_squares",
 ]

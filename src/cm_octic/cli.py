@@ -19,13 +19,7 @@ from .criteria import Certificate, check_prime, proof_trace
 from .curve import curve_order
 from .decompose import eight_decomposition, two_squares
 from .errors import InvariantViolation
-from .harness import (
-    ScanConfig,
-    certificate_to_dict,
-    scan,
-    write_scan_csv,
-    write_scan_json,
-)
+from .harness import ScanConfig, scan, write_scan_csv, write_scan_json
 from .modular import Prime, pipeline_prime
 
 EXIT_OK = 0
@@ -66,7 +60,6 @@ def _build_parser() -> _Parser:
     check.add_argument("p", type=int)
     check.add_argument("--class-number", action="store_true", help="also compute h(-4p)")
     check.add_argument("--trace", action="store_true", help="attach a structural proof trace")
-    check.add_argument("--format", choices=("json",), default="json")
     check.add_argument("--seed", type=int, default=None)
 
     scan_p = sub.add_parser("scan", help="verify a whole range of primes = 1 (mod 8)")
@@ -99,7 +92,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     if not isinstance(cert, Certificate):
         print(json.dumps(dataclasses.asdict(cert), indent=2))
         return EXIT_INVARIANT
-    doc = certificate_to_dict(cert)
+    doc = dataclasses.asdict(cert)
     status = EXIT_OK if cert.all_hold else EXIT_COUNTEREXAMPLE
     if args.trace:
         trace = proof_trace(p, seed=seed)

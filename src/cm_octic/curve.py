@@ -220,10 +220,11 @@ def naive_point_count(p: Prime) -> int:
     n = p.value
     if n >= NAIVE_COUNT_BOUND:
         raise ValueError(f"naive counting is capped at p < {NAIVE_COUNT_BOUND}")
-    total = 1  # the identity
-    for x in range(n):
-        total += 1 + jacobi(x * x * x - x, p)
-    return total
+    # roots[r] counts the y with y^2 = r, so x carries roots[x^3 - x] points.
+    roots = [0] * n
+    for y in range(n):
+        roots[y * y % n] += 1
+    return 1 + sum(roots[(x * x * x - x) % n] for x in range(n))  # 1 for the identity
 
 
 def random_point(p: Prime, seed: int) -> Point:

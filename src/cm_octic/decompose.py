@@ -53,16 +53,18 @@ class EightDecomposition:
             )
 
 
-def _descend_two_squares(n: int, root: int) -> tuple[int, int]:
-    # Cornacchia for x^2 + y^2 = n, seeded with root^2 = -1 (mod n).
-    # Either square root of -1 works; normalization makes the results agree.
+def _cornacchia(n: int, root: int, k: int) -> tuple[int, int]:
+    # Cornacchia's descent for x^2 + k*y^2 = n, seeded with root^2 = -k (mod n):
+    # run Euclid on (n, root) until the remainder drops to sqrt(n) or below.
     a, b = n, root
-    while b * b > n:
+    bound = isqrt(n)
+    while b > bound:
         a, b = b, a % b
-    y2 = n - b * b
+    rest = n - b * b
+    y2 = rest // k
     y = isqrt(y2)
-    if y * y != y2:
-        raise InvariantViolation(f"two-square descent failed for {n}")
+    if rest % k or y * y != y2:
+        raise InvariantViolation(f"descent for {n} = x^2 + {k}*y^2 left {rest}")
     return b, y
 
 
@@ -81,7 +83,8 @@ def two_squares(p: Prime) -> TwoSquares:
         raise ValueError(f"p = 1 (mod 4) required for a two-square decomposition, got {p.value}")
     roots = sqrt_mod(element(p, -1))
     assert roots is not None  # -1 is a square exactly when p = 1 (mod 4)
-    x, y = _descend_two_squares(p.value, roots[1].residue)
+    # Either square root of -1 works; normalization makes the results agree.
+    x, y = _cornacchia(p.value, roots[1].residue, 1)
     return _normalized(p, x, y)
 
 
@@ -89,22 +92,11 @@ def eight_decomposition(p: Prime) -> EightDecomposition:
     """The unique (c, d) with c^2 + 8*d^2 = p; requires p = 1 (mod 8)."""
     if p.residue_class != 1:
         raise ValueError(f"p = 1 (mod 8) required for c^2 + 8*d^2, got {p.value}")
-    n = p.value
     roots = sqrt_mod(element(p, -8))
     if roots is None:
-        raise InvariantViolation(f"-8 unexpectedly a non-residue mod {n}")
-    a, b = n, roots[1].residue  # descend from the root above n/2
-    bound = isqrt(n)
-    while b > bound:
-        a, b = b, a % b
-    rest = n - b * b
-    if rest % 8:
-        raise InvariantViolation(f"descent for {n} = c^2 + 8*d^2 left remainder {rest}")
-    d2 = rest // 8
-    d = isqrt(d2)
-    if d * d != d2:
-        raise InvariantViolation(f"descent for {n} = c^2 + 8*d^2 produced non-square {d2}")
-    return EightDecomposition(c=b, d=d, p=p)
+        raise InvariantViolation(f"-8 unexpectedly a non-residue mod {p.value}")
+    c, d = _cornacchia(p.value, roots[1].residue, 8)  # descend from the root above p/2
+    return EightDecomposition(c=c, d=d, p=p)
 
 
 def eight_decomposition_search(p: Prime) -> EightDecomposition:

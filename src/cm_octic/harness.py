@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import multiprocessing
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from math import isqrt
 from typing import Iterator, TextIO
 
@@ -110,7 +110,7 @@ def primes_1_mod_8(lo: int, hi: int) -> Iterator[Prime]:
 def _check_segment(segment: tuple[int, int, int]) -> list[Certificate | ErrorCertificate]:
     lo, hi, cap = segment
     return [
-        check_prime(p, with_class_number=p.value <= cap, class_number_cap=max(cap, 1))
+        check_prime(p, with_class_number=p.value <= cap, class_number_cap=cap)
         for p in primes_1_mod_8(lo, hi)
     ]
 
@@ -148,23 +148,6 @@ def scan(config: ScanConfig) -> ScanReport:
     )
 
 
-def certificate_to_dict(cert: Certificate) -> dict:
-    return {
-        "p": cert.p,
-        "a": cert.a,
-        "b": cert.b,
-        "c": cert.c,
-        "d": cert.d,
-        "chi": cert.chi,
-        "n": cert.n,
-        "n_mod_32": cert.n_mod_32,
-        "h": cert.h,
-        "thm2_holds": cert.thm2_holds,
-        "thm1_holds": cert.thm1_holds,
-        "corollary_holds": cert.corollary_holds,
-    }
-
-
 def certificate_csv_row(cert: Certificate) -> str:
     chi = "+1" if cert.chi == 1 else "-1"
     h = "" if cert.h is None else str(cert.h)
@@ -186,8 +169,8 @@ def write_scan_json(report: ScanReport, out: TextIO) -> None:
     doc = {
         "primes_checked": report.primes_checked,
         "aggregate": report.aggregate,
-        "counterexamples": [certificate_to_dict(c) for c in report.counterexamples],
-        "certificates": [certificate_to_dict(c) for c in report.certificates],
+        "counterexamples": [asdict(c) for c in report.counterexamples],
+        "certificates": [asdict(c) for c in report.certificates],
     }
     json.dump(doc, out, indent=2)
     out.write("\n")

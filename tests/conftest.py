@@ -3,24 +3,22 @@
 Everything here is deliberately naive and independent of the package's own
 algorithms: trial division instead of Miller-Rabin, double loops instead of
 Tonelli-Shanks or Cornacchia, full-box enumeration instead of pruned walks.
-Frozen expected values in the tests were produced by these oracles.
+Frozen expected values in the tests were produced by these oracles.  The
+oracles that `cm-octic selftest` also needs live in cm_octic.selftest and
+are re-exported here.
 """
 
 from __future__ import annotations
 
 from math import isqrt
 
-ETA_PRIMES = (17, 41, 73, 89, 97, 113)
-
-
-def trial_division_primes(limit: int) -> list[int]:
-    """All primes below limit, by trial division."""
-    return [n for n in range(2, limit) if all(n % d for d in range(2, isqrt(n) + 1))]
-
-
-def squares_mod(p: int) -> set[int]:
-    """The nonzero quadratic residues mod p."""
-    return {x * x % p for x in range(1, p)}
+from cm_octic.selftest import (  # noqa: F401  (re-exported to the tests)
+    ETA_PRIMES,
+    curve_points_oracle,
+    first_principles_chi,
+    squares_mod,
+    trial_division_primes,
+)
 
 
 def brute_two_squares(p: int) -> tuple[int, int]:
@@ -75,14 +73,3 @@ def _gcd3(a: int, b: int, c: int) -> int:
     from math import gcd
 
     return gcd(a, gcd(b, c))
-
-
-def curve_points_oracle(p: int) -> list[tuple[int, int] | None]:
-    """Every point of y^2 = x^3 - x over F_p by a double loop; None = identity."""
-    pts: list[tuple[int, int] | None] = [None]
-    for x in range(p):
-        rhs = (x * x * x - x) % p
-        for y in range(p):
-            if y * y % p == rhs:
-                pts.append((x, y))
-    return pts

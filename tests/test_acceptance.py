@@ -8,25 +8,13 @@ import io
 import time
 from math import isqrt
 
+from cm_octic import selftest
 from cm_octic.criteria import (
     Certificate,
     check_prime,
     chi_one_plus_sqrt2,
     euler_symbol,
     proof_trace,
-)
-from cm_octic.curve import (
-    curve_order,
-    eta_apply,
-    eta_preimages,
-    eta_x_via_rational_map,
-    eta_x_via_slope,
-    eta_y_via_slope,
-    i_action,
-    naive_point_count,
-    negate,
-    point,
-    scalar_mul,
 )
 from cm_octic.harness import (
     ScanConfig,
@@ -42,8 +30,7 @@ from conftest import (
     box_class_number,
     brute_eight,
     brute_two_squares,
-    curve_points_oracle,
-    squares_mod,
+    first_principles_chi,
 )
 
 
@@ -57,9 +44,12 @@ def eratosthenes(limit: int) -> list[int]:
     return [i for i in range(limit) if flags[i]]
 
 
-def first_principles_chi(v: int) -> int:
-    r = next(r for r in range(v) if r * r % v == 2)
-    return 1 if pow(1 + r, (v - 1) // 2, v) == 1 else -1
+def run_criterion(n: int, check, *args) -> str:
+    # The shared selftest check, its failure tagged with the criterion number.
+    try:
+        return check(*args)
+    except AssertionError as exc:
+        raise AssertionError(f"criterion-{n}: {exc}") from exc
 
 
 def test_criterion_1_golden_certificates():
@@ -89,62 +79,18 @@ def test_criterion_1_golden_certificates():
 
 def test_criterion_2_point_count_oracle():
     t0 = time.perf_counter()
-    checked = 0
-    for p in primes_1_mod_8(0, 2000):
-        assert curve_order(p) == naive_point_count(p), f"criterion-2 fails at {p.value}"
-        checked += 1
+    detail = run_criterion(2, selftest.check_point_counts, 2000)
     elapsed = time.perf_counter() - t0
     assert elapsed < 5.0, f"criterion-2: {elapsed:.2f}s exceeds the 5 s budget"
-    print(f"[PASS] criterion-2: CM order = naive count for {checked} primes "
-          f"< 2000 in {elapsed:.2f}s (< 5 s)")
+    print(f"[PASS] criterion-2: {detail} in {elapsed:.2f}s (< 5 s)")
 
 
 def test_criterion_3_exhaustive_eta_suite():
     t0 = time.perf_counter()
-    for v in ETA_PRIMES:
-        p = Prime(v)
-        pts = [point(p, *xy) for xy in curve_points_oracle(v) if xy is not None]
-        sq = squares_mod(v)
-        n = curve_order(p)
-        assert len(pts) + 1 == n, f"criterion-3: oracle point count off at {v}"
-
-        computed_kernel = {P for P in pts if eta_apply(P).is_infinity}
-        assert computed_kernel == {point(p, 0, 0)}, f"criterion-3: kernel wrong at {v}"
-
-        for P in pts:
-            Q = eta_apply(P)
-            if P.x.residue != 0:
-                x0 = eta_x_via_slope(P)
-                assert x0 == eta_x_via_rational_map(P) == Q.x, \
-                    f"criterion-3: closed forms disagree at {v}"
-                assert eta_y_via_slope(P, x0) == Q.y, \
-                    f"criterion-3: y formula disagrees at {v}"
-            assert eta_apply(Q) == scalar_mul(2, i_action(P)), \
-                f"criterion-3: eta^2 != [2][i] at {v}"
-            assert i_action(i_action(P)) == negate(P), \
-                f"criterion-3: [i]^2 != -1 at {v}"
-
-        # fibers: nonempty <=> x(Q) is a square; x = 0 occurs only at Q=(0,0),
-        # whose preimages are (1,0) and (-1,0), so 0 counts as a square here
-        total = len(eta_preimages(point(p, 0, 0), p)) + 2  # identity fiber = kernel
-        assert eta_preimages(point(p, 0, 0)) == {point(p, 1, 0), point(p, -1, 0)}, \
-            f"criterion-3: fiber over (0,0) wrong at {v}"
-        for Q in pts:
-            if Q.x.residue == 0:
-                continue
-            pre = eta_preimages(Q)
-            expect_hit = jacobi(Q.x.residue, p) == 1
-            assert (len(pre) > 0) == expect_hit, \
-                f"criterion-3: QR preimage criterion fails at {v}, x={Q.x.residue}"
-            assert len(pre) in (0, 2), f"criterion-3: fiber size at {v}"
-            for P in pre:
-                assert eta_apply(P) == Q, f"criterion-3: preimage does not map back at {v}"
-            total += len(pre)
-        assert total == n, f"criterion-3: fibers do not partition E at {v}"
+    detail = run_criterion(3, selftest.check_eta_suite, ETA_PRIMES)
     elapsed = time.perf_counter() - t0
     assert elapsed < 5.0, f"criterion-3: {elapsed:.2f}s exceeds the 5 s budget"
-    print(f"[PASS] criterion-3: exhaustive 1+i suite on p in {ETA_PRIMES} "
-          f"in {elapsed:.2f}s (< 5 s)")
+    print(f"[PASS] criterion-3: {detail} in {elapsed:.2f}s (< 5 s)")
 
 
 def test_criterion_4_million_scan():

@@ -2,6 +2,7 @@
 
 import pytest
 
+from cm_octic import selftest
 from cm_octic.criteria import (
     Certificate,
     ErrorCertificate,
@@ -10,17 +11,9 @@ from cm_octic.criteria import (
     euler_symbol,
     proof_trace,
 )
-from cm_octic.curve import naive_point_count
 from cm_octic.errors import InvariantViolation
 from cm_octic.harness import primes_1_mod_8
 from cm_octic.modular import Prime, canonical_sqrt2, element, jacobi, sqrt_mod
-
-
-def independent_chi(v: int) -> int:
-    """chi(1 + sqrt2) straight from first principles, no package helpers."""
-    r = next(r for r in range(v) if r * r % v == 2)
-    e = pow(1 + r, (v - 1) // 2, v)
-    return 1 if e == 1 else -1
 
 
 class TestEulerSymbol:
@@ -114,13 +107,7 @@ class TestCertificate:
 
     def test_exhaustive_against_first_principles(self):
         # recompute chi and n without the package's own machinery
-        for p in primes_1_mod_8(0, 2000):
-            cert = check_prime(p, with_class_number=True)
-            assert isinstance(cert, Certificate)
-            assert cert.all_hold, p.value
-            assert cert.chi == independent_chi(p.value)
-            assert cert.n == naive_point_count(p)
-            assert cert.thm1_holds is True
+        selftest.check_criteria_small()
 
 
 class TestProofTrace:

@@ -4,14 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cm_octic import selftest
 from cm_octic.decompose import (
     EightDecomposition,
     TwoSquares,
-    _descend_two_squares,
+    _cornacchia,
     _normalized,
     curve_order_from_two_squares,
     eight_decomposition,
-    eight_decomposition_search,
     two_squares,
 )
 from cm_octic.errors import InvariantViolation
@@ -59,8 +59,8 @@ class TestTwoSquares:
             results = {
                 (t.a, t.b)
                 for t in (
-                    _normalized(p, *_descend_two_squares(v, lo.residue)),
-                    _normalized(p, *_descend_two_squares(v, hi.residue)),
+                    _normalized(p, *_cornacchia(v, lo.residue, 1)),
+                    _normalized(p, *_cornacchia(v, hi.residue, 1)),
                 )
             }
             assert len(results) == 1, v
@@ -89,10 +89,7 @@ class TestEightDecomposition:
             assert (e.c, e.d) == brute_eight(p.value), p.value
 
     def test_search_path_agrees(self):
-        for p in primes_1_mod_8(0, 2 * 10**4):
-            fast = eight_decomposition(p)
-            slow = eight_decomposition_search(p)
-            assert (fast.c, fast.d) == (slow.c, slow.d)
+        selftest.check_decompositions(2 * 10**4)
 
     def test_domain_error(self):
         with pytest.raises(ValueError):

@@ -3,9 +3,14 @@
 import dataclasses
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cm_octic
 from cm_octic.cli import SEED_ENV_VAR, main, resolve_seed
 from cm_octic.criteria import Certificate, ErrorCertificate
 from cm_octic.harness import (
@@ -13,7 +18,6 @@ from cm_octic.harness import (
     ScanConfig,
     _sieved_primes,
     certificate_csv_row,
-    certificate_to_dict,
     primes_1_mod_8,
     scan,
     write_scan_csv,
@@ -205,8 +209,9 @@ class TestSerialization:
         assert above_cap["thm2_holds"] is True
 
     def test_dict_key_order(self):
+        # check and scan --format json serialize through asdict
         cert = rigged_certificate()
-        assert list(certificate_to_dict(cert)) == [
+        assert list(dataclasses.asdict(cert)) == [
             "p", "a", "b", "c", "d", "chi", "n", "n_mod_32",
             "h", "thm2_holds", "thm1_holds", "corollary_holds",
         ]
@@ -324,10 +329,17 @@ class TestCliScan:
         assert [row.split(",", 1)[0] for row in lines[1:]] == ["17", "73", "89", "97"]
         assert "invariant violation at p=41" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("extra", [["--format", "xml"], ["--seed", "1"]])
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["scan", "--from", "0", "--to", "100", "--format", "xml"],
+            ["scan", "--from", "0", "--to", "100", "--seed", "1"],
+            ["check", "41", "--format", "json"],
+        ],
+    )
     def test_rejected_options(self, extra, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(["scan", "--from", "0", "--to", "100", *extra])
+            main(extra)
         assert exc.value.code == 1
         assert "error" in capsys.readouterr().err
 
@@ -364,6 +376,23 @@ class TestCliOther:
         assert main(["selftest"]) == 0
         out = capsys.readouterr().out
         assert "FAIL" not in out and out.count("PASS") == 6
+
+    def test_selftest_catches_a_fault_under_optimize(self):
+        # python -O strips assert statements; the checks must still fail.
+        code = (
+            "import cm_octic.selftest as s\n"
+            "s.CHECKS = (s.check_point_counts,)\n"
+            "clean = s.run_all(verbose=False)\n"
+            "real = s.curve_order\n"
+            "s.curve_order = lambda p: real(p) + 8\n"
+            "print(__debug__, clean, s.run_all(verbose=False))\n"
+        )
+        src = str(Path(cm_octic.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                              capture_output=True, text=True, check=True)
+        assert done.stdout.split() == ["False", "True", "False"]
 
 
 class TestSeedResolution:

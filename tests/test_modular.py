@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cm_octic import selftest
 from cm_octic.modular import (
     FieldElement,
     Prime,
@@ -17,7 +18,7 @@ from cm_octic.modular import (
     sqrt_mod,
 )
 
-from conftest import squares_mod, trial_division_primes
+from conftest import trial_division_primes
 
 ODD_PRIMES_257 = [p for p in trial_division_primes(258) if p > 2]
 
@@ -131,14 +132,8 @@ class TestJacobi:
         assert jacobi(0, p) == 0
 
     def test_exhaustive_against_squares(self):
-        for v in ODD_PRIMES_257:
-            p = Prime(v)
-            sq = squares_mod(v)
-            for a in range(v):
-                expect = 0 if a == 0 else (1 if a in sq else -1)
-                assert jacobi(a, p) == expect, (v, a)
-                # Euler's criterion gives the same answer.
-                assert pow(a, (v - 1) // 2, v) == expect % v, (v, a)
+        # jacobi and Euler's criterion against squaring, every odd prime <= 257.
+        selftest.check_symbols_exhaustive(257)
 
     def test_reduces_argument(self):
         p = Prime(17)
@@ -167,20 +162,9 @@ class TestSqrtMod:
         assert sqrt_mod(element(p, 3)) is None
 
     def test_exhaustive_small_primes(self):
-        for v in ODD_PRIMES_257:
-            p = Prime(v)
-            sq = squares_mod(v)
-            for a in range(v):
-                roots = sqrt_mod(element(p, a))
-                if a == 0:
-                    assert roots[0].residue == roots[1].residue == 0
-                elif a in sq:
-                    lo, hi = roots
-                    assert lo.residue <= hi.residue
-                    assert lo.residue * lo.residue % v == a
-                    assert hi.residue == (v - lo.residue) % v or a == 0
-                else:
-                    assert roots is None
+        # Both roots square back, sorted and negatives of each other; none
+        # for a non-residue.  The same shared check as TestJacobi's.
+        selftest.check_symbols_exhaustive(257)
 
     def test_three_mod_four_shortcut(self):
         # p = 3 (mod 4) exercises the exponent shortcut.
