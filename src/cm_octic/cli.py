@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 from typing import Sequence
 
@@ -27,8 +26,6 @@ EXIT_USAGE = 1
 EXIT_COUNTEREXAMPLE = 2
 EXIT_INVARIANT = 3
 
-SEED_ENV_VAR = "CM_OCTIC_SEED"
-
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 on bad usage; this tool reserves 2 for
@@ -39,19 +36,6 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def resolve_seed(cli_seed: int | None) -> int:
-    """Seed precedence: --seed flag, then CM_OCTIC_SEED, then 0."""
-    if cli_seed is not None:
-        return cli_seed
-    env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ValueError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from None
-    return 0
-
-
 def _build_parser() -> _Parser:
     parser = _Parser(prog="cm-octic", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -60,7 +44,7 @@ def _build_parser() -> _Parser:
     check.add_argument("p", type=int)
     check.add_argument("--class-number", action="store_true", help="also compute h(-4p)")
     check.add_argument("--trace", action="store_true", help="attach a structural proof trace")
-    check.add_argument("--seed", type=int, default=None)
+    check.add_argument("--seed", type=int, default=0, help="point-sampling seed for --trace")
 
     scan_p = sub.add_parser("scan", help="verify a whole range of primes = 1 (mod 8)")
     scan_p.add_argument("--from", dest="lo", type=int, required=True)
@@ -87,7 +71,6 @@ def _build_parser() -> _Parser:
 
 def _cmd_check(args: argparse.Namespace) -> int:
     p = pipeline_prime(args.p)
-    seed = resolve_seed(args.seed)
     cert = check_prime(p, with_class_number=args.class_number)
     if not isinstance(cert, Certificate):
         print(json.dumps(dataclasses.asdict(cert), indent=2))
@@ -95,7 +78,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     doc = dataclasses.asdict(cert)
     status = EXIT_OK if cert.all_hold else EXIT_COUNTEREXAMPLE
     if args.trace:
-        trace = proof_trace(p, seed=seed)
+        trace = proof_trace(p, seed=args.seed)
         doc["trace"] = dataclasses.asdict(trace)
         if not trace.consistent:
             status = EXIT_COUNTEREXAMPLE

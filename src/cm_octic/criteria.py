@@ -105,25 +105,20 @@ def check_prime(
     """Evaluate every criterion at p, each side computed independently."""
     if p.residue_class != 1:
         raise ValueError(f"check_prime expects p = 1 (mod 8), got {p.value}")
+    h: int | None = None
+    stage = "two_squares"
     try:
         ts = two_squares(p)
         n = curve_order_from_two_squares(ts)
-    except InvariantViolation as exc:
-        return ErrorCertificate(p=p.value, stage="two_squares", message=str(exc))
-    try:
+        stage = "eight_decomposition"
         e8 = eight_decomposition(p)
-    except InvariantViolation as exc:
-        return ErrorCertificate(p=p.value, stage="eight_decomposition", message=str(exc))
-    try:
+        stage = "chi"
         chi = chi_one_plus_sqrt2(p)
-    except InvariantViolation as exc:
-        return ErrorCertificate(p=p.value, stage="chi", message=str(exc))
-    h: int | None = None
-    if with_class_number:
-        try:
+        if with_class_number:
+            stage = "class_number"
             h = class_number(p, cap=class_number_cap)
-        except InvariantViolation as exc:
-            return ErrorCertificate(p=p.value, stage="class_number", message=str(exc))
+    except InvariantViolation as exc:
+        return ErrorCertificate(p=p.value, stage=stage, message=str(exc))
     n_mod_32 = n % 32
     d_even = e8.d % 2 == 0
     thm2 = (chi == 1) == (n_mod_32 == 0)

@@ -1,9 +1,11 @@
 """Canonical decompositions p = a^2 + b^2 and p = c^2 + 8*d^2.
 
-Both use Cornacchia's Euclidean descent seeded with a modular square root.
-Normalization pins the two-square pair down to a unique signed (a, b):
-a odd, b even and positive, a + b = 1 (mod 4).  The c^2 + 8*d^2
-representation of a prime is unique outright once c, d > 0.
+Both use Cornacchia's Euclidean descent, seeded with the canonical roots
+from modular: i for a^2 + b^2, and 2*i*sqrt(2), whose square is -8, for
+c^2 + 8*d^2.  Either root of -k yields the same descent.  Normalization
+pins the two-square pair down to a unique signed (a, b): a odd, b even and
+positive, a + b = 1 (mod 4).  The c^2 + 8*d^2 representation of a prime is
+unique outright once c, d > 0.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 from math import isqrt
 
 from .errors import InvariantViolation
-from .modular import Prime, element, sqrt_mod
+from .modular import Prime, canonical_i, canonical_sqrt2
 
 
 @dataclass(frozen=True)
@@ -81,10 +83,7 @@ def two_squares(p: Prime) -> TwoSquares:
     """The canonical signed pair with a^2 + b^2 = p; requires p = 1 (mod 4)."""
     if p.value % 4 != 1:
         raise ValueError(f"p = 1 (mod 4) required for a two-square decomposition, got {p.value}")
-    roots = sqrt_mod(element(p, -1))
-    assert roots is not None  # -1 is a square exactly when p = 1 (mod 4)
-    # Either square root of -1 works; normalization makes the results agree.
-    x, y = _cornacchia(p.value, roots[1].residue, 1)
+    x, y = _cornacchia(p.value, canonical_i(p).residue, 1)
     return _normalized(p, x, y)
 
 
@@ -92,10 +91,8 @@ def eight_decomposition(p: Prime) -> EightDecomposition:
     """The unique (c, d) with c^2 + 8*d^2 = p; requires p = 1 (mod 8)."""
     if p.residue_class != 1:
         raise ValueError(f"p = 1 (mod 8) required for c^2 + 8*d^2, got {p.value}")
-    roots = sqrt_mod(element(p, -8))
-    if roots is None:
-        raise InvariantViolation(f"-8 unexpectedly a non-residue mod {p.value}")
-    c, d = _cornacchia(p.value, roots[1].residue, 8)  # descend from the root above p/2
+    root = 2 * canonical_i(p) * canonical_sqrt2(p)  # (2 i sqrt2)^2 = -8
+    c, d = _cornacchia(p.value, root.residue, 8)
     return EightDecomposition(c=c, d=d, p=p)
 
 

@@ -3,12 +3,18 @@
 All functions use exact integer arithmetic.  Moduli are odd primes below
 2**62; that bound is part of the contract even though Python integers would
 happily go further.
+
+The package gets i and sqrt(2) only from canonical_i and canonical_sqrt2:
+each is one power of the least non-residue z, squared back before use.
+sqrt_mod (Tonelli-Shanks) serves every other square root.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+
+from .errors import InvariantViolation
 
 MODULUS_BOUND = 1 << 62
 
@@ -168,6 +174,14 @@ def pow_mod(a: FieldElement, e: int) -> FieldElement:
     return FieldElement(pow(a.residue, e, a.modulus.value), a.modulus)
 
 
+def _nonresidue(n: int) -> int:
+    # The least quadratic non-residue mod the odd prime n.
+    z = 2
+    while _jacobi(z, n) != -1:
+        z += 1
+    return z
+
+
 def _tonelli_shanks(v: int, n: int) -> int:
     # One square root of the residue v mod n; v nonzero and a square,
     # n = 1 (mod 4).  The n = 3 (mod 4) shortcut is taken by the caller.
@@ -176,9 +190,7 @@ def _tonelli_shanks(v: int, n: int) -> int:
     while q % 2 == 0:
         q //= 2
         s += 1
-    z = 2
-    while _jacobi(z, n) != -1:
-        z += 1
+    z = _nonresidue(n)
     m, c, t, r = s, pow(z, q, n), pow(v, q, n), pow(v, (q + 1) // 2, n)
     while t != 1:
         t2 = t
@@ -213,21 +225,29 @@ def sqrt_mod(a: FieldElement) -> tuple[FieldElement, FieldElement] | None:
     return (FieldElement(r, p), FieldElement(n - r, p))
 
 
+def _smaller_root(p: Prime, r: int, square: int) -> FieldElement:
+    # r in [0, p) must square back to `square`; the smaller of r and p - r
+    # is the canonical root.
+    n = p.value
+    if r * r % n != square % n:
+        raise InvariantViolation(f"the root {r} of {square} mod {n} does not square back")
+    return FieldElement(min(r, n - r), p)
+
+
 @lru_cache(maxsize=512)
 def canonical_i(p: Prime) -> FieldElement:
-    """The smaller square root of -1 in F_p; requires p = 1 (mod 4)."""
-    if p.value % 4 != 1:
-        raise ValueError(f"-1 is a non-residue mod {p.value}; need p = 1 (mod 4)")
-    roots = sqrt_mod(element(p, -1))
-    assert roots is not None
-    return roots[0]
+    """The smaller square root of -1 in F_p, +-z^((p-1)/4); requires p = 1 (mod 4)."""
+    n = p.value
+    if n % 4 != 1:
+        raise ValueError(f"-1 is a non-residue mod {n}; need p = 1 (mod 4)")
+    return _smaller_root(p, pow(_nonresidue(n), (n - 1) // 4, n), -1)
 
 
 @lru_cache(maxsize=512)
 def canonical_sqrt2(p: Prime) -> FieldElement:
-    """The smaller square root of 2 in F_p; requires p = +-1 (mod 8)."""
-    if p.residue_class not in (1, 7):
-        raise ValueError(f"2 is a non-residue mod {p.value}; need p = +-1 (mod 8)")
-    roots = sqrt_mod(element(p, 2))
-    assert roots is not None
-    return roots[0]
+    """The smaller square root of 2 in F_p, +-(zeta - zeta^3); requires p = 1 (mod 8)."""
+    n = p.value
+    if p.residue_class != 1:
+        raise ValueError(f"no 8th root of unity mod {n}; need p = 1 (mod 8)")
+    zeta = pow(_nonresidue(n), (n - 1) // 8, n)  # zeta^4 = -1: (zeta - zeta^3)^2 = 2
+    return _smaller_root(p, (zeta - pow(zeta, 3, n)) % n, 2)

@@ -212,14 +212,15 @@ CHECKS: tuple[Callable[[], str], ...] = (
 
 
 def run_all(verbose: bool = True) -> bool:
+    """Run every check, going on past any failure; True when all pass."""
     ok = True
     for fn in CHECKS:
         try:
             detail = fn()
-        except AssertionError as exc:
+        except Exception as exc:
             ok = False
             if verbose:
-                print(f"FAIL {fn.__name__}: {exc}")
+                print(f"FAIL {fn.__name__}: {type(exc).__name__}: {exc}")
         else:
             if verbose:
                 print(f"PASS {fn.__name__}: {detail}")

@@ -2,7 +2,7 @@
 
 import pytest
 
-from cm_octic import selftest
+from cm_octic import criteria, modular, selftest
 from cm_octic.criteria import (
     Certificate,
     ErrorCertificate,
@@ -11,9 +11,10 @@ from cm_octic.criteria import (
     euler_symbol,
     proof_trace,
 )
+from cm_octic.cli import main
 from cm_octic.errors import InvariantViolation
-from cm_octic.harness import primes_1_mod_8
-from cm_octic.modular import Prime, canonical_sqrt2, element, jacobi, sqrt_mod
+from cm_octic.harness import ScanConfig, primes_1_mod_8, scan
+from cm_octic.modular import Prime, canonical_i, canonical_sqrt2, element, jacobi, sqrt_mod
 
 
 class TestEulerSymbol:
@@ -108,6 +109,45 @@ class TestCertificate:
     def test_exhaustive_against_first_principles(self):
         # recompute chi and n without the package's own machinery
         selftest.check_criteria_small()
+
+
+class TestStageFailures:
+    @pytest.mark.parametrize(
+        "name, stage",
+        [
+            ("two_squares", "two_squares"),
+            ("eight_decomposition", "eight_decomposition"),
+            ("chi_one_plus_sqrt2", "chi"),
+            ("class_number", "class_number"),
+        ],
+    )
+    def test_stage_labels(self, name, stage, monkeypatch):
+        def broken(*args, **kwargs):
+            raise InvariantViolation("planted")
+
+        monkeypatch.setattr(criteria, name, broken)
+        err = check_prime(Prime(41), with_class_number=True)
+        assert err == ErrorCertificate(p=41, stage=stage, message="planted")
+
+    def test_root_that_fails_to_square_back(self, monkeypatch, capsys):
+        # A residue in place of the non-residue makes canonical_i's power
+        # square to +1; the guard turns that into a stage failure at p = 41.
+        real = modular._nonresidue
+        monkeypatch.setattr(modular, "_nonresidue", lambda n: 4 if n == 41 else real(n))
+        canonical_i.cache_clear()
+        canonical_sqrt2.cache_clear()
+        try:
+            err = check_prime(Prime(41))
+            assert isinstance(err, ErrorCertificate) and err.stage == "two_squares"
+            assert err.message == "the root 1 of -1 mod 41 does not square back"
+            report = scan(ScanConfig(lo=0, hi=100))
+            assert [c.p for c in report.certificates] == [17, 73, 89, 97]
+            assert [(e.p, e.stage) for e in report.errors] == [(41, "two_squares")]
+            assert main(["scan", "--from", "0", "--to", "100"]) == 3
+            assert "invariant violation at p=41 [two_squares]" in capsys.readouterr().err
+        finally:
+            canonical_i.cache_clear()
+            canonical_sqrt2.cache_clear()
 
 
 class TestProofTrace:

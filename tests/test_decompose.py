@@ -64,6 +64,9 @@ class TestTwoSquares:
                 )
             }
             assert len(results) == 1, v
+            if v % 8 == 1:
+                lo, hi = sqrt_mod(element(p, -8))
+                assert _cornacchia(v, lo.residue, 8) == _cornacchia(v, hi.residue, 8), v
 
     def test_domain_error(self):
         with pytest.raises(ValueError):
