@@ -4,7 +4,7 @@
 Verifies chi(1 + sqrt2) = +1 <=> d even <=> h(-4p) = 0 (mod 8) over a prime
 range, where p = c^2 + 8 d^2.  The histogram makes the split visible: the
 h mod 8 residues that occur for chi = +1 are disjoint from those for chi = -1.
-Class-number counting is quadratic-ish in sqrt(p), so keep the bound modest.
+Each class number costs about sqrt(p) steps.
 """
 
 import argparse

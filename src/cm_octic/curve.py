@@ -40,7 +40,8 @@ INFINITY = Point(None, None)
 
 
 def affine(x: FieldElement, y: FieldElement) -> Point:
-    assert x.modulus == y.modulus, "coordinates from different prime fields"
+    if x.modulus != y.modulus:  # explicit, so python -O keeps the guard
+        raise AssertionError("coordinates from different prime fields")
     if y * y != x * x * x - x:
         raise ValueError(
             f"({x.residue}, {y.residue}) is not on y^2 = x^3 - x over F_{x.modulus.value}"
@@ -70,7 +71,8 @@ def add(P: Point, Q: Point) -> Point:
         return Q
     if Q.is_infinity:
         return P
-    assert P.x.modulus == Q.x.modulus, "points on curves over different fields"
+    if P.x.modulus != Q.x.modulus:  # explicit, so python -O keeps the guard
+        raise AssertionError("points on curves over different fields")
     x1, y1 = P.x, P.y
     x2, y2 = Q.x, Q.y
     if x1 == x2:

@@ -6,7 +6,8 @@ happily go further.
 
 The package gets i and sqrt(2) only from canonical_i and canonical_sqrt2:
 each is one power of the least non-residue z, squared back before use.
-sqrt_mod (Tonelli-Shanks) serves every other square root.
+sqrt_mod and its integer core _sqrt_residue (Tonelli-Shanks) serve every
+other square root, among them the roots mod q of the class-number count.
 """
 
 from __future__ import annotations
@@ -92,9 +93,10 @@ def pipeline_prime(n: int) -> Prime:
 class FieldElement:
     """A residue in [0, p) tied to its prime modulus.
 
-    Arithmetic never mixes moduli; doing so is a programming error and is
-    guarded by assertions, not recoverable exceptions.  Plain ints coerce
-    into the field of the other operand.
+    Arithmetic never mixes moduli; doing so is a programming error and
+    raises AssertionError explicitly (so the guard survives python -O),
+    not a recoverable exception.  Plain ints coerce into the field of the
+    other operand.
     """
 
     residue: int
@@ -108,7 +110,8 @@ class FieldElement:
 
     def _coerce(self, other: FieldElement | int) -> int:
         if isinstance(other, FieldElement):
-            assert self.modulus == other.modulus, "operands from different prime fields"
+            if self.modulus != other.modulus:
+                raise AssertionError("operands from different prime fields")
             return other.residue
         return other % self.modulus.value
 
@@ -137,7 +140,8 @@ class FieldElement:
     def __truediv__(self, other: FieldElement | int) -> FieldElement:
         if isinstance(other, int):
             other = element(self.modulus, other)
-        assert self.modulus == other.modulus, "operands from different prime fields"
+        if self.modulus != other.modulus:
+            raise AssertionError("operands from different prime fields")
         return self * other.inverse()
 
 
@@ -184,7 +188,7 @@ def _nonresidue(n: int) -> int:
 
 def _tonelli_shanks(v: int, n: int) -> int:
     # One square root of the residue v mod n; v nonzero and a square,
-    # n = 1 (mod 4).  The n = 3 (mod 4) shortcut is taken by the caller.
+    # n = 1 (mod 4).  _sqrt_residue takes the n = 3 (mod 4) shortcut.
     q = n - 1
     s = 0
     while q % 2 == 0:
@@ -203,6 +207,13 @@ def _tonelli_shanks(v: int, n: int) -> int:
     return r
 
 
+def _sqrt_residue(v: int, n: int) -> int:
+    # One square root of v mod the odd prime n; v must be a nonzero square.
+    if n % 4 == 3:
+        return pow(v, (n + 1) // 4, n)
+    return _tonelli_shanks(v, n)
+
+
 def sqrt_mod(a: FieldElement) -> tuple[FieldElement, FieldElement] | None:
     """Both square roots of a in F_p, smaller residue first.
 
@@ -217,10 +228,7 @@ def sqrt_mod(a: FieldElement) -> tuple[FieldElement, FieldElement] | None:
         return (zero, zero)
     if _jacobi(v, n) != 1:
         return None
-    if n % 4 == 3:
-        r = pow(v, (n + 1) // 4, n)
-    else:
-        r = _tonelli_shanks(v, n)
+    r = _sqrt_residue(v, n)
     r = min(r, n - r)
     return (FieldElement(r, p), FieldElement(n - r, p))
 

@@ -14,6 +14,7 @@ from math import isqrt
 
 from cm_octic.selftest import (  # noqa: F401  (re-exported to the tests)
     ETA_PRIMES,
+    box_class_number,
     curve_points_oracle,
     first_principles_chi,
     squares_mod,
@@ -46,30 +47,3 @@ def brute_eight(p: int) -> tuple[int, int]:
         if c * c == c2:
             return c, d
     raise AssertionError(f"{p} has no c^2 + 8 d^2 representation")
-
-
-def box_class_number(p: int) -> int:
-    """h(-4p) by enumerating the full (a, b, c) box with no early pruning."""
-    disc = -4 * p
-    count = 0
-    for a in range(1, isqrt(-disc // 3) + 2):
-        for b in range(-a, a + 1):
-            num = b * b - disc
-            if num % (4 * a):
-                continue
-            c = num // (4 * a)
-            if c < a:
-                continue
-            if b < 0 and (-b == a or a == c):
-                continue  # the mirror form is the reduced representative
-            g = _gcd3(a, abs(b), c)
-            if g != 1:
-                continue
-            count += 1
-    return count
-
-
-def _gcd3(a: int, b: int, c: int) -> int:
-    from math import gcd
-
-    return gcd(a, gcd(b, c))

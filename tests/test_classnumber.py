@@ -2,7 +2,10 @@
 
 import pytest
 
+from cm_octic import classnumber
 from cm_octic.classnumber import DEFAULT_CAP, class_number
+from cm_octic.criteria import ErrorCertificate, check_prime
+from cm_octic.errors import InvariantViolation
 from cm_octic.harness import primes_1_mod_8
 from cm_octic.modular import Prime
 
@@ -15,8 +18,36 @@ class TestClassNumber:
         assert class_number(Prime(v)) == h
 
     def test_matches_box_enumeration_oracle(self):
-        for p in primes_1_mod_8(0, 5000):
+        for p in primes_1_mod_8(0, 20000):
             assert class_number(p) == box_class_number(p.value), p.value
+
+    @pytest.mark.parametrize(
+        "v",
+        [
+            pytest.param(569, id="569-band-a-5^2-hensel"),
+            pytest.param(641, id="641-band-a-3^3-hensel"),
+            pytest.param(761, id="761-band-a-2*3*5-crt"),
+            pytest.param(1721, id="1721-band-a-3^2*5-hensel-crt"),
+        ],
+    )
+    def test_band_root_paths(self, v):
+        # Each p has a counted form whose first coefficient a lies in the
+        # band sqrt(p) < a <= sqrt(4p/3) and needs the named root path.
+        assert class_number(Prime(v)) == box_class_number(v)
+
+    @pytest.mark.parametrize("v,h", [(1000033, 360), (10000121, 6000)])
+    def test_large_pinned(self, v, h):
+        # Values of the former O(p) walk; Dirichlet's formula gives 360 at 1000033.
+        assert class_number(Prime(v)) == h
+
+    def test_root_that_is_not_a_root(self, monkeypatch):
+        # At p = 41 the band holds a = 7; a wrong root mod 7 must not be counted.
+        real = classnumber._sqrt_residue
+        monkeypatch.setattr(classnumber, "_sqrt_residue", lambda v, n: (real(v, n) + 1) % n)
+        with pytest.raises(InvariantViolation, match="not a root of -41 mod 7"):
+            class_number(Prime(41))
+        err = check_prime(Prime(41), with_class_number=True)
+        assert isinstance(err, ErrorCertificate) and err.stage == "class_number"
 
     def test_always_even(self):
         # genus theory: -4p has two prime discriminant divisors
@@ -28,7 +59,7 @@ class TestClassNumber:
             class_number(Prime(1000033), cap=10**6)
 
     def test_default_cap_value(self):
-        assert DEFAULT_CAP == 10_000_000
+        assert DEFAULT_CAP == 10_000_000_000
 
     def test_rejects_wrong_residue_class(self):
         with pytest.raises(ValueError):
