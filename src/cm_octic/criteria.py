@@ -27,21 +27,34 @@ from .curve import (
     eta_preimages,
     find_point_of_order,
 )
-from .decompose import curve_order_from_two_squares, eight_decomposition, two_squares
+from .decompose import _curve_order, _eight_decomposition, _two_squares
 from .errors import InvariantViolation
-from .modular import FieldElement, Prime, canonical_sqrt2, element, jacobi, pow_mod, sqrt_mod
+from .modular import FieldElement, Prime, _i_and_sqrt2, canonical_sqrt2, element, jacobi, sqrt_mod
+
+
+def _euler(u: int, n: int) -> int:
+    # Euler's criterion for the residue u mod the odd prime n.
+    if u == 0:
+        return 0
+    e = pow(u, (n - 1) // 2, n)
+    if e == 1:
+        return 1
+    if e == n - 1:
+        return -1
+    raise InvariantViolation(f"Euler's criterion returned {e} mod {n}")
+
+
+def _chi(n: int, s: int) -> int:
+    # (1 + s | n) for a root s of 2 mod n.
+    u = (s + 1) % n
+    if u == 0:
+        raise InvariantViolation(f"1 + sqrt(2) vanished mod {n}")
+    return _euler(u, n)
 
 
 def euler_symbol(u: FieldElement) -> int:
     """Euler's criterion: u^((p-1)/2) resolved into {-1, 0, +1}."""
-    if u.residue == 0:
-        return 0
-    e = pow_mod(u, (u.modulus.value - 1) // 2).residue
-    if e == 1:
-        return 1
-    if e == u.modulus.value - 1:
-        return -1
-    raise InvariantViolation(f"Euler's criterion returned {e} mod {u.modulus.value}")
+    return _euler(u.residue, u.modulus.value)
 
 
 def chi_one_plus_sqrt2(p: Prime) -> int:
@@ -53,10 +66,7 @@ def chi_one_plus_sqrt2(p: Prime) -> int:
     """
     if p.residue_class != 1:
         raise ValueError(f"chi is defined for p = 1 (mod 8), got {p.value}")
-    u = canonical_sqrt2(p) + 1
-    if u.residue == 0:
-        raise InvariantViolation(f"1 + sqrt(2) vanished mod {p.value}")
-    return euler_symbol(u)
+    return _chi(p.value, canonical_sqrt2(p).residue)
 
 
 @dataclass(frozen=True)
@@ -103,37 +113,43 @@ def check_prime(
     p: Prime, with_class_number: bool = False, class_number_cap: int = DEFAULT_CAP
 ) -> Certificate | ErrorCertificate:
     """Evaluate every criterion at p, each side computed independently."""
-    if p.residue_class != 1:
-        raise ValueError(f"check_prime expects p = 1 (mod 8), got {p.value}")
+    n = p.value
+    if n % 8 != 1:
+        raise ValueError(f"check_prime expects p = 1 (mod 8), got {n}")
     h: int | None = None
+    # Plain integers throughout; the integer forms run every check that the
+    # TwoSquares and EightDecomposition dataclasses would.
     stage = "two_squares"
     try:
-        ts = two_squares(p)
-        n = curve_order_from_two_squares(ts)
+        roots = _i_and_sqrt2(n)
+        i = next(roots)
+        a, b = _two_squares(n, i)
+        order = _curve_order(n, a, b)
         stage = "eight_decomposition"
-        e8 = eight_decomposition(p)
+        s = next(roots)
+        c, d = _eight_decomposition(n, i, s)
         stage = "chi"
-        chi = chi_one_plus_sqrt2(p)
+        chi = _chi(n, s)
         if with_class_number:
             stage = "class_number"
             h = class_number(p, cap=class_number_cap)
     except InvariantViolation as exc:
-        return ErrorCertificate(p=p.value, stage=stage, message=str(exc))
-    n_mod_32 = n % 32
-    d_even = e8.d % 2 == 0
+        return ErrorCertificate(p=n, stage=stage, message=str(exc))
+    n_mod_32 = order % 32
+    d_even = d % 2 == 0
     thm2 = (chi == 1) == (n_mod_32 == 0)
     corollary = (n_mod_32 == 0) == d_even
     thm1 = None
     if h is not None:
         thm1 = ((chi == 1) == d_even) and (d_even == (h % 8 == 0))
     return Certificate(
-        p=p.value,
-        a=ts.a,
-        b=ts.b,
-        c=e8.c,
-        d=e8.d,
+        p=n,
+        a=a,
+        b=b,
+        c=c,
+        d=d,
         chi=chi,
-        n=n,
+        n=order,
         n_mod_32=n_mod_32,
         h=h,
         thm2_holds=thm2,

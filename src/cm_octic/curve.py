@@ -217,18 +217,6 @@ def curve_order(p: Prime) -> int:
     return curve_order_from_two_squares(two_squares(p))
 
 
-def naive_point_count(p: Prime) -> int:
-    """#E(F_p) by direct point counting; guarded to p < 10^5."""
-    n = p.value
-    if n >= NAIVE_COUNT_BOUND:
-        raise ValueError(f"naive counting is capped at p < {NAIVE_COUNT_BOUND}")
-    # roots[r] counts the y with y^2 = r, so x carries roots[x^3 - x] points.
-    roots = [0] * n
-    for y in range(n):
-        roots[y * y % n] += 1
-    return 1 + sum(roots[(x * x * x - x) % n] for x in range(n))  # 1 for the identity
-
-
 def random_point(p: Prime, seed: int) -> Point:
     """Deterministic point sampler: walk x = seed, seed+1, ... until x^3 - x
     is a square, then take the canonical (smaller) y."""

@@ -6,6 +6,10 @@ c^2 + 8*d^2.  Either root of -k yields the same descent.  Normalization
 pins the two-square pair down to a unique signed (a, b): a odd, b even and
 positive, a + b = 1 (mod 4).  The c^2 + 8*d^2 representation of a prime is
 unique outright once c, d > 0.
+
+The private integer forms (_two_squares, _eight_decomposition,
+_curve_order) run every check of the dataclasses below on plain ints; the
+scan path calls them directly, and the public functions wrap them.
 """
 
 from __future__ import annotations
@@ -17,6 +21,20 @@ from .errors import InvariantViolation
 from .modular import Prime, canonical_i, canonical_sqrt2
 
 
+def _check_two_squares(a: int, b: int, n: int) -> None:
+    if a * a + b * b != n:
+        raise InvariantViolation(f"{a}^2 + {b}^2 != {n}")
+    if a % 2 == 0 or b % 2 != 0 or b <= 0 or (a + b) % 4 != 1:
+        raise InvariantViolation(f"({a}, {b}) is not a canonical two-square pair for {n}")
+
+
+def _check_eight(c: int, d: int, n: int) -> None:
+    if c * c + 8 * d * d != n:
+        raise InvariantViolation(f"{c}^2 + 8*{d}^2 != {n}")
+    if c <= 0 or d <= 0:
+        raise InvariantViolation(f"({c}, {d}) must be positive")
+
+
 @dataclass(frozen=True)
 class TwoSquares:
     """p = a^2 + b^2 with a odd (signed), b even and positive, a + b = 1 (mod 4)."""
@@ -26,14 +44,7 @@ class TwoSquares:
     p: Prime
 
     def __post_init__(self) -> None:
-        if self.a * self.a + self.b * self.b != self.p.value:
-            raise InvariantViolation(
-                f"{self.a}^2 + {self.b}^2 != {self.p.value}"
-            )
-        if self.a % 2 == 0 or self.b % 2 != 0 or self.b <= 0 or (self.a + self.b) % 4 != 1:
-            raise InvariantViolation(
-                f"({self.a}, {self.b}) is not a canonical two-square pair for {self.p.value}"
-            )
+        _check_two_squares(self.a, self.b, self.p.value)
 
 
 @dataclass(frozen=True)
@@ -45,14 +56,7 @@ class EightDecomposition:
     p: Prime
 
     def __post_init__(self) -> None:
-        if self.c * self.c + 8 * self.d * self.d != self.p.value:
-            raise InvariantViolation(
-                f"{self.c}^2 + 8*{self.d}^2 != {self.p.value}"
-            )
-        if self.c <= 0 or self.d <= 0:
-            raise InvariantViolation(
-                f"({self.c}, {self.d}) must be positive"
-            )
+        _check_eight(self.c, self.d, self.p.value)
 
 
 def _cornacchia(n: int, root: int, k: int) -> tuple[int, int]:
@@ -70,43 +74,50 @@ def _cornacchia(n: int, root: int, k: int) -> tuple[int, int]:
     return b, y
 
 
-def _normalized(p: Prime, x: int, y: int) -> TwoSquares:
-    # Exactly one of x, y is odd for odd p; exactly one sign of the odd
+def _two_squares(n: int, i: int) -> tuple[int, int]:
+    # The canonical (a, b) for the prime n, from a root i of -1 mod n.
+    # Exactly one of x, y is odd for odd n; exactly one sign of the odd
     # member satisfies a + b = 1 (mod 4) once b > 0 is fixed.
+    x, y = _cornacchia(n, i, 1)
     a, b = (x, y) if x % 2 else (y, x)
     if a % 4 != (1 - b) % 4:
         a = -a
-    return TwoSquares(a=a, b=b, p=p)
+    _check_two_squares(a, b, n)
+    return a, b
+
+
+def _eight_decomposition(n: int, i: int, s: int) -> tuple[int, int]:
+    # The (c, d) for the prime n = 1 (mod 8), from roots i of -1 and s of 2:
+    # (2 i s)^2 = -8 seeds the descent.
+    c, d = _cornacchia(n, 2 * i * s % n, 8)
+    _check_eight(c, d, n)
+    return c, d
+
+
+def _curve_order(n: int, a: int, b: int) -> int:
+    # The integer form of curve_order_from_two_squares.
+    order = (a - 1) ** 2 + b * b
+    if order != n + 1 - 2 * a:
+        raise InvariantViolation(
+            f"order mismatch for p={n}: (a-1)^2+b^2={order} but p+1-2a={n + 1 - 2 * a}"
+        )
+    return order
 
 
 def two_squares(p: Prime) -> TwoSquares:
     """The canonical signed pair with a^2 + b^2 = p; requires p = 1 (mod 4)."""
     if p.value % 4 != 1:
         raise ValueError(f"p = 1 (mod 4) required for a two-square decomposition, got {p.value}")
-    x, y = _cornacchia(p.value, canonical_i(p).residue, 1)
-    return _normalized(p, x, y)
+    a, b = _two_squares(p.value, canonical_i(p).residue)
+    return TwoSquares(a=a, b=b, p=p)
 
 
 def eight_decomposition(p: Prime) -> EightDecomposition:
     """The unique (c, d) with c^2 + 8*d^2 = p; requires p = 1 (mod 8)."""
     if p.residue_class != 1:
         raise ValueError(f"p = 1 (mod 8) required for c^2 + 8*d^2, got {p.value}")
-    root = 2 * canonical_i(p) * canonical_sqrt2(p)  # (2 i sqrt2)^2 = -8
-    c, d = _cornacchia(p.value, root.residue, 8)
+    c, d = _eight_decomposition(p.value, canonical_i(p).residue, canonical_sqrt2(p).residue)
     return EightDecomposition(c=c, d=d, p=p)
-
-
-def eight_decomposition_search(p: Prime) -> EightDecomposition:
-    """Bounded direct search over d <= sqrt(p/8); the slow oracle path."""
-    if p.residue_class != 1:
-        raise ValueError(f"p = 1 (mod 8) required for c^2 + 8*d^2, got {p.value}")
-    n = p.value
-    for d in range(1, isqrt(n // 8) + 1):
-        c2 = n - 8 * d * d
-        c = isqrt(c2)
-        if c * c == c2:
-            return EightDecomposition(c=c, d=d, p=p)
-    raise InvariantViolation(f"no c^2 + 8*d^2 representation found for {n}")
 
 
 def curve_order_from_two_squares(t: TwoSquares) -> int:
@@ -115,9 +126,4 @@ def curve_order_from_two_squares(t: TwoSquares) -> int:
     Both forms are computed and compared; a mismatch would mean the sign
     normalization is broken.
     """
-    n = (t.a - 1) ** 2 + t.b * t.b
-    if n != t.p.value + 1 - 2 * t.a:
-        raise InvariantViolation(
-            f"order mismatch for p={t.p.value}: (a-1)^2+b^2={n} but p+1-2a={t.p.value + 1 - 2 * t.a}"
-        )
-    return n
+    return _curve_order(t.p.value, t.a, t.b)

@@ -13,7 +13,10 @@ from __future__ import annotations
 import json
 import multiprocessing
 import time
+from array import array
 from dataclasses import asdict, dataclass, field
+from functools import cache
+from itertools import compress
 from math import isqrt
 from typing import Iterator, TextIO
 
@@ -22,6 +25,7 @@ from .modular import MODULUS_BOUND, Prime, is_prime
 
 _SEGMENT = 1 << 18
 _SIEVE_LIMIT = 1 << 33  # above this, trial sieving gives way to the 1-mod-8 wheel
+_WHEEL_PRESIEVE = 1 << 16  # the wheel strikes multiples of the odd primes below this
 
 CSV_HEADER = "p,a,b,c,d,chi,n,n_mod_32,d_parity,h,h_mod_8,thm1,thm2,corollary"
 
@@ -66,15 +70,15 @@ def _simple_sieve(limit: int) -> list[int]:
     for i in range(2, isqrt(limit - 1) + 1):
         if flags[i]:
             flags[i * i :: i] = bytes(len(range(i * i, limit, i)))
-    return [i for i in range(limit) if flags[i]]
+    return list(compress(range(limit), flags))
 
 
-def _sieved_primes(lo: int, hi: int) -> Iterator[int]:
-    # All primes in [lo, hi) via a segmented sieve.
+def _sieved_1_mod_8(lo: int, hi: int) -> Iterator[int]:
+    # The primes = 1 (mod 8) in [lo, hi), via a segmented sieve.
     root = isqrt(hi - 1)
     base = _simple_sieve(root + 1)
     for q in base:
-        if lo <= q < hi:
+        if lo <= q < hi and q % 8 == 1:
             yield q
     start = max(lo, root + 1)
     for seg_lo in range(start, hi, _SEGMENT):
@@ -85,9 +89,37 @@ def _sieved_primes(lo: int, hi: int) -> Iterator[int]:
                 break
             first = max(q * q, ((seg_lo + q - 1) // q) * q)
             flags[first - seg_lo :: q] = bytes(len(range(first, seg_hi, q)))
-        for idx, alive in enumerate(flags):
-            if alive:
-                yield seg_lo + idx
+        off = (1 - seg_lo) % 8  # index of the first value = 1 (mod 8)
+        yield from compress(range(seg_lo + off, seg_hi, 8), flags[off::8])
+
+
+@cache
+def _wheel_primes() -> tuple[array, array]:
+    # The odd primes q < 2^16 and -1/8 mod q for each, built on the first
+    # wheel scan rather than at import.  (q mod 8) * q = q^2 = 1 (mod 8), so
+    # m = ((q mod 8) * q - 1) / 8 is an integer with 8m = -1 (mod q).
+    qs = array("i", _simple_sieve(_WHEEL_PRESIEVE)[1:])
+    return qs, array("i", [(q % 8 * q - 1) // 8 for q in qs])
+
+
+def _wheel_1_mod_8(lo: int, hi: int) -> Iterator[int]:
+    # The primes = 1 (mod 8) in [lo, hi), by Miller-Rabin on the candidates
+    # = 1 (mod 8) that no odd prime below 2^16 divides, other than the prime
+    # itself.
+    start = max(lo + (1 - lo) % 8, 17)  # first value = 1 (mod 8) at or above lo
+    for seg_lo in range(start, hi, _SEGMENT):
+        candidates = range(seg_lo, min(seg_lo + _SEGMENT, hi), 8)
+        m = len(candidates)
+        alive = bytearray([1]) * m
+        for q, minus_inv8 in zip(*_wheel_primes()):
+            k = seg_lo % q * minus_inv8 % q  # seg_lo + 8k = 0 (mod q)
+            if k < m:
+                if seg_lo + 8 * k == q:
+                    k += q
+                alive[k::q] = bytes(len(range(k, m, q)))
+        for q in compress(candidates, alive):
+            if is_prime(q):
+                yield q
 
 
 def primes_1_mod_8(lo: int, hi: int) -> Iterator[Prime]:
@@ -96,15 +128,9 @@ def primes_1_mod_8(lo: int, hi: int) -> Iterator[Prime]:
         raise ValueError(f"need 0 <= lo < hi <= 2**62, got [{lo}, {hi})")
     # Each value is proven prime here, by the sieve or by is_prime, so it is
     # wrapped without a second proof.
-    if hi <= _SIEVE_LIMIT:
-        for q in _sieved_primes(lo, hi):
-            if q % 8 == 1:
-                yield Prime._proven(q)
-    else:
-        start = lo + (1 - lo) % 8  # first value = 1 (mod 8) at or above lo
-        for q in range(max(start, 17), hi, 8):
-            if is_prime(q):
-                yield Prime._proven(q)
+    stream = _sieved_1_mod_8 if hi <= _SIEVE_LIMIT else _wheel_1_mod_8
+    for q in stream(lo, hi):
+        yield Prime._proven(q)
 
 
 def _check_segment(segment: tuple[int, int, int]) -> list[Certificate | ErrorCertificate]:

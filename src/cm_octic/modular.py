@@ -4,8 +4,10 @@ All functions use exact integer arithmetic.  Moduli are odd primes below
 2**62; that bound is part of the contract even though Python integers would
 happily go further.
 
-The package gets i and sqrt(2) only from canonical_i and canonical_sqrt2:
-each is one power of the least non-residue z, squared back before use.
+The package gets i and sqrt(2) only from _i_and_sqrt2: one power of the
+least non-residue z yields both, each squared back before use.  The scan
+path takes the plain integers; canonical_i and canonical_sqrt2 wrap them as
+field elements for the curve layer and the proof traces.
 sqrt_mod and its integer core _sqrt_residue (Tonelli-Shanks) serve every
 other square root, among them the roots mod q of the class-number count.
 """
@@ -14,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import Iterator
 
 from .errors import InvariantViolation
 
@@ -171,13 +174,6 @@ def jacobi(a: int, p: Prime) -> int:
     return _jacobi(a, p.value)
 
 
-def pow_mod(a: FieldElement, e: int) -> FieldElement:
-    """a**e in F_p for e >= 0, with 0**0 = 1."""
-    if e < 0:
-        raise ValueError("exponent must be nonnegative")
-    return FieldElement(pow(a.residue, e, a.modulus.value), a.modulus)
-
-
 def _nonresidue(n: int) -> int:
     # The least quadratic non-residue mod the odd prime n.
     z = 2
@@ -233,13 +229,29 @@ def sqrt_mod(a: FieldElement) -> tuple[FieldElement, FieldElement] | None:
     return (FieldElement(r, p), FieldElement(n - r, p))
 
 
-def _smaller_root(p: Prime, r: int, square: int) -> FieldElement:
-    # r in [0, p) must square back to `square`; the smaller of r and p - r
+def _smaller_root(r: int, square: int, n: int) -> int:
+    # r in [0, n) must square back to `square`; the smaller of r and n - r
     # is the canonical root.
-    n = p.value
     if r * r % n != square % n:
         raise InvariantViolation(f"the root {r} of {square} mod {n} does not square back")
-    return FieldElement(min(r, n - r), p)
+    return min(r, n - r)
+
+
+def _i_and_sqrt2(n: int) -> Iterator[int]:
+    # The canonical roots for the prime n = 1 (mod 4): first the smaller
+    # root of -1, then, when n = 1 (mod 8), the smaller root of 2.  Both come
+    # from one power of the least non-residue z: zeta = z^((n-1)/8) has
+    # zeta^4 = -1, so i = zeta^2 and (zeta - zeta^3)^2 = 2.  Each root is
+    # squared back before it is yielded, so a caller drawing i alone never
+    # computes sqrt(2), and a failure tells which root broke.
+    z = _nonresidue(n)
+    if n % 8 != 1:
+        yield _smaller_root(pow(z, (n - 1) // 4, n), -1, n)
+        return
+    zeta = pow(z, (n - 1) // 8, n)
+    i = zeta * zeta % n
+    yield _smaller_root(i, -1, n)
+    yield _smaller_root((zeta - i * zeta) % n, 2, n)
 
 
 @lru_cache(maxsize=512)
@@ -248,7 +260,7 @@ def canonical_i(p: Prime) -> FieldElement:
     n = p.value
     if n % 4 != 1:
         raise ValueError(f"-1 is a non-residue mod {n}; need p = 1 (mod 4)")
-    return _smaller_root(p, pow(_nonresidue(n), (n - 1) // 4, n), -1)
+    return FieldElement(next(_i_and_sqrt2(n)), p)
 
 
 @lru_cache(maxsize=512)
@@ -257,5 +269,5 @@ def canonical_sqrt2(p: Prime) -> FieldElement:
     n = p.value
     if p.residue_class != 1:
         raise ValueError(f"no 8th root of unity mod {n}; need p = 1 (mod 8)")
-    zeta = pow(_nonresidue(n), (n - 1) // 8, n)  # zeta^4 = -1: (zeta - zeta^3)^2 = 2
-    return _smaller_root(p, (zeta - pow(zeta, 3, n)) % n, 2)
+    _, s = _i_and_sqrt2(n)
+    return FieldElement(s, p)

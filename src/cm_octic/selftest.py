@@ -11,9 +11,10 @@ numbers on a small range.  The tier-1 tests call these same checks, so the
 command and the tests certify one thing.
 
 The expected values come from the naive oracles below (trial division,
-exhaustive squaring, a double-loop point enumeration, chi from a searched
-sqrt(2), h(-4p) from the full (a, b, c) box), never from the package's own
-root extraction, form counting or point sampling.  Failures raise
+exhaustive squaring, a double-loop point enumeration, a table point count,
+a bounded c^2 + 8d^2 search, chi from a searched sqrt(2), h(-4p) from the
+full (a, b, c) box), never from the package's own root extraction,
+descents, form counting or point sampling.  Failures raise
 AssertionError explicitly, so the checks still hold under `python -O`.
 """
 
@@ -25,6 +26,7 @@ from typing import Callable
 from .criteria import Certificate, check_prime
 from .curve import (
     INFINITY,
+    NAIVE_COUNT_BOUND,
     Point,
     add,
     curve_order,
@@ -34,12 +36,12 @@ from .curve import (
     eta_x_via_slope,
     eta_y_via_slope,
     i_action,
-    naive_point_count,
     negate,
     point,
     scalar_mul,
 )
-from .decompose import eight_decomposition, eight_decomposition_search, two_squares
+from .decompose import EightDecomposition, eight_decomposition, two_squares
+from .errors import InvariantViolation
 from .modular import Prime, canonical_i, canonical_sqrt2, element, jacobi, sqrt_mod
 from .harness import primes_1_mod_8
 
@@ -72,6 +74,31 @@ def first_principles_chi(v: int) -> int:
     """chi(1 + sqrt2) mod v from a searched sqrt(2), no package helpers."""
     r = next(r for r in range(v) if r * r % v == 2)
     return 1 if pow(1 + r, (v - 1) // 2, v) == 1 else -1
+
+
+def naive_point_count(p: Prime) -> int:
+    """#E(F_p) by direct point counting; guarded to p < 10^5."""
+    n = p.value
+    if n >= NAIVE_COUNT_BOUND:
+        raise ValueError(f"naive counting is capped at p < {NAIVE_COUNT_BOUND}")
+    # roots[r] counts the y with y^2 = r, so x carries roots[x^3 - x] points.
+    roots = [0] * n
+    for y in range(n):
+        roots[y * y % n] += 1
+    return 1 + sum(roots[(x * x * x - x) % n] for x in range(n))  # 1 for the identity
+
+
+def eight_decomposition_search(p: Prime) -> EightDecomposition:
+    """(c, d) with c^2 + 8*d^2 = p by a bounded search over d <= sqrt(p/8)."""
+    if p.residue_class != 1:
+        raise ValueError(f"p = 1 (mod 8) required for c^2 + 8*d^2, got {p.value}")
+    n = p.value
+    for d in range(1, isqrt(n // 8) + 1):
+        c2 = n - 8 * d * d
+        c = isqrt(c2)
+        if c * c == c2:
+            return EightDecomposition(c=c, d=d, p=p)
+    raise InvariantViolation(f"no c^2 + 8*d^2 representation found for {n}")
 
 
 def box_class_number(p: int) -> int:

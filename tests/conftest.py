@@ -16,7 +16,9 @@ from cm_octic.selftest import (  # noqa: F401  (re-exported to the tests)
     ETA_PRIMES,
     box_class_number,
     curve_points_oracle,
+    eight_decomposition_search,
     first_principles_chi,
+    naive_point_count,
     squares_mod,
     trial_division_primes,
 )

@@ -1,8 +1,10 @@
 """Certificates and proof traces for the character criteria."""
 
+from itertools import islice
+
 import pytest
 
-from cm_octic import criteria, modular, selftest
+from cm_octic import criteria, decompose, modular, selftest
 from cm_octic.criteria import (
     Certificate,
     ErrorCertificate,
@@ -15,6 +17,41 @@ from cm_octic.cli import main
 from cm_octic.errors import InvariantViolation
 from cm_octic.harness import ScanConfig, primes_1_mod_8, scan
 from cm_octic.modular import Prime, canonical_i, canonical_sqrt2, element, jacobi, sqrt_mod
+
+
+def norm_form_gcd(p: int, r: int, k: int) -> tuple[int, int]:
+    """(|x|, |y|) with x^2 + k*y^2 = p, for k in (1, 2) and r^2 = -k (mod p).
+
+    Euclid's algorithm in Z[sqrt(-k)], which is Euclidean for these k, on p
+    and r + sqrt(-k): their gcd is a prime of norm p.  It shares nothing
+    with the package's Cornacchia descent.
+    """
+    a, b = (p, 0), (r, 1)
+    while b != (0, 0):
+        (x1, y1), (x2, y2) = a, b
+        norm = x2 * x2 + k * y2 * y2
+        re, im = x1 * x2 + k * y1 * y2, y1 * x2 - x1 * y2  # a * conj(b)
+        q1 = (2 * re + norm) // (2 * norm)  # nearest integers to a / b
+        q2 = (2 * im + norm) // (2 * norm)
+        a, b = b, (x1 - q1 * x2 + k * q2 * y2, y1 - q1 * y2 - q2 * x2)
+    return abs(a[0]), abs(a[1])
+
+
+def tonelli_shanks_certificate(v: int) -> tuple[int, ...]:
+    """(a, b, c, d, chi, n) at the prime v = 1 (mod 8), from sqrt_mod's roots."""
+    p = Prime(v)
+    x, y = norm_form_gcd(v, sqrt_mod(element(p, -1))[0].residue, 1)
+    assert x * x + y * y == v
+    a, b = (x, y) if x % 2 else (y, x)
+    a = a if (a + b) % 4 == 1 else -a
+    c, y = norm_form_gcd(v, sqrt_mod(element(p, -2))[0].residue, 2)
+    assert c * c + 2 * y * y == v and y % 2 == 0
+    d = y // 2
+    assert c * c + 8 * d * d == v
+    s = sqrt_mod(element(p, 2))[0].residue
+    e = pow(1 + s, (v - 1) // 2, v)
+    assert e in (1, v - 1)
+    return a, b, c, d, 1 if e == 1 else -1, (a - 1) ** 2 + b * b
 
 
 class TestEulerSymbol:
@@ -50,6 +87,25 @@ class TestChi:
         for p in primes_1_mod_8(0, 10**4):
             s = canonical_sqrt2(p)
             assert euler_symbol(1 + s) * euler_symbol(1 - s) == jacobi(-1, p) == 1
+
+
+class TestFastPathOracle:
+    @pytest.mark.parametrize(
+        "lo, hi, count",
+        [(0, 2 * 10**4, None), (10**12, 10**12 + 10**6, 100), (2**61, 2**61 + 10**6, 100)],
+        ids=["below-2e4", "above-1e12", "above-2^61"],
+    )
+    def test_matches_tonelli_shanks_side(self, lo, hi, count):
+        # check_prime's roots come from one power of a non-residue and its
+        # descents are Cornacchia's; the other side uses neither.
+        primes = [p.value for p in islice(primes_1_mod_8(lo, hi), count)]
+        assert len(primes) >= 100
+        for v in primes:
+            cert = check_prime(Prime(v))
+            assert isinstance(cert, Certificate), v
+            got = (cert.a, cert.b, cert.c, cert.d, cert.chi, cert.n)
+            assert got == tonelli_shanks_certificate(v), v
+            assert cert.n_mod_32 == cert.n % 32 and cert.thm2_holds and cert.corollary_holds
 
 
 class TestCertificate:
@@ -122,12 +178,41 @@ class TestStageFailures:
         ],
     )
     def test_stage_labels(self, name, stage, monkeypatch):
+        # check_prime calls the integer core behind each public function.
+        core = {
+            "two_squares": "_two_squares",
+            "eight_decomposition": "_eight_decomposition",
+            "chi_one_plus_sqrt2": "_chi",
+            "class_number": "class_number",
+        }[name]
+
         def broken(*args, **kwargs):
             raise InvariantViolation("planted")
 
-        monkeypatch.setattr(criteria, name, broken)
+        monkeypatch.setattr(criteria, core, broken)
         err = check_prime(Prime(41), with_class_number=True)
         assert err == ErrorCertificate(p=41, stage=stage, message="planted")
+
+    @pytest.mark.parametrize(
+        "module, name, fake, stage, message",
+        [
+            (decompose, "_cornacchia", lambda n, r, k: (5, 6) if k == 1 else (3, 2),
+             "two_squares", "-5^2 + 6^2 != 41"),
+            (criteria, "_two_squares", lambda n, i: (5, 6), "two_squares",
+             "order mismatch for p=41: (a-1)^2+b^2=52 but p+1-2a=32"),
+            (decompose, "_cornacchia", lambda n, r, k: (5, 4) if k == 1 else (3, 3),
+             "eight_decomposition", "3^2 + 8*3^2 != 41"),
+            (criteria, "pow", lambda *args: 5, "chi", "Euler's criterion returned 5 mod 41"),
+        ],
+        ids=["two-squares-sum", "curve-order", "eight-sum", "euler"],
+    )
+    def test_integer_forms_keep_their_checks(self, module, name, fake, stage, message,
+                                             monkeypatch):
+        # Each planted fault is one that only the integer form's own check
+        # can catch on the scan path.
+        monkeypatch.setattr(module, name, fake, raising=False)
+        err = check_prime(Prime(41))
+        assert err == ErrorCertificate(p=41, stage=stage, message=message)
 
     def test_root_that_fails_to_square_back(self, monkeypatch, capsys):
         # A residue in place of the non-residue makes canonical_i's power
@@ -148,6 +233,25 @@ class TestStageFailures:
         finally:
             canonical_i.cache_clear()
             canonical_sqrt2.cache_clear()
+
+    def test_sqrt2_alone_fails_to_square_back(self, monkeypatch, capsys):
+        # i squares back but a corrupted sqrt(2) does not: the c^2 + 8d^2
+        # stage is the one that breaks.
+        real = modular._smaller_root
+
+        def corrupt(r, square, n):
+            return real((r + 1) % n if (square, n) == (2, 41) else r, square, n)
+
+        monkeypatch.setattr(modular, "_smaller_root", corrupt)
+        err = check_prime(Prime(41))
+        assert err == ErrorCertificate(
+            p=41, stage="eight_decomposition",
+            message="the root 25 of 2 mod 41 does not square back")
+        report = scan(ScanConfig(lo=0, hi=100))
+        assert [c.p for c in report.certificates] == [17, 73, 89, 97]
+        assert [(e.p, e.stage) for e in report.errors] == [(41, "eight_decomposition")]
+        assert main(["scan", "--from", "0", "--to", "100"]) == 3
+        assert "invariant violation at p=41 [eight_decomposition]" in capsys.readouterr().err
 
 
 class TestProofTrace:

@@ -20,7 +20,6 @@ from cm_octic.curve import (
     find_point_of_order,
     i_action,
     kernel,
-    naive_point_count,
     negate,
     point,
     random_point,
@@ -28,7 +27,7 @@ from cm_octic.curve import (
 )
 from cm_octic.modular import Prime, element, jacobi
 
-from conftest import curve_points_oracle, squares_mod
+from conftest import curve_points_oracle, naive_point_count, squares_mod
 
 P17 = Prime(17)
 P41 = Prime(41)

@@ -9,7 +9,7 @@ from cm_octic.decompose import (
     EightDecomposition,
     TwoSquares,
     _cornacchia,
-    _normalized,
+    _two_squares,
     curve_order_from_two_squares,
     eight_decomposition,
     two_squares,
@@ -56,14 +56,7 @@ class TestTwoSquares:
         for v in PRIMES_1_MOD_4[:300]:
             p = Prime(v)
             lo, hi = sqrt_mod(element(p, -1))
-            results = {
-                (t.a, t.b)
-                for t in (
-                    _normalized(p, *_cornacchia(v, lo.residue, 1)),
-                    _normalized(p, *_cornacchia(v, hi.residue, 1)),
-                )
-            }
-            assert len(results) == 1, v
+            assert _two_squares(v, lo.residue) == _two_squares(v, hi.residue), v
             if v % 8 == 1:
                 lo, hi = sqrt_mod(element(p, -8))
                 assert _cornacchia(v, lo.residue, 8) == _cornacchia(v, hi.residue, 8), v

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -19,7 +20,7 @@ from cm_octic.errors import InvariantViolation
 from cm_octic.harness import (
     CSV_HEADER,
     ScanConfig,
-    _sieved_primes,
+    _sieved_1_mod_8,
     certificate_csv_row,
     primes_1_mod_8,
     scan,
@@ -56,12 +57,33 @@ class TestPrimeStream:
         # hi above the sieve limit switches to the wheel + Miller-Rabin path
         lo, hi = SIEVE_LIMIT - 10**4, SIEVE_LIMIT + 10**4
         wheel = [p.value for p in primes_1_mod_8(lo, hi)]
-        sieved = [q for q in _sieved_primes(lo, hi) if q % 8 == 1]
+        sieved = list(_sieved_1_mod_8(lo, hi))
         assert wheel == sieved
         assert wheel, "window unexpectedly empty"
 
+    @pytest.mark.parametrize("residue", range(8))
+    def test_sieve_matches_trial_division_across_segments(self, residue, monkeypatch):
+        # A segment length of 100 crosses many boundaries and starts the
+        # segments at every residue mod 8.
+        import cm_octic.harness as harness_mod
+
+        monkeypatch.setattr(harness_mod, "_SEGMENT", 100)
+        for lo in (residue, 10**4 + residue):
+            hi = lo + 1000
+            expected = [q for q in trial_division_primes(hi) if q >= lo and q % 8 == 1]
+            assert list(_sieved_1_mod_8(lo, hi)) == expected, lo
+
+    def test_wheel_keeps_its_presieve_primes(self):
+        # hi above the sieve limit takes the wheel from 0, through the odd
+        # primes below 2^16 that its pre-sieve strikes multiples of.
+        wheel = [p.value for p in islice(primes_1_mod_8(0, SIEVE_LIMIT + 1), 2000)]
+        sieved = [p.value for p in islice(primes_1_mod_8(0, 10**5), 2000)]
+        assert len(sieved) == 2000 and wheel == sieved
+
     def test_each_prime_is_proven_once(self, monkeypatch):
-        # The wheel proves each candidate once; sieved primes need no proof.
+        # is_prime runs once on each wheel candidate that survives the
+        # pre-sieve, never on one with an odd prime factor below 2^16, and
+        # never on a sieved prime.
         import cm_octic.harness as harness_mod
         import cm_octic.modular as modular_mod
 
@@ -74,8 +96,12 @@ class TestPrimeStream:
         monkeypatch.setattr(harness_mod, "is_prime", counting_is_prime)
         monkeypatch.setattr(modular_mod, "is_prime", counting_is_prime)
         lo, hi = 2**61, 2**61 + 10**4
-        wheel = list(primes_1_mod_8(lo, hi))
-        assert wheel and calls == list(range(lo + 1, hi, 8))
+        small = trial_division_primes(1 << 16)[1:]
+        survivors = [q for q in range(lo + 1, hi, 8) if all(q % r for r in small)]
+        wheel = [p.value for p in primes_1_mod_8(lo, hi)]
+        assert wheel == [q for q in survivors if is_prime(q)] and wheel
+        assert calls == survivors  # once each, in order
+        assert not [q for q in calls if any(q % r == 0 for r in small)]
         calls.clear()
         assert len(list(primes_1_mod_8(0, 10**5))) > 0
         assert calls == []

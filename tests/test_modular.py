@@ -14,7 +14,6 @@ from cm_octic.modular import (
     is_prime,
     jacobi,
     pipeline_prime,
-    pow_mod,
     sqrt_mod,
 )
 
@@ -109,19 +108,6 @@ class TestFieldElement:
         b = element(Prime(41), 3)
         with pytest.raises(AssertionError):
             a + b
-
-    def test_pow_mod_examples(self):
-        p = Prime(17)
-        assert pow_mod(element(p, 3), 4).residue == 13
-        assert pow_mod(element(p, 6), 2).residue == 2
-        assert pow_mod(element(p, 0), 0).residue == 1
-        with pytest.raises(ValueError):
-            pow_mod(element(p, 3), -1)
-
-    @given(st.integers(min_value=0, max_value=10**6), st.integers(min_value=0, max_value=4000))
-    def test_pow_mod_matches_builtin(self, a, e):
-        p = Prime(101)
-        assert pow_mod(element(p, a), e).residue == pow(a % 101, e, 101)
 
 
 class TestJacobi:
