@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .classnumber import DEFAULT_CAP, class_number
+from .classnumber import class_number
 from .curve import (
     affine,
     curve_order,
@@ -109,9 +109,7 @@ class ErrorCertificate:
     message: str
 
 
-def check_prime(
-    p: Prime, with_class_number: bool = False, class_number_cap: int = DEFAULT_CAP
-) -> Certificate | ErrorCertificate:
+def check_prime(p: Prime, with_class_number: bool = False) -> Certificate | ErrorCertificate:
     """Evaluate every criterion at p, each side computed independently."""
     n = p.value
     if n % 8 != 1:
@@ -132,7 +130,7 @@ def check_prime(
         chi = _chi(n, s)
         if with_class_number:
             stage = "class_number"
-            h = class_number(p, cap=class_number_cap)
+            h = class_number(p)
     except InvariantViolation as exc:
         return ErrorCertificate(p=n, stage=stage, message=str(exc))
     n_mod_32 = order % 32

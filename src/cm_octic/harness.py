@@ -20,12 +20,16 @@ from itertools import compress
 from math import isqrt
 from typing import Iterator, TextIO
 
+from .classnumber import DEFAULT_CAP
 from .criteria import Certificate, ErrorCertificate, check_prime
 from .modular import MODULUS_BOUND, Prime, is_prime
 
+# Candidates step by 8 from one segment start to the next, so _SEGMENT must
+# stay a multiple of 8.
 _SEGMENT = 1 << 18
-_SIEVE_LIMIT = 1 << 33  # above this, trial sieving gives way to the 1-mod-8 wheel
-_WHEEL_PRESIEVE = 1 << 16  # the wheel strikes multiples of the odd primes below this
+# isqrt(2**33) + 1: below _PRESIEVE^2 > 2^33 the pre-sieve alone proves
+# each prime, so Miller-Rabin starts above it.
+_PRESIEVE = 92682
 
 CSV_HEADER = "p,a,b,c,d,chi,n,n_mod_32,d_parity,h,h_mod_8,thm1,thm2,corollary"
 
@@ -34,7 +38,8 @@ CSV_HEADER = "p,a,b,c,d,chi,n,n_mod_32,d_parity,h,h_mod_8,thm1,thm2,corollary"
 class ScanConfig:
     """A scan over primes p = 1 (mod 8) in [lo, hi).
 
-    class_number_cap: compute h(-4p) only for p <= cap (0 disables).
+    class_number_cap: compute h(-4p) only for p <= cap (0 disables), at
+    most classnumber.DEFAULT_CAP.
     """
 
     lo: int
@@ -47,8 +52,8 @@ class ScanConfig:
             raise ValueError(f"need 0 <= lo < hi <= 2**62, got [{self.lo}, {self.hi})")
         if self.jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {self.jobs}")
-        if self.class_number_cap < 0:
-            raise ValueError("class_number_cap must be >= 0")
+        if not 0 <= self.class_number_cap <= DEFAULT_CAP:
+            raise ValueError(f"class_number_cap must be in [0, {DEFAULT_CAP}]")
 
 
 @dataclass
@@ -73,72 +78,50 @@ def _simple_sieve(limit: int) -> list[int]:
     return list(compress(range(limit), flags))
 
 
-def _sieved_1_mod_8(lo: int, hi: int) -> Iterator[int]:
-    # The primes = 1 (mod 8) in [lo, hi), via a segmented sieve.
-    root = isqrt(hi - 1)
-    base = _simple_sieve(root + 1)
-    for q in base:
-        if lo <= q < hi and q % 8 == 1:
-            yield q
-    start = max(lo, root + 1)
-    for seg_lo in range(start, hi, _SEGMENT):
-        seg_hi = min(seg_lo + _SEGMENT, hi)
-        flags = bytearray([1]) * (seg_hi - seg_lo)
-        for q in base:
-            if q * q >= seg_hi:
-                break
-            first = max(q * q, ((seg_lo + q - 1) // q) * q)
-            flags[first - seg_lo :: q] = bytes(len(range(first, seg_hi, q)))
-        off = (1 - seg_lo) % 8  # index of the first value = 1 (mod 8)
-        yield from compress(range(seg_lo + off, seg_hi, 8), flags[off::8])
-
-
-@cache
-def _wheel_primes() -> tuple[array, array]:
-    # The odd primes q < 2^16 and -1/8 mod q for each, built on the first
-    # wheel scan rather than at import.  (q mod 8) * q = q^2 = 1 (mod 8), so
-    # m = ((q mod 8) * q - 1) / 8 is an integer with 8m = -1 (mod q).
-    qs = array("i", _simple_sieve(_WHEEL_PRESIEVE)[1:])
+def _odd_primes(limit: int) -> tuple[array, array]:
+    # The odd primes q < limit and -1/8 mod q for each.  (q mod 8) * q =
+    # q^2 = 1 (mod 8), so m = ((q mod 8) * q - 1) / 8 is an integer with
+    # 8m = -1 (mod q).
+    qs = array("i", _simple_sieve(limit)[1:])
     return qs, array("i", [(q % 8 * q - 1) // 8 for q in qs])
 
 
-def _wheel_1_mod_8(lo: int, hi: int) -> Iterator[int]:
-    # The primes = 1 (mod 8) in [lo, hi), by Miller-Rabin on the candidates
-    # = 1 (mod 8) that no odd prime below 2^16 divides, other than the prime
-    # itself.
-    start = max(lo + (1 - lo) % 8, 17)  # first value = 1 (mod 8) at or above lo
-    for seg_lo in range(start, hi, _SEGMENT):
-        candidates = range(seg_lo, min(seg_lo + _SEGMENT, hi), 8)
-        m = len(candidates)
-        alive = bytearray([1]) * m
-        for q, minus_inv8 in zip(*_wheel_primes()):
-            k = seg_lo % q * minus_inv8 % q  # seg_lo + 8k = 0 (mod q)
-            if k < m:
-                if seg_lo + 8 * k == q:
-                    k += q
-                alive[k::q] = bytes(len(range(k, m, q)))
-        for q in compress(candidates, alive):
-            if is_prime(q):
-                yield q
+@cache
+def _presieve_primes() -> tuple[array, array]:
+    # The full table, built on the first window that needs all of it.
+    return _odd_primes(_PRESIEVE)
 
 
 def primes_1_mod_8(lo: int, hi: int) -> Iterator[Prime]:
     """Stream the primes p = 1 (mod 8) in [lo, hi), in increasing order."""
     if not 0 <= lo < hi <= MODULUS_BOUND:
         raise ValueError(f"need 0 <= lo < hi <= 2**62, got [{lo}, {hi})")
-    # Each value is proven prime here, by the sieve or by is_prime, so it is
-    # wrapped without a second proof.
-    stream = _sieved_1_mod_8 if hi <= _SIEVE_LIMIT else _wheel_1_mod_8
-    for q in stream(lo, hi):
-        yield Prime._proven(q)
+    # The candidates = 1 (mod 8) lose the multiples of each odd prime
+    # q <= min(sqrt(hi - 1), _PRESIEVE - 1), other than q itself.  Below
+    # _PRESIEVE^2 that proves each survivor prime; above it, is_prime does.
+    # Either way each value is wrapped without a second proof.
+    root = isqrt(hi - 1)
+    proven = root < _PRESIEVE
+    qs, minus_inv8 = _odd_primes(root + 1) if proven else _presieve_primes()
+    start = max(lo + (1 - lo) % 8, 17)  # first value = 1 (mod 8) at or above lo
+    for seg_lo in range(start, hi, _SEGMENT):
+        candidates = range(seg_lo, min(seg_lo + _SEGMENT, hi), 8)
+        m = len(candidates)
+        alive = bytearray([1]) * m
+        for q, r in zip(qs, minus_inv8):
+            k = seg_lo % q * r % q  # seg_lo + 8k = 0 (mod q)
+            if k < m:
+                if seg_lo + 8 * k == q:
+                    k += q
+                alive[k::q] = bytes(len(range(k, m, q)))
+        for q in compress(candidates, alive):
+            if proven or is_prime(q):
+                yield Prime._proven(q)
 
 
 def _check_segment(segment: tuple[int, int, int]) -> list[Certificate | ErrorCertificate]:
     lo, hi, cap = segment
-    return [
-        check_prime(p, with_class_number=p.value <= cap, class_number_cap=cap)
-        for p in primes_1_mod_8(lo, hi)
-    ]
+    return [check_prime(p, with_class_number=p.value <= cap) for p in primes_1_mod_8(lo, hi)]
 
 
 def scan(config: ScanConfig) -> ScanReport:

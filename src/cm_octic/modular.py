@@ -175,10 +175,14 @@ def jacobi(a: int, p: Prime) -> int:
 
 
 def _nonresidue(n: int) -> int:
-    # The least quadratic non-residue mod the odd prime n.
-    z = 2
+    # The least quadratic non-residue mod the odd prime n.  It is prime, and
+    # 2 is a non-residue exactly when n = 3 or 5 (mod 8), so past 2 only odd
+    # z are tried.
+    if n % 8 in (3, 5):
+        return 2
+    z = 3
     while _jacobi(z, n) != -1:
-        z += 1
+        z += 2
     return z
 
 

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+from functools import cache
 from itertools import islice
 from pathlib import Path
 
@@ -20,7 +21,6 @@ from cm_octic.errors import InvariantViolation
 from cm_octic.harness import (
     CSV_HEADER,
     ScanConfig,
-    _sieved_1_mod_8,
     certificate_csv_row,
     primes_1_mod_8,
     scan,
@@ -31,7 +31,13 @@ from cm_octic.modular import Prime, is_prime
 
 from conftest import trial_division_primes
 
-SIEVE_LIMIT = 1 << 33
+PRESIEVE = 92682  # below PRESIEVE^2 the stream proves primes without Miller-Rabin
+
+
+@cache
+def presieve_primes() -> list[int]:
+    # The odd primes below PRESIEVE, by trial division.
+    return trial_division_primes(PRESIEVE)[1:]
 
 
 def rigged_certificate(**overrides) -> Certificate:
@@ -53,37 +59,40 @@ class TestPrimeStream:
         expected = [q for q in trial_division_primes(3 * 10**4) if q % 8 == 1]
         assert [p.value for p in primes_1_mod_8(0, 3 * 10**4)] == expected
 
-    def test_wheel_agrees_with_sieve_above_cutoff(self):
-        # hi above the sieve limit switches to the wheel + Miller-Rabin path
-        lo, hi = SIEVE_LIMIT - 10**4, SIEVE_LIMIT + 10**4
-        wheel = [p.value for p in primes_1_mod_8(lo, hi)]
-        sieved = list(_sieved_1_mod_8(lo, hi))
-        assert wheel == sieved
-        assert wheel, "window unexpectedly empty"
+    def test_matches_trial_division_across_presieve_bound(self):
+        # [PRESIEVE^2 - 10^4, PRESIEVE^2) is proven by the pre-sieve alone;
+        # [PRESIEVE^2, PRESIEVE^2 + 10^4) sends its survivors to Miller-Rabin.
+        # Both lie below (PRESIEVE + 1)^2, so trial division by the odd
+        # primes below PRESIEVE decides each candidate.
+        for lo, hi in ((PRESIEVE**2 - 10**4, PRESIEVE**2), (PRESIEVE**2, PRESIEVE**2 + 10**4)):
+            expected = [q for q in range(lo + (1 - lo) % 8, hi, 8)
+                        if all(q % r for r in presieve_primes())]
+            streamed = [p.value for p in primes_1_mod_8(lo, hi)]
+            assert streamed == expected and streamed, lo
 
     @pytest.mark.parametrize("residue", range(8))
     def test_sieve_matches_trial_division_across_segments(self, residue, monkeypatch):
-        # A segment length of 100 crosses many boundaries and starts the
-        # segments at every residue mod 8.
+        # A segment of 104 integers (a multiple of 8, as _SEGMENT must be)
+        # crosses many boundaries; the windows start at every residue mod 8.
         import cm_octic.harness as harness_mod
 
-        monkeypatch.setattr(harness_mod, "_SEGMENT", 100)
+        monkeypatch.setattr(harness_mod, "_SEGMENT", 104)
         for lo in (residue, 10**4 + residue):
             hi = lo + 1000
             expected = [q for q in trial_division_primes(hi) if q >= lo and q % 8 == 1]
-            assert list(_sieved_1_mod_8(lo, hi)) == expected, lo
+            assert [p.value for p in primes_1_mod_8(lo, hi)] == expected, lo
 
     def test_wheel_keeps_its_presieve_primes(self):
-        # hi above the sieve limit takes the wheel from 0, through the odd
-        # primes below 2^16 that its pre-sieve strikes multiples of.
-        wheel = [p.value for p in islice(primes_1_mod_8(0, SIEVE_LIMIT + 1), 2000)]
+        # hi above PRESIEVE^2 takes the Miller-Rabin path from 0, through
+        # the odd primes below PRESIEVE that its pre-sieve strikes multiples of.
+        wheel = [p.value for p in islice(primes_1_mod_8(0, PRESIEVE**2 + 1), 2000)]
         sieved = [p.value for p in islice(primes_1_mod_8(0, 10**5), 2000)]
         assert len(sieved) == 2000 and wheel == sieved
 
     def test_each_prime_is_proven_once(self, monkeypatch):
-        # is_prime runs once on each wheel candidate that survives the
-        # pre-sieve, never on one with an odd prime factor below 2^16, and
-        # never on a sieved prime.
+        # is_prime runs once on each candidate that survives the pre-sieve,
+        # never on one with an odd prime factor below PRESIEVE, and never
+        # below PRESIEVE^2, where the pre-sieve alone proves each prime.
         import cm_octic.harness as harness_mod
         import cm_octic.modular as modular_mod
 
@@ -96,7 +105,7 @@ class TestPrimeStream:
         monkeypatch.setattr(harness_mod, "is_prime", counting_is_prime)
         monkeypatch.setattr(modular_mod, "is_prime", counting_is_prime)
         lo, hi = 2**61, 2**61 + 10**4
-        small = trial_division_primes(1 << 16)[1:]
+        small = presieve_primes()
         survivors = [q for q in range(lo + 1, hi, 8) if all(q % r for r in small)]
         wheel = [p.value for p in primes_1_mod_8(lo, hi)]
         assert wheel == [q for q in survivors if is_prime(q)] and wheel
@@ -104,6 +113,7 @@ class TestPrimeStream:
         assert not [q for q in calls if any(q % r == 0 for r in small)]
         calls.clear()
         assert len(list(primes_1_mod_8(0, 10**5))) > 0
+        assert len(list(primes_1_mod_8(PRESIEVE**2 - 10**4, PRESIEVE**2))) > 0
         assert calls == []
 
     def test_streamed_primes_equal_proven_ones(self):
@@ -135,6 +145,7 @@ class TestScanConfig:
             dict(lo=0, hi=10, jobs=0),
             dict(lo=20, hi=10),
             dict(lo=0, hi=10, class_number_cap=-1),
+            dict(lo=2**61, hi=2**61 + 1000, class_number_cap=10**10 + 1),
         ],
     )
     def test_invalid(self, kwargs):
@@ -313,6 +324,11 @@ class TestCliScan:
         assert main(["scan", "--from", "100", "--to", "50"]) == 1
         assert "error" in capsys.readouterr().err
 
+    def test_class_number_cap_over_default(self, capsys):
+        argv = ["scan", "--from", "0", "--to", "100", "--class-number-cap", "10000000001"]
+        assert main(argv) == 1
+        assert "class_number_cap" in capsys.readouterr().err
+
     def test_missing_arguments_remap(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["scan", "--from", "0"])
@@ -368,8 +384,12 @@ class TestCliScan:
              "0d80bf89f8387441051d2f08b58a7062d92cb5023a12e5cb3ca852984c47da65"),
             (["scan", "--from", str(2**61), "--to", str(2**61 + 20000)],
              "b9fd66aad0d9e1d0b6fd984b9ecb3425ba6d2e0747e14f2563e99db2eb3629a3"),
+            # 2,369 primes; spans 2^33 and PRESIEVE^2, so its scan segments
+            # take both the proven and the Miller-Rabin path
+            (["scan", "--from", "8589834592", "--to", "8590053124"],
+             "eb056730915bface11d283dd8541997b088b5238af522a95bfbd85e836de5353"),
         ],
-        ids=["csv-sieve", "json-class-numbers", "csv-wheel"],
+        ids=["csv-sieve", "json-class-numbers", "csv-wheel", "csv-presieve-bound"],
     )
     def test_output_bytes_pinned(self, argv, digest, capsys):
         # The certificate bytes are pinned: a change to them must be deliberate.

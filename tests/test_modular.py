@@ -8,6 +8,7 @@ from cm_octic import selftest
 from cm_octic.modular import (
     FieldElement,
     Prime,
+    _nonresidue,
     canonical_i,
     canonical_sqrt2,
     element,
@@ -17,7 +18,7 @@ from cm_octic.modular import (
     sqrt_mod,
 )
 
-from conftest import trial_division_primes
+from conftest import squares_mod, trial_division_primes
 
 ODD_PRIMES_257 = [p for p in trial_division_primes(258) if p > 2]
 
@@ -118,7 +119,9 @@ class TestJacobi:
         assert jacobi(0, p) == 0
 
     def test_exhaustive_against_squares(self):
-        # jacobi and Euler's criterion against squaring, every odd prime <= 257.
+        # jacobi and Euler's criterion against squaring, every odd prime <= 257;
+        # sqrt_mod's two roots square back, sorted and negatives of each
+        # other, and it finds none for a non-residue.
         selftest.check_symbols_exhaustive(257)
 
     def test_reduces_argument(self):
@@ -146,11 +149,6 @@ class TestSqrtMod:
         zero = sqrt_mod(element(p, 0))
         assert (zero[0].residue, zero[1].residue) == (0, 0)
         assert sqrt_mod(element(p, 3)) is None
-
-    def test_exhaustive_small_primes(self):
-        # Both roots square back, sorted and negatives of each other; none
-        # for a non-residue.  The same shared check as TestJacobi's.
-        selftest.check_symbols_exhaustive(257)
 
     def test_three_mod_four_shortcut(self):
         # p = 3 (mod 4) exercises the exponent shortcut.
@@ -183,3 +181,10 @@ class TestCanonicalRoots:
     def test_roots_square_back(self):
         # Every p = 1 (mod 8) below 3000, through the check selftest runs.
         selftest.check_canonical_roots(3000)
+
+    def test_nonresidue_is_least(self):
+        # Both canonical roots are powers of _nonresidue(n); it must be the
+        # least non-residue, found here by squaring every residue.
+        for n in trial_division_primes(2000)[1:]:
+            squares = squares_mod(n)
+            assert _nonresidue(n) == min(z for z in range(2, n) if z not in squares), n
