@@ -11,7 +11,7 @@ of order 8 landing back in that x-set.
 import argparse
 
 from cm_octic.criteria import proof_trace
-from cm_octic.modular import pipeline_prime
+from cm_octic.modular import Prime
 
 
 def main(argv=None) -> int:
@@ -21,7 +21,7 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args(argv)
 
-    tr = proof_trace(pipeline_prime(args.p), seed=args.seed)
+    tr = proof_trace(Prime(args.p), seed=args.seed)
     print(f"p = {tr.p}:  chi(1+sqrt2) = {tr.chi:+d}, conjugate symbol = "
           f"{tr.chi_conjugate:+d}, product = {tr.chi * tr.chi_conjugate:+d} "
           f"(must be +1)")

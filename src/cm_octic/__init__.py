@@ -13,7 +13,7 @@ from .classnumber import class_number
 from .criteria import Certificate, ErrorCertificate, ProofTrace, check_prime, proof_trace
 from .errors import InvariantViolation
 from .harness import ScanConfig, ScanReport, scan
-from .modular import Prime, pipeline_prime
+from .modular import Prime
 
 __version__ = "0.1.0"
 
@@ -27,7 +27,6 @@ __all__ = [
     "ScanReport",
     "check_prime",
     "class_number",
-    "pipeline_prime",
     "proof_trace",
     "scan",
 ]

@@ -74,18 +74,16 @@ def _roots_mod(a: int, n: int, spf: list[int], prime_roots: dict[int, int]) -> l
     return betas
 
 
-def class_number(p: Prime, cap: int = DEFAULT_CAP) -> int:
+def class_number(p: Prime) -> int:
     """h(-4p) for p = 1 (mod 8), by counting reduced forms in about sqrt(p) steps.
 
-    The cap guards against primes whose sqrt(4p/3)-entry factor table
-    would not fit in time or memory.
+    p may be at most DEFAULT_CAP: above it the sqrt(4p/3)-entry factor
+    table would not fit in time or memory.
     """
-    if p.residue_class != 1:
+    if p.value % 8 != 1:
         raise ValueError(f"class_number expects p = 1 (mod 8), got {p.value}")
-    if p.value > cap:
-        raise ValueError(
-            f"p = {p.value} exceeds the class-number cap {cap}; raise the cap to proceed"
-        )
+    if p.value > DEFAULT_CAP:
+        raise ValueError(f"p = {p.value} exceeds the class-number limit {DEFAULT_CAP}")
     n = p.value
     sqrt_n, top = isqrt(n), isqrt(4 * n // 3)
     spf = _smallest_prime_factors(top)

@@ -13,13 +13,13 @@ import sys
 from typing import Sequence
 
 from . import selftest
-from .classnumber import DEFAULT_CAP, class_number
+from .classnumber import class_number
 from .criteria import Certificate, check_prime, proof_trace
 from .curve import curve_order
 from .decompose import eight_decomposition, two_squares
 from .errors import InvariantViolation
 from .harness import ScanConfig, scan, write_scan_csv, write_scan_json
-from .modular import Prime, pipeline_prime
+from .modular import Prime
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -58,9 +58,8 @@ def _build_parser() -> _Parser:
     decompose_p = sub.add_parser("decompose", help="print p = a^2+b^2 and p = c^2+8d^2")
     decompose_p.add_argument("p", type=int)
 
-    classno = sub.add_parser("classno", help="print the class number h(-4p)")
+    classno = sub.add_parser("classno", help="print the class number h(-4p), p <= 10^10")
     classno.add_argument("p", type=int)
-    classno.add_argument("--cap", type=int, default=DEFAULT_CAP)
 
     order = sub.add_parser("curve-order", help="print #E(F_p) for y^2 = x^3 - x")
     order.add_argument("p", type=int)
@@ -70,7 +69,7 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    p = pipeline_prime(args.p)
+    p = Prime(args.p)
     cert = check_prime(p, with_class_number=args.class_number)
     if not isinstance(cert, Certificate):
         print(json.dumps(dataclasses.asdict(cert), indent=2))
@@ -124,19 +123,16 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
     p = Prime(args.p)
     if p.value % 4 != 1:
         raise ValueError(f"decompose needs p = 1 (mod 4), got {p.value}")
-    ts = two_squares(p)
-    doc: dict = {"p": p.value, "a": ts.a, "b": ts.b}
-    if p.residue_class == 1:
-        e8 = eight_decomposition(p)
-        doc["c"] = e8.c
-        doc["d"] = e8.d
+    a, b = two_squares(p)
+    doc: dict = {"p": p.value, "a": a, "b": b}
+    if p.value % 8 == 1:
+        doc["c"], doc["d"] = eight_decomposition(p)
     print(json.dumps(doc, indent=2))
     return EXIT_OK
 
 
 def _cmd_classno(args: argparse.Namespace) -> int:
-    p = pipeline_prime(args.p)
-    print(class_number(p, cap=args.cap))
+    print(class_number(Prime(args.p)))
     return EXIT_OK
 
 

@@ -64,7 +64,7 @@ def chi_one_plus_sqrt2(p: Prime) -> int:
     by the square (1 - sqrt2)/(1 + sqrt2)... more directly, the product of
     the two symbols is (-1 | p) = +1, so both roots give the same value.
     """
-    if p.residue_class != 1:
+    if p.value % 8 != 1:
         raise ValueError(f"chi is defined for p = 1 (mod 8), got {p.value}")
     return _chi(p.value, canonical_sqrt2(p).residue)
 
@@ -115,8 +115,7 @@ def check_prime(p: Prime, with_class_number: bool = False) -> Certificate | Erro
     if n % 8 != 1:
         raise ValueError(f"check_prime expects p = 1 (mod 8), got {n}")
     h: int | None = None
-    # Plain integers throughout; the integer forms run every check that the
-    # TwoSquares and EightDecomposition dataclasses would.
+    # Plain integers throughout; the integer forms check their own results.
     stage = "two_squares"
     try:
         roots = _i_and_sqrt2(n)
@@ -204,7 +203,7 @@ def proof_trace(p: Prime, seed: int = 0) -> ProofTrace:
     returned with consistent=False so callers can surface it as a
     counterexample.
     """
-    if p.residue_class != 1:
+    if p.value % 8 != 1:
         raise ValueError(f"proof_trace expects p = 1 (mod 8), got {p.value}")
     chi = chi_one_plus_sqrt2(p)
     s = canonical_sqrt2(p)

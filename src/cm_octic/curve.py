@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .decompose import curve_order_from_two_squares, two_squares
+from .decompose import _curve_order, two_squares
 from .errors import InvariantViolation
 from .modular import FieldElement, Prime, canonical_i, canonical_sqrt2, element, jacobi, sqrt_mod
 
@@ -193,7 +193,7 @@ class EtaLevelSets:
 
 def eta_level_sets(p: Prime) -> EtaLevelSets:
     """The four x-coordinate level sets; requires p = 1 (mod 8)."""
-    if p.residue_class != 1:
+    if p.value % 8 != 1:
         raise ValueError(f"level sets need p = 1 (mod 8), got {p.value}")
     i = canonical_i(p)
     s = canonical_sqrt2(p)
@@ -214,7 +214,7 @@ def eta_level_sets(p: Prime) -> EtaLevelSets:
 
 def curve_order(p: Prime) -> int:
     """#E(F_p) = (a-1)^2 + b^2 from the canonical two-square pair."""
-    return curve_order_from_two_squares(two_squares(p))
+    return _curve_order(p.value, *two_squares(p))
 
 
 def random_point(p: Prime, seed: int) -> Point:

@@ -8,55 +8,16 @@ positive, a + b = 1 (mod 4).  The c^2 + 8*d^2 representation of a prime is
 unique outright once c, d > 0.
 
 The private integer forms (_two_squares, _eight_decomposition,
-_curve_order) run every check of the dataclasses below on plain ints; the
-scan path calls them directly, and the public functions wrap them.
+_curve_order) check their results on plain ints; the scan path calls them
+directly, and the public functions add the residue guard and the roots.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import isqrt
 
 from .errors import InvariantViolation
 from .modular import Prime, canonical_i, canonical_sqrt2
-
-
-def _check_two_squares(a: int, b: int, n: int) -> None:
-    if a * a + b * b != n:
-        raise InvariantViolation(f"{a}^2 + {b}^2 != {n}")
-    if a % 2 == 0 or b % 2 != 0 or b <= 0 or (a + b) % 4 != 1:
-        raise InvariantViolation(f"({a}, {b}) is not a canonical two-square pair for {n}")
-
-
-def _check_eight(c: int, d: int, n: int) -> None:
-    if c * c + 8 * d * d != n:
-        raise InvariantViolation(f"{c}^2 + 8*{d}^2 != {n}")
-    if c <= 0 or d <= 0:
-        raise InvariantViolation(f"({c}, {d}) must be positive")
-
-
-@dataclass(frozen=True)
-class TwoSquares:
-    """p = a^2 + b^2 with a odd (signed), b even and positive, a + b = 1 (mod 4)."""
-
-    a: int
-    b: int
-    p: Prime
-
-    def __post_init__(self) -> None:
-        _check_two_squares(self.a, self.b, self.p.value)
-
-
-@dataclass(frozen=True)
-class EightDecomposition:
-    """p = c^2 + 8*d^2 with c, d > 0."""
-
-    c: int
-    d: int
-    p: Prime
-
-    def __post_init__(self) -> None:
-        _check_eight(self.c, self.d, self.p.value)
 
 
 def _cornacchia(n: int, root: int, k: int) -> tuple[int, int]:
@@ -82,7 +43,10 @@ def _two_squares(n: int, i: int) -> tuple[int, int]:
     a, b = (x, y) if x % 2 else (y, x)
     if a % 4 != (1 - b) % 4:
         a = -a
-    _check_two_squares(a, b, n)
+    if a * a + b * b != n:
+        raise InvariantViolation(f"{a}^2 + {b}^2 != {n}")
+    if a % 2 == 0 or b % 2 != 0 or b <= 0 or (a + b) % 4 != 1:
+        raise InvariantViolation(f"({a}, {b}) is not a canonical two-square pair for {n}")
     return a, b
 
 
@@ -90,12 +54,17 @@ def _eight_decomposition(n: int, i: int, s: int) -> tuple[int, int]:
     # The (c, d) for the prime n = 1 (mod 8), from roots i of -1 and s of 2:
     # (2 i s)^2 = -8 seeds the descent.
     c, d = _cornacchia(n, 2 * i * s % n, 8)
-    _check_eight(c, d, n)
+    if c * c + 8 * d * d != n:
+        raise InvariantViolation(f"{c}^2 + 8*{d}^2 != {n}")
+    if c <= 0 or d <= 0:
+        raise InvariantViolation(f"({c}, {d}) must be positive")
     return c, d
 
 
 def _curve_order(n: int, a: int, b: int) -> int:
-    # The integer form of curve_order_from_two_squares.
+    # #E(F_p) for E: y^2 = x^3 - x, namely (a-1)^2 + b^2 = p + 1 - 2a.  The
+    # two forms agree exactly when a^2 + b^2 = n, so comparing them checks
+    # the pair once more.
     order = (a - 1) ** 2 + b * b
     if order != n + 1 - 2 * a:
         raise InvariantViolation(
@@ -104,26 +73,16 @@ def _curve_order(n: int, a: int, b: int) -> int:
     return order
 
 
-def two_squares(p: Prime) -> TwoSquares:
-    """The canonical signed pair with a^2 + b^2 = p; requires p = 1 (mod 4)."""
+def two_squares(p: Prime) -> tuple[int, int]:
+    """The canonical signed (a, b) with a^2 + b^2 = p: a odd, b even and
+    positive, a + b = 1 (mod 4); requires p = 1 (mod 4)."""
     if p.value % 4 != 1:
         raise ValueError(f"p = 1 (mod 4) required for a two-square decomposition, got {p.value}")
-    a, b = _two_squares(p.value, canonical_i(p).residue)
-    return TwoSquares(a=a, b=b, p=p)
+    return _two_squares(p.value, canonical_i(p).residue)
 
 
-def eight_decomposition(p: Prime) -> EightDecomposition:
-    """The unique (c, d) with c^2 + 8*d^2 = p; requires p = 1 (mod 8)."""
-    if p.residue_class != 1:
+def eight_decomposition(p: Prime) -> tuple[int, int]:
+    """The unique (c, d) with c^2 + 8*d^2 = p and c, d > 0; requires p = 1 (mod 8)."""
+    if p.value % 8 != 1:
         raise ValueError(f"p = 1 (mod 8) required for c^2 + 8*d^2, got {p.value}")
-    c, d = _eight_decomposition(p.value, canonical_i(p).residue, canonical_sqrt2(p).residue)
-    return EightDecomposition(c=c, d=d, p=p)
-
-
-def curve_order_from_two_squares(t: TwoSquares) -> int:
-    """#E(F_p) for E: y^2 = x^3 - x, namely (a-1)^2 + b^2 = p + 1 - 2a.
-
-    Both forms are computed and compared; a mismatch would mean the sign
-    normalization is broken.
-    """
-    return _curve_order(t.p.value, t.a, t.b)
+    return _eight_decomposition(p.value, canonical_i(p).residue, canonical_sqrt2(p).residue)

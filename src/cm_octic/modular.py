@@ -14,7 +14,7 @@ other square root, among them the roots mod q of the class-number count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
@@ -57,22 +57,20 @@ def is_prime(n: int) -> bool:
 
 @dataclass(frozen=True)
 class Prime:
-    """An odd prime modulus in (2, 2**62), with p mod 8 cached.
+    """An odd prime modulus in (2, 2**62).
 
     Construction runs the deterministic primality test; an instance is
     therefore a proof of primality.  Most of the package additionally wants
-    p = 1 (mod 8); use pipeline_prime for that stricter entry point.
+    p = 1 (mod 8), and each such function raises ValueError otherwise.
     """
 
     value: int
-    residue_class: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not 2 < self.value < MODULUS_BOUND:
             raise ValueError(f"modulus must lie in (2, 2**62), got {self.value}")
         if not is_prime(self.value):
             raise ValueError(f"modulus must be prime, got {self.value}")
-        object.__setattr__(self, "residue_class", self.value % 8)
 
     @classmethod
     def _proven(cls, value: int) -> Prime:
@@ -80,16 +78,7 @@ class Prime:
         # skips the range check and the second Miller-Rabin run.
         p = object.__new__(cls)
         object.__setattr__(p, "value", value)
-        object.__setattr__(p, "residue_class", value % 8)
         return p
-
-
-def pipeline_prime(n: int) -> Prime:
-    """Construct a Prime for the main pipeline, which needs p = 1 (mod 8)."""
-    p = Prime(n)
-    if p.residue_class != 1:
-        raise ValueError(f"expected a prime = 1 (mod 8), got {n} = {n % 8} (mod 8)")
-    return p
 
 
 @dataclass(frozen=True)
@@ -271,7 +260,7 @@ def canonical_i(p: Prime) -> FieldElement:
 def canonical_sqrt2(p: Prime) -> FieldElement:
     """The smaller square root of 2 in F_p, +-(zeta - zeta^3); requires p = 1 (mod 8)."""
     n = p.value
-    if p.residue_class != 1:
+    if n % 8 != 1:
         raise ValueError(f"no 8th root of unity mod {n}; need p = 1 (mod 8)")
     _, s = _i_and_sqrt2(n)
     return FieldElement(s, p)

@@ -40,7 +40,7 @@ from .curve import (
     point,
     scalar_mul,
 )
-from .decompose import EightDecomposition, eight_decomposition, two_squares
+from .decompose import eight_decomposition, two_squares
 from .errors import InvariantViolation
 from .modular import Prime, canonical_i, canonical_sqrt2, element, jacobi, sqrt_mod
 from .harness import primes_1_mod_8
@@ -88,16 +88,16 @@ def naive_point_count(p: Prime) -> int:
     return 1 + sum(roots[(x * x * x - x) % n] for x in range(n))  # 1 for the identity
 
 
-def eight_decomposition_search(p: Prime) -> EightDecomposition:
+def eight_decomposition_search(p: Prime) -> tuple[int, int]:
     """(c, d) with c^2 + 8*d^2 = p by a bounded search over d <= sqrt(p/8)."""
-    if p.residue_class != 1:
+    if p.value % 8 != 1:
         raise ValueError(f"p = 1 (mod 8) required for c^2 + 8*d^2, got {p.value}")
     n = p.value
     for d in range(1, isqrt(n // 8) + 1):
         c2 = n - 8 * d * d
         c = isqrt(c2)
         if c * c == c2:
-            return EightDecomposition(c=c, d=d, p=p)
+            return c, d
     raise InvariantViolation(f"no c^2 + 8*d^2 representation found for {n}")
 
 
@@ -232,11 +232,10 @@ def check_decompositions(limit: int = 20000) -> str:
     count = 0
     for p in primes_1_mod_8(0, limit):
         v = p.value
-        ts = two_squares(p)
-        _require(ts.a * ts.a + ts.b * ts.b == v, "a^2 + b^2 != p", v)
-        e8 = eight_decomposition(p)
-        slow = eight_decomposition_search(p)
-        _require((e8.c, e8.d) == (slow.c, slow.d), "descent and search disagree", v)
+        a, b = two_squares(p)
+        _require(a * a + b * b == v, "a^2 + b^2 != p", v)
+        _require(eight_decomposition(p) == eight_decomposition_search(p),
+                 "descent and search disagree", v)
         count += 1
     return f"decompositions cross-checked for {count} primes < {limit}"
 

@@ -39,13 +39,3 @@ def brute_two_squares(p: int) -> tuple[int, int]:
                 if (cand + b) % 4 == 1:
                     return cand, b
     raise AssertionError(f"{p} is not a sum of two squares")
-
-
-def brute_eight(p: int) -> tuple[int, int]:
-    """The unique (c, d) with c^2 + 8 d^2 = p, c, d > 0, by exhaustive search."""
-    for d in range(1, isqrt(p // 8) + 1):
-        c2 = p - 8 * d * d
-        c = isqrt(c2)
-        if c * c == c2:
-            return c, d
-    raise AssertionError(f"{p} has no c^2 + 8 d^2 representation")

@@ -28,8 +28,8 @@ from cm_octic.modular import Prime, element, jacobi, sqrt_mod
 from conftest import (
     ETA_PRIMES,
     box_class_number,
-    brute_eight,
     brute_two_squares,
+    eight_decomposition_search,
     first_principles_chi,
 )
 
@@ -62,7 +62,7 @@ def test_criterion_1_golden_certificates():
     for v, (ab, cd, chi, n, h) in goldens.items():
         # re-derive every golden from brute-force oracles before comparing
         assert brute_two_squares(v) == ab, f"criterion-1 oracle mismatch at {v}"
-        assert brute_eight(v) == cd, f"criterion-1 oracle mismatch at {v}"
+        assert eight_decomposition_search(Prime(v)) == cd, f"criterion-1 oracle mismatch at {v}"
         assert first_principles_chi(v) == chi, f"criterion-1 oracle mismatch at {v}"
         if h is not None:
             assert box_class_number(v) == h, f"criterion-1 oracle mismatch at {v}"

@@ -55,8 +55,9 @@ class TestClassNumber:
             assert class_number(p) % 2 == 0
 
     def test_cap_enforced(self):
-        with pytest.raises(ValueError):
-            class_number(Prime(1000033), cap=10**6)
+        # The least prime = 1 (mod 8) above the limit.
+        with pytest.raises(ValueError, match="exceeds the class-number limit"):
+            class_number(Prime(10000000033))
 
     def test_default_cap_value(self):
         assert DEFAULT_CAP == 10_000_000_000

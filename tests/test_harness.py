@@ -119,7 +119,7 @@ class TestPrimeStream:
     def test_streamed_primes_equal_proven_ones(self):
         for p in primes_1_mod_8(0, 200):
             assert p == Prime(p.value) and hash(p) == hash(Prime(p.value))
-            assert p.residue_class == 1
+            assert p.value % 8 == 1
 
     def test_range_validation(self):
         with pytest.raises(ValueError):
@@ -402,6 +402,7 @@ class TestCliScan:
             ["scan", "--from", "0", "--to", "100", "--format", "xml"],
             ["scan", "--from", "0", "--to", "100", "--seed", "1"],
             ["check", "41", "--format", "json"],
+            ["classno", "41", "--cap", "100"],
         ],
     )
     def test_rejected_options(self, extra, capsys):
@@ -431,6 +432,13 @@ class TestCliOther:
 
     def test_classno_rejects_composite(self):
         assert main(["classno", "15"]) == 1
+
+    def test_classno_rejects_wrong_class(self):
+        assert main(["classno", "13"]) == 1
+
+    def test_classno_rejects_above_limit(self, capsys):
+        assert main(["classno", "10000000033"]) == 1
+        assert "exceeds the class-number limit" in capsys.readouterr().err
 
     def test_curve_order(self, capsys):
         assert main(["curve-order", "73"]) == 0

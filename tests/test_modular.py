@@ -14,7 +14,6 @@ from cm_octic.modular import (
     element,
     is_prime,
     jacobi,
-    pipeline_prime,
     sqrt_mod,
 )
 
@@ -60,11 +59,6 @@ class TestIsPrime:
 
 
 class TestPrime:
-    def test_residue_class_cached(self):
-        assert Prime(17).residue_class == 1
-        assert Prime(7).residue_class == 7
-        assert Prime(13).residue_class == 5
-
     @pytest.mark.parametrize("bad", [0, 1, 2, 4, 15, 2**62 + 1, (1 << 62) - 1 + 2])
     def test_rejects_invalid(self, bad):
         with pytest.raises(ValueError):
@@ -73,13 +67,6 @@ class TestPrime:
     def test_upper_bound(self):
         with pytest.raises(ValueError):
             Prime(2**62 + 57)  # prime-sized but over the modulus bound
-
-    def test_pipeline_prime(self):
-        assert pipeline_prime(41).value == 41
-        with pytest.raises(ValueError):
-            pipeline_prime(13)  # 13 = 5 (mod 8)
-        with pytest.raises(ValueError):
-            pipeline_prime(15)  # composite
 
 
 class TestFieldElement:
