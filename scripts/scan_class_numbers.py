@@ -22,8 +22,12 @@ def main(argv=None) -> int:
     ap.add_argument("--jobs", type=int, default=1)
     args = ap.parse_args(argv)
 
-    report = scan(ScanConfig(lo=args.lo, hi=args.hi,
-                             class_number_cap=args.hi, jobs=args.jobs))
+    try:
+        report = scan(ScanConfig(lo=args.lo, hi=args.hi,
+                                 class_number_cap=args.hi, jobs=args.jobs))
+    except ValueError as exc:
+        print(f"{ap.prog}: error: {exc}", file=sys.stderr)
+        return 1
     hist: dict[int, Counter] = {1: Counter(), -1: Counter()}
     for cert in report.certificates:
         hist[cert.chi][cert.h % 8] += 1

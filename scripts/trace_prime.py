@@ -9,6 +9,7 @@ of order 8 landing back in that x-set.
 """
 
 import argparse
+import sys
 
 from cm_octic.criteria import proof_trace
 from cm_octic.modular import Prime
@@ -18,10 +19,13 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("p", type=int, help="a prime = 1 (mod 8)")
-    ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args(argv)
 
-    tr = proof_trace(Prime(args.p), seed=args.seed)
+    try:
+        tr = proof_trace(Prime(args.p))
+    except ValueError as exc:
+        print(f"{ap.prog}: error: {exc}", file=sys.stderr)
+        return 1
     print(f"p = {tr.p}:  chi(1+sqrt2) = {tr.chi:+d}, conjugate symbol = "
           f"{tr.chi_conjugate:+d}, product = {tr.chi * tr.chi_conjugate:+d} "
           f"(must be +1)")

@@ -211,8 +211,7 @@ def proof_trace(p: Prime, seed: int = 0) -> ProofTrace:
     minus_one = jacobi(-1, p)
     jac_ok = chi * chi_conjugate == minus_one == 1
     n = curve_order(p)
-    levels = eta_level_sets(p)
-    level4 = tuple(sorted(x.residue for x in levels.level(4)))
+    level4 = tuple(sorted(x.residue for x in eta_level_sets(p)[3]))
 
     fibers = []
     preimage_ok = True

@@ -170,46 +170,23 @@ def eta_preimages(Q: Point, p: Prime | None = None) -> frozenset[Point]:
     return frozenset(found)
 
 
-@dataclass(frozen=True)
-class EtaLevelSets:
-    """Candidate x-coordinates of the iterated eta-kernels, levels 1..4.
+def eta_level_sets(p: Prime) -> tuple[frozenset[FieldElement], ...]:
+    """Candidate x-coordinates of the iterated eta-kernels; requires p = 1 (mod 8).
 
-    level(k) holds the x-values of points annihilated by eta^k but not
+    Entry k - 1 holds the x-values of points annihilated by eta^k but not
     eta^(k-1): {0}, {1, -1}, {i, -i}, {1+s, 1-s, -1+s, -1-s} with s^2 = 2.
-    rational(k) is the subset whose x actually carries a point of E(F_p),
-    i.e. x^3 - x is a square.
     """
-
-    p: Prime
-    level_x: tuple[frozenset[FieldElement], ...]
-    rational_x: tuple[frozenset[FieldElement], ...]
-
-    def level(self, k: int) -> frozenset[FieldElement]:
-        return self.level_x[k - 1]
-
-    def rational(self, k: int) -> frozenset[FieldElement]:
-        return self.rational_x[k - 1]
-
-
-def eta_level_sets(p: Prime) -> EtaLevelSets:
-    """The four x-coordinate level sets; requires p = 1 (mod 8)."""
     if p.value % 8 != 1:
         raise ValueError(f"level sets need p = 1 (mod 8), got {p.value}")
     i = canonical_i(p)
     s = canonical_sqrt2(p)
     one = element(p, 1)
-    levels = (
+    return (
         frozenset({element(p, 0)}),
         frozenset({one, -one}),
         frozenset({i, -i}),
         frozenset({one + s, one - s, -one + s, -one - s}),
     )
-    assert len(levels[3]) == 4, "the four values +-1 +- sqrt(2) must be distinct"
-    rational = tuple(
-        frozenset(x for x in lvl if jacobi((x * x * x - x).residue, p) >= 0)
-        for lvl in levels
-    )
-    return EtaLevelSets(p=p, level_x=levels, rational_x=rational)
 
 
 def curve_order(p: Prime) -> int:
@@ -227,9 +204,7 @@ def random_point(p: Prime, seed: int) -> Point:
         if rhs == 0:
             return point(p, x, 0)
         if jacobi(rhs, p) == 1:
-            y = sqrt_mod(element(p, rhs))
-            assert y is not None
-            return affine(element(p, x), y[0])
+            return affine(element(p, x), sqrt_mod(element(p, rhs))[0])
         x = (x + 1) % n  # x = 0 always works, so the walk terminates
 
 

@@ -128,10 +128,10 @@ def _require(ok: bool, what: str, *where: object) -> None:
         raise AssertionError(f"{what} at {', '.join(map(str, where))}")
 
 
-def check_symbols_exhaustive(limit: int = 257) -> str:
+def check_symbols_exhaustive() -> str:
     """jacobi, Euler's criterion and sqrt_mod agree with exhaustive squaring
-    for every odd prime <= limit."""
-    for v in trial_division_primes(limit + 1)[1:]:
+    for every odd prime <= 257."""
+    for v in trial_division_primes(258)[1:]:
         p = Prime(v)
         squares = squares_mod(v)
         for a in range(v):
@@ -146,13 +146,14 @@ def check_symbols_exhaustive(limit: int = 257) -> str:
             lo, hi = roots[0].residue, roots[1].residue
             _require(lo <= hi and lo * lo % v == a and hi == (v - lo) % v,
                      "sqrt_mod roots wrong", v, a, lo, hi)
-    return f"jacobi/sqrt_mod exhaustive over odd primes <= {limit}"
+    return "jacobi/sqrt_mod exhaustive over odd primes <= 257"
 
 
-def check_canonical_roots(limit: int = 2000) -> str:
-    """canonical_i and canonical_sqrt2 square back to -1 and 2."""
+def check_canonical_roots() -> str:
+    """canonical_i and canonical_sqrt2 square back to -1 and 2 for every
+    p = 1 (mod 8) < 3000."""
     count = 0
-    for p in primes_1_mod_8(0, limit):
+    for p in primes_1_mod_8(0, 3000):
         v = p.value
         i = canonical_i(p)
         s = canonical_sqrt2(p)
@@ -161,17 +162,17 @@ def check_canonical_roots(limit: int = 2000) -> str:
         _require(i.residue <= v - i.residue and s.residue <= v - s.residue,
                  "canonical root is not the smaller one", v)
         count += 1
-    return f"canonical roots verified for {count} primes < {limit}"
+    return f"canonical roots verified for {count} primes < 3000"
 
 
-def check_eta_suite(primes: tuple[int, ...] = ETA_PRIMES) -> str:
-    """The eta contract over every point of E(F_p).
+def check_eta_suite() -> str:
+    """The eta contract over every point of E(F_p), p in ETA_PRIMES.
 
     Additivity is checked on all pairs of points for p <= 41, and on the
     pairs (every third point, every fifth point), about 1/15 of them, for
     the larger primes.
     """
-    for v in primes:
+    for v in ETA_PRIMES:
         p = Prime(v)
         pts = curve_points_oracle(p)
         squares = squares_mod(v) | {0}
@@ -215,36 +216,37 @@ def check_eta_suite(primes: tuple[int, ...] = ETA_PRIMES) -> str:
                 A, B = pre
                 _require(add(A, torsion) == B, "fiber not a kernel coset", v, Q)
         _require(total == len(pts), "fibers do not partition E(F_p)", v)
-    return f"1+i suite on p in {primes}, additivity on all pairs for p <= 41"
+    return f"1+i suite on p in {ETA_PRIMES}, additivity on all pairs for p <= 41"
 
 
-def check_point_counts(limit: int = 2000) -> str:
-    """(a-1)^2 + b^2 equals the naive point count for every p = 1 (mod 8) < limit."""
+def check_point_counts() -> str:
+    """(a-1)^2 + b^2 equals the naive point count for every p = 1 (mod 8) < 2000."""
     count = 0
-    for p in primes_1_mod_8(0, limit):
+    for p in primes_1_mod_8(0, 2000):
         _require(curve_order(p) == naive_point_count(p), "curve order != naive count", p.value)
         count += 1
-    return f"CM order = naive count for {count} primes < {limit}"
+    return f"CM order = naive count for {count} primes < 2000"
 
 
-def check_decompositions(limit: int = 20000) -> str:
-    """Cornacchia output matches brute-force search and normalization rules."""
+def check_decompositions() -> str:
+    """Cornacchia output matches brute-force search and normalization rules
+    for every p = 1 (mod 8) < 20000."""
     count = 0
-    for p in primes_1_mod_8(0, limit):
+    for p in primes_1_mod_8(0, 20000):
         v = p.value
         a, b = two_squares(p)
         _require(a * a + b * b == v, "a^2 + b^2 != p", v)
         _require(eight_decomposition(p) == eight_decomposition_search(p),
                  "descent and search disagree", v)
         count += 1
-    return f"decompositions cross-checked for {count} primes < {limit}"
+    return f"decompositions cross-checked for {count} primes < 20000"
 
 
-def check_criteria_small(limit: int = 5000) -> str:
-    """All three criteria hold, with class numbers, for p < limit; chi, n and
+def check_criteria_small() -> str:
+    """All three criteria hold, with class numbers, for p < 5000; chi, n and
     h match their first-principles values."""
     count = 0
-    for p in primes_1_mod_8(0, limit):
+    for p in primes_1_mod_8(0, 5000):
         v = p.value
         cert = check_prime(p, with_class_number=True)
         _require(isinstance(cert, Certificate), "stage failure", v, cert)
@@ -254,7 +256,7 @@ def check_criteria_small(limit: int = 5000) -> str:
         _require(cert.h == box_class_number(v), "h != box count", v, cert.h)
         _require(cert.h % 2 == 0, "h(-4p) odd", v)  # genus parity
         count += 1
-    return f"criteria + class numbers verified for {count} primes < {limit}"
+    return f"criteria + class numbers verified for {count} primes < 5000"
 
 
 CHECKS: tuple[Callable[[], str], ...] = (
@@ -267,17 +269,16 @@ CHECKS: tuple[Callable[[], str], ...] = (
 )
 
 
-def run_all(verbose: bool = True) -> bool:
-    """Run every check, going on past any failure; True when all pass."""
+def run_all() -> bool:
+    """Run every check, printing one PASS or FAIL line each and going on past
+    any failure; True when all pass."""
     ok = True
     for fn in CHECKS:
         try:
             detail = fn()
         except Exception as exc:
             ok = False
-            if verbose:
-                print(f"FAIL {fn.__name__}: {type(exc).__name__}: {exc}")
+            print(f"FAIL {fn.__name__}: {type(exc).__name__}: {exc}")
         else:
-            if verbose:
-                print(f"PASS {fn.__name__}: {detail}")
+            print(f"PASS {fn.__name__}: {detail}")
     return ok

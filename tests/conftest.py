@@ -13,7 +13,6 @@ from __future__ import annotations
 from math import isqrt
 
 from cm_octic.selftest import (  # noqa: F401  (re-exported to the tests)
-    ETA_PRIMES,
     box_class_number,
     curve_points_oracle,
     eight_decomposition_search,

@@ -74,20 +74,6 @@ class TestChi:
         with pytest.raises(ValueError):
             chi_one_plus_sqrt2(Prime(13))
 
-    def test_well_defined_over_both_roots(self):
-        # the symbol must not depend on which square root of 2 is used
-        for p in primes_1_mod_8(0, 10**4):
-            lo, hi = sqrt_mod(element(p, 2))
-            sym_lo = euler_symbol(lo + 1)
-            sym_hi = euler_symbol(hi + 1)
-            assert sym_lo == sym_hi == chi_one_plus_sqrt2(p)
-
-    def test_conjugate_product_identity(self):
-        # (1+s | p)(1-s | p) = (1 - 2 | p) = (-1 | p) = +1 for p = 1 (mod 8)
-        for p in primes_1_mod_8(0, 10**4):
-            s = canonical_sqrt2(p)
-            assert euler_symbol(1 + s) * euler_symbol(1 - s) == jacobi(-1, p) == 1
-
 
 class TestFastPathOracle:
     @pytest.mark.parametrize(

@@ -80,7 +80,7 @@ class TestEightDecomposition:
             assert eight_decomposition(p) == eight_decomposition_search(p), p.value
 
     def test_search_path_agrees(self):
-        selftest.check_decompositions(2 * 10**4)
+        selftest.check_decompositions()
 
     def test_domain_error(self):
         with pytest.raises(ValueError):

@@ -109,7 +109,7 @@ class TestJacobi:
         # jacobi and Euler's criterion against squaring, every odd prime <= 257;
         # sqrt_mod's two roots square back, sorted and negatives of each
         # other, and it finds none for a non-residue.
-        selftest.check_symbols_exhaustive(257)
+        selftest.check_symbols_exhaustive()
 
     def test_reduces_argument(self):
         p = Prime(17)
@@ -167,7 +167,7 @@ class TestCanonicalRoots:
 
     def test_roots_square_back(self):
         # Every p = 1 (mod 8) below 3000, through the check selftest runs.
-        selftest.check_canonical_roots(3000)
+        selftest.check_canonical_roots()
 
     def test_nonresidue_is_least(self):
         # Both canonical roots are powers of _nonresidue(n); it must be the
