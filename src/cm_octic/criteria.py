@@ -246,7 +246,7 @@ def proof_trace(p: Prime, seed: int = 0) -> ProofTrace:
     landed_sq: bool | None = None
     order8_ok = True
     if applicable:
-        P = find_point_of_order(p, 8, seed=seed)
+        P = find_point_of_order(p, seed=seed)
         if P is None:
             order8_ok = False  # 32 | n guarantees one; counterexample if missing
         else:

@@ -9,15 +9,12 @@ of its iterated kernels, and order bookkeeping via (a-1)^2 + b^2.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 from .decompose import _curve_order, two_squares
 from .errors import InvariantViolation
 from .modular import FieldElement, Prime, canonical_i, canonical_sqrt2, element, jacobi, sqrt_mod
 
-NAIVE_COUNT_BOUND = 100_000
 _SAMPLE_RETRIES = 64
-_EXHAUSTIVE_BOUND = 10_000
 
 
 @dataclass(frozen=True)
@@ -208,46 +205,21 @@ def random_point(p: Prime, seed: int) -> Point:
         x = (x + 1) % n  # x = 0 always works, so the walk terminates
 
 
-def all_points(p: Prime) -> Iterator[Point]:
-    """Every point of E(F_p), identity first; guarded to p < 10^5."""
-    if p.value >= NAIVE_COUNT_BOUND:
-        raise ValueError(f"exhaustive enumeration is capped at p < {NAIVE_COUNT_BOUND}")
-    yield INFINITY
-    for x in range(p.value):
-        xe = element(p, x)
-        roots = sqrt_mod(xe * xe * xe - xe)
-        if roots is None:
-            continue
-        lo, hi = roots
-        yield Point(xe, lo)
-        if hi != lo:
-            yield Point(xe, hi)
+def find_point_of_order(p: Prime, seed: int = 0) -> Point | None:
+    """A point of exact order 8, or None if the samples find none.
 
-
-def _has_exact_order(P: Point, k: int) -> bool:
-    # k a power of two, k >= 2
-    return scalar_mul(k, P).is_infinity and not scalar_mul(k // 2, P).is_infinity
-
-
-def find_point_of_order(p: Prime, k: int, seed: int = 0) -> Point | None:
-    """A point of exact order k, a power of two, or None if there is none.
-
-    k must divide #E(F_p).  The group need not be cyclic (it never is here:
-    the full 2-torsion is rational), so multiplying a sample by n/k can
-    annihilate too much.  Instead, project a sample into the 2-Sylow
-    subgroup, measure its order 2^t there, and when 2^t >= k scale it down
-    to exact order k.  A bounded number of deterministic samples is tried;
-    for p < 10^4 a miss falls back to exhaustive search, so None is then a
-    certificate of absence.  For larger p, None after the sampling phase
-    carries no proof of absence.
+    32 | #E(F_p) is required.  For p = 1 (mod 4), E(F_p) is isomorphic to
+    Z[i]/(pi - 1), whose 2-part is Z/2^ceil(k/2) x Z/2^floor(k/2) with
+    2^k || n, so a point of order 8 exists exactly when 32 | n.  The group
+    is never cyclic here (the full 2-torsion is rational), so multiplying a
+    sample by n/8 can annihilate too much.  Instead, project a sample into
+    the 2-Sylow subgroup, measure its order 2^t there, and when 2^t >= 8
+    scale it down to exact order 8.  _SAMPLE_RETRIES samples are taken,
+    walking x up from seed; None after them is no proof of absence.
     """
-    if k <= 0 or k & (k - 1):
-        raise ValueError(f"order {k} is not a power of two")
     n = curve_order(p)
-    if n % k != 0:
-        raise ValueError(f"order {k} does not divide #E(F_p) = {n}")
-    if k == 1:
-        return INFINITY
+    if n % 32:
+        raise ValueError(f"no point of order 8 unless 32 divides #E(F_p) = {n}")
     odd_part = n // (n & -n)
     x_seed = seed
     for _ in range(_SAMPLE_RETRIES):
@@ -257,13 +229,12 @@ def find_point_of_order(p: Prime, k: int, seed: int = 0) -> Point | None:
         T, order = S, 1
         while not T.is_infinity:
             T, order = add(T, T), order * 2
-        if order >= k:
-            T = scalar_mul(order // k, S)
-            if _has_exact_order(T, k):
-                return T
-    if p.value < _EXHAUSTIVE_BOUND:
-        for P in all_points(p):
-            if _has_exact_order(P, k):
-                return P
-        return None
-    return None  # probabilistic miss; no exhaustive certificate at this size
+        if order >= 8:
+            T = scalar_mul(order // 8, S)
+            if not scalar_mul(8, T).is_infinity or scalar_mul(4, T).is_infinity:
+                raise InvariantViolation(
+                    f"{order // 8} * S has no exact order 8 mod {p.value}, "
+                    f"though S has order {order}"
+                )
+            return T
+    return None

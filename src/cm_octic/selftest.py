@@ -26,7 +26,6 @@ from typing import Callable
 from .criteria import Certificate, check_prime
 from .curve import (
     INFINITY,
-    NAIVE_COUNT_BOUND,
     Point,
     add,
     curve_order,
@@ -46,6 +45,7 @@ from .modular import Prime, canonical_i, canonical_sqrt2, element, jacobi, sqrt_
 from .harness import primes_1_mod_8
 
 ETA_PRIMES = (17, 41, 73, 89, 97, 113)
+NAIVE_COUNT_BOUND = 100_000
 
 
 def trial_division_primes(limit: int) -> list[int]:

@@ -4,7 +4,7 @@ from itertools import islice
 
 import pytest
 
-from cm_octic import criteria, decompose, modular, selftest
+from cm_octic import criteria, curve, decompose, modular, selftest
 from cm_octic.criteria import (
     Certificate,
     ErrorCertificate,
@@ -278,6 +278,15 @@ class TestProofTrace:
     def test_seed_determinism(self):
         assert proof_trace(Prime(41), seed=3) == proof_trace(Prime(41), seed=3)
         assert proof_trace(Prime(113), seed=9).consistent
+
+    def test_failed_order_check_is_an_invariant_violation(self, monkeypatch, capsys):
+        # The scaled sample has order 8 by construction; if the check on it
+        # fails, the group law is broken, which is not a counterexample.
+        real = curve.scalar_mul
+        monkeypatch.setattr(curve, "scalar_mul",
+                            lambda n, P: curve.INFINITY if n == 4 else real(n, P))
+        assert main(["check", "41", "--trace"]) == 3
+        assert "no exact order 8 mod 41" in capsys.readouterr().err
 
     def test_applicability_matches_order(self):
         for p in primes_1_mod_8(0, 1000):

@@ -1,8 +1,6 @@
 """Decompositions p = a^2 + b^2 and p = c^2 + 8 d^2 against brute force."""
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from cm_octic import decompose, selftest
 from cm_octic.curve import curve_order
@@ -106,9 +104,3 @@ class TestCurveOrder:
             assert _curve_order(p.value, a, b) == p.value + 1 - 2 * a
         with pytest.raises(InvariantViolation, match="order mismatch"):
             _curve_order(17, 5, 6)  # 5^2 + 6^2 != 17
-
-    @settings(deadline=None)
-    @given(st.sampled_from(PRIMES_1_MOD_4))
-    def test_reconstructs_prime(self, v):
-        a, b = two_squares(Prime(v))
-        assert a * a + b * b == v
