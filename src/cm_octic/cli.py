@@ -10,6 +10,7 @@ import argparse
 import dataclasses
 import json
 import sys
+from functools import cache
 from typing import Sequence
 
 from . import selftest
@@ -36,6 +37,9 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+# Built once per process: parse_args keeps no state between calls, and each
+# call starts from a fresh Namespace, so no argument leaks into the next.
+@cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="cm-octic", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

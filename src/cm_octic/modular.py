@@ -22,10 +22,12 @@ from .errors import InvariantViolation
 
 MODULUS_BOUND = 1 << 62
 
-# Witnesses that make Miller-Rabin deterministic for every n below
-# 3_317_044_064_679_887_385_961_981 (Sorenson & Webster 2015), which covers
-# the full 64-bit range with room to spare.
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_TRIAL_DIVISORS = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+# Sinclair's bases make Miller-Rabin deterministic for every n < 2**64.  Each
+# is reduced mod n first, and a base that becomes 0 is skipped: it says
+# nothing about n, and the primes 73, 193, 407521 and 299210837 divide one.
+_MR_BASES = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
 
 
 def is_prime(n: int) -> bool:
@@ -34,7 +36,7 @@ def is_prime(n: int) -> bool:
         raise ValueError("is_prime expects a nonnegative integer")
     if n < 2:
         return False
-    for q in _MR_WITNESSES:
+    for q in _TRIAL_DIVISORS:
         if n % q == 0:
             return n == q
     d = n - 1
@@ -42,7 +44,10 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         r += 1
-    for a in _MR_WITNESSES:
+    for a in _MR_BASES:
+        a %= n
+        if a == 0:
+            continue
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue

@@ -1,7 +1,8 @@
 """Shared test oracles.
 
 Everything here is deliberately naive and independent of the package's own
-algorithms: trial division instead of Miller-Rabin, double loops instead of
+algorithms: trial division or a strong-probable-prime test on other bases
+instead of the package's Miller-Rabin, double loops instead of
 Tonelli-Shanks or Cornacchia, full-box enumeration instead of pruned walks.
 Frozen expected values in the tests were produced by these oracles.  The
 oracles that `cm-octic selftest` also needs live in cm_octic.selftest and
@@ -38,3 +39,34 @@ def brute_two_squares(p: int) -> tuple[int, int]:
                 if (cand + b) % 4 == 1:
                     return cand, b
     raise AssertionError(f"{p} is not a sum of two squares")
+
+
+_SPRP_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def sprp_prime_bases(n: int) -> bool:
+    """Primality by the strong-probable-prime test to the first 12 prime bases.
+
+    Exact for every n below 3.3 * 10**24 (Sorenson & Webster 2015), so it
+    decides every modulus the package accepts; of is_prime's bases it
+    shares only 2.
+    """
+    if n < 2:
+        return False
+    for q in _SPRP_BASES:
+        if n % q == 0:
+            return n == q
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for a in _SPRP_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True

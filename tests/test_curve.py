@@ -105,10 +105,6 @@ class TestIAction:
         Q = i_action(point(P17, 5, 1))
         assert (Q.x.residue, Q.y.residue) == (12, 4)
 
-    def test_squares_to_negation(self):
-        for P in curve_points_oracle(P17):
-            assert i_action(i_action(P)) == negate(P)
-
     def test_is_homomorphism(self):
         pts = [random_point(P41, s) for s in range(10)]
         for A, B in itertools.combinations(pts, 2):
@@ -150,11 +146,6 @@ class TestEta:
                 Q = eta_apply(P)
                 if not Q.is_infinity:
                     assert Q.x.residue == 0 or Q.x.residue in sq
-
-    def test_squared_is_doubling_after_i(self):
-        for p in (P17, P41):
-            for P in curve_points_oracle(p):
-                assert eta_apply(eta_apply(P)) == scalar_mul(2, i_action(P))
 
     def test_is_homomorphism(self):
         pts = [random_point(Prime(73), s) for s in range(10)]

@@ -270,6 +270,28 @@ class TestCliCheck:
         assert doc["trace"]["consistent"] is True
         assert doc["trace"]["orbit_landed_is_square"] is True
 
+    def test_parser_keeps_no_state_between_calls(self, capsys, monkeypatch):
+        # main reuses one parser; a seed or a failed parse must not carry over.
+        import cm_octic.cli as cli_mod
+
+        seeds = []
+        real_trace = cli_mod.proof_trace
+
+        def recording_trace(p, seed):
+            seeds.append(seed)
+            return real_trace(p, seed=seed)
+
+        monkeypatch.setattr(cli_mod, "proof_trace", recording_trace)
+        assert main(["check", "41", "--trace", "--seed", "3"]) == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "41", "--seed"])
+        assert exc.value.code == 1
+        assert main(["check", "41", "--trace"]) == 0
+        assert main(["check", "41"]) == 0
+        assert seeds == [3, 0]
+        assert cli_mod._build_parser() is cli_mod._build_parser()
+        capsys.readouterr()
+
     def test_composite_rejected(self, capsys):
         assert main(["check", "15"]) == 1
         assert "error" in capsys.readouterr().err
@@ -388,8 +410,12 @@ class TestCliScan:
             # take both the proven and the Miller-Rabin path
             (["scan", "--from", "8589834592", "--to", "8590053124"],
              "eb056730915bface11d283dd8541997b088b5238af522a95bfbd85e836de5353"),
+            # 119 primes just below the 2**62 modulus bound
+            (["scan", "--from", str(2**62 - 20000), "--to", str(2**62)],
+             "17b0f94745a0578eb9ce9948f6fc587c37473e8c972d550f10e16068a9c24bcd"),
         ],
-        ids=["csv-sieve", "json-class-numbers", "csv-wheel", "csv-presieve-bound"],
+        ids=["csv-sieve", "json-class-numbers", "csv-wheel", "csv-presieve-bound",
+             "csv-modulus-bound"],
     )
     def test_output_bytes_pinned(self, argv, digest, capsys):
         # The certificate bytes are pinned: a change to them must be deliberate.

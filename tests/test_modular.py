@@ -1,5 +1,7 @@
 """Prime-field layer: primality, symbols, roots, canonical witnesses."""
 
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -17,7 +19,7 @@ from cm_octic.modular import (
     sqrt_mod,
 )
 
-from conftest import squares_mod, trial_division_primes
+from conftest import sprp_prime_bases, squares_mod, trial_division_primes
 
 ODD_PRIMES_257 = [p for p in trial_division_primes(258) if p > 2]
 
@@ -56,6 +58,26 @@ class TestIsPrime:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             is_prime(-7)
+
+    @pytest.mark.parametrize("lo", [2**33, 10**12, 2**61, 2**62 - 10**6])
+    def test_agrees_with_prime_base_sprp_sampled(self, lo):
+        # 10,000 consecutive odd n from a seeded start in [lo, lo + 10^6).
+        start = random.Random(lo).randrange(lo, lo + 10**6 - 20000) | 1
+        window = range(start, start + 20000, 2)
+        found = [n for n in window if is_prime(n)]
+        assert found == [n for n in window if sprp_prime_bases(n)]
+        assert found
+
+    @pytest.mark.parametrize("n", [2047, 3215031751, 2152302898747, 3474749660383,
+                                   341550071728321, 3825123056546413051])
+    def test_strong_pseudoprimes_are_composite(self, n):
+        # Each is a strong pseudoprime to every prime base up to some bound.
+        assert not is_prime(n) and not sprp_prime_bases(n)
+
+    @pytest.mark.parametrize("n", [73, 193, 407521, 299210837])
+    def test_primes_dividing_a_base(self, n):
+        # Each divides one of is_prime's bases, which must then be skipped.
+        assert is_prime(n) and sprp_prime_bases(n)
 
 
 class TestPrime:
