@@ -1,15 +1,19 @@
 """Command-line entry points.
 
-Exit codes: 0 all checks passed, 1 usage or configuration error,
-2 a counterexample was found, 3 an internal invariant was violated.
+Exit codes: 0 all checks passed, 1 usage, configuration or output-file
+error, 2 a counterexample was found, 3 an internal invariant was violated,
+141 the reader of standard output closed it early.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
+import os
 import sys
+from collections import Counter
 from functools import cache
 from typing import Sequence
 
@@ -26,6 +30,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_COUNTEREXAMPLE = 2
 EXIT_INVARIANT = 3
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, what a shell reports for `... | head`
 
 
 class _Parser(argparse.ArgumentParser):
@@ -96,13 +101,12 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         class_number_cap=args.class_number_cap,
         jobs=args.jobs,
     )
-    report = scan(config)
-    # Certified rows are written even when some prime broke an invariant.
-    if args.out is None:
-        _write_report(report, args.format, sys.stdout)
-    else:
-        with open(args.out, "w") as fh:
-            _write_report(report, args.format, fh)
+    # The sink is opened before the scan, so a bad --out path costs no work.
+    sink = contextlib.nullcontext(sys.stdout) if args.out is None else open(args.out, "w")
+    with sink as fh:
+        report = scan(config)
+        # Certified rows are written even when some prime broke an invariant.
+        _write_report(report, args.format, fh)
     if report.errors:
         for err in report.errors:
             print(f"invariant violation at p={err.p} [{err.stage}]: {err.message}",
@@ -113,6 +117,12 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         f"in {report.timing:.2f}s; counterexamples: {len(report.counterexamples)}",
         file=sys.stderr,
     )
+    # h(-4p) mod 8 by character: h = 0 (mod 8) exactly when chi = +1.
+    tally = Counter((c.chi, c.h % 8) for c in report.certificates if c.h is not None)
+    if tally:
+        for chi in (1, -1):
+            rows = ", ".join(f"h%8={r}: {tally[chi, r]}" for r in range(8) if tally[chi, r])
+            print(f"  chi = {chi:+d}:  {rows or 'none'}", file=sys.stderr)
     return EXIT_COUNTEREXAMPLE if report.counterexamples else EXIT_OK
 
 
@@ -161,8 +171,21 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
-    except ValueError as exc:
+        status = _COMMANDS[args.command](args)
+        # Flushed here, so that a closed pipe raises inside this handler and
+        # not at interpreter exit.
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # Point fd 1 at /dev/null, so the interpreter's final flush of what
+        # is still buffered cannot raise a second time.
+        with contextlib.suppress(OSError):  # no real fd, as under capture
+            fd = sys.stdout.fileno()
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, fd)
+            os.close(devnull)
+        return EXIT_BROKEN_PIPE
+    except (ValueError, OSError) as exc:
         print(f"cm-octic: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except InvariantViolation as exc:

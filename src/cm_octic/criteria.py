@@ -60,9 +60,10 @@ def euler_symbol(u: FieldElement) -> int:
 def chi_one_plus_sqrt2(p: Prime) -> int:
     """The quadratic character of 1 + sqrt(2) mod p, for p = 1 (mod 8).
 
-    Well defined: replacing sqrt(2) by its negative multiplies the argument
-    by the square (1 - sqrt2)/(1 + sqrt2)... more directly, the product of
-    the two symbols is (-1 | p) = +1, so both roots give the same value.
+    Well defined: replacing sqrt(2) by its negative gives the symbol of
+    1 - sqrt2, and (1 + sqrt2)(1 - sqrt2) = -1 with (-1 | p) = +1, so the
+    two symbols multiply to +1: they are equal, and both roots give the
+    same value.
     """
     if p.value % 8 != 1:
         raise ValueError(f"chi is defined for p = 1 (mod 8), got {p.value}")

@@ -13,12 +13,8 @@ from cm_octic.curve import (
     eta_apply,
     eta_level_sets,
     eta_preimages,
-    eta_x_via_rational_map,
-    eta_x_via_slope,
-    eta_y_via_slope,
     find_point_of_order,
     i_action,
-    kernel,
     negate,
     point,
     random_point,
@@ -122,30 +118,6 @@ class TestEta:
         assert eta_apply(point(P17, 0, 0)) is INFINITY
         Q = eta_apply(point(P17, 5, 1))
         assert (Q.x.residue, Q.y.residue) == (4, 14)
-
-    def test_kernel_is_exactly_two_points(self):
-        for p in (P17, P41):
-            ker = {P for P in curve_points_oracle(p) if eta_apply(P).is_infinity}
-            assert ker == set(kernel(p))
-
-    def test_closed_forms_match_chord_formula(self):
-        for p in (P17, P41, Prime(73)):
-            for P in curve_points_oracle(p):
-                if P.is_infinity or P.x.residue == 0:
-                    continue
-                Q = eta_apply(P)
-                x0 = eta_x_via_slope(P)
-                assert x0 == eta_x_via_rational_map(P)
-                assert x0 == Q.x
-                assert eta_y_via_slope(P, x0) == Q.y
-
-    def test_image_x_is_square_or_zero(self):
-        for p in (P17, P41):
-            sq = squares_mod(p.value)
-            for P in curve_points_oracle(p):
-                Q = eta_apply(P)
-                if not Q.is_infinity:
-                    assert Q.x.residue == 0 or Q.x.residue in sq
 
     def test_is_homomorphism(self):
         pts = [random_point(Prime(73), s) for s in range(10)]

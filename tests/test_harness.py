@@ -40,6 +40,13 @@ def presieve_primes() -> list[int]:
     return trial_division_primes(PRESIEVE)[1:]
 
 
+def package_env() -> dict[str, str]:
+    # The environment for a child interpreter that imports this cm_octic.
+    src = str(Path(cm_octic.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def rigged_certificate(**overrides) -> Certificate:
     fields = dict(
         p=17, a=1, b=4, c=3, d=1, chi=-1, n=16, n_mod_32=16,
@@ -323,6 +330,26 @@ class TestCliCheck:
         assert doc["stage"] == "chi"
 
 
+# (id, argv, sha256 of stdout) of each scan whose bytes are pinned.
+PINNED_SCANS = (
+    ("csv-sieve", ["scan", "--from", "0", "--to", "200000"],
+     "6f407767f1903bc8dc1e09acadd65ff2de1f1686683b9e57357ca4c49306cd0d"),
+    ("json-class-numbers",
+     ["scan", "--from", "0", "--to", "20000", "--class-number-cap", "20000",
+      "--format", "json"],
+     "0d80bf89f8387441051d2f08b58a7062d92cb5023a12e5cb3ca852984c47da65"),
+    ("csv-wheel", ["scan", "--from", str(2**61), "--to", str(2**61 + 20000)],
+     "b9fd66aad0d9e1d0b6fd984b9ecb3425ba6d2e0747e14f2563e99db2eb3629a3"),
+    # 2,369 primes; spans 2^33 and PRESIEVE^2, so its scan segments
+    # take both the proven and the Miller-Rabin path
+    ("csv-presieve-bound", ["scan", "--from", "8589834592", "--to", "8590053124"],
+     "eb056730915bface11d283dd8541997b088b5238af522a95bfbd85e836de5353"),
+    # 119 primes just below the 2**62 modulus bound
+    ("csv-modulus-bound", ["scan", "--from", str(2**62 - 20000), "--to", str(2**62)],
+     "17b0f94745a0578eb9ce9948f6fc587c37473e8c972d550f10e16068a9c24bcd"),
+)
+
+
 class TestCliScan:
     def test_stdout_csv(self, capsys):
         assert main(["scan", "--from", "0", "--to", "100"]) == 0
@@ -399,28 +426,73 @@ class TestCliScan:
     @pytest.mark.parametrize(
         "argv, digest",
         [
-            (["scan", "--from", "0", "--to", "200000"],
-             "6f407767f1903bc8dc1e09acadd65ff2de1f1686683b9e57357ca4c49306cd0d"),
-            (["scan", "--from", "0", "--to", "20000", "--class-number-cap", "20000",
-              "--format", "json"],
-             "0d80bf89f8387441051d2f08b58a7062d92cb5023a12e5cb3ca852984c47da65"),
-            (["scan", "--from", str(2**61), "--to", str(2**61 + 20000)],
-             "b9fd66aad0d9e1d0b6fd984b9ecb3425ba6d2e0747e14f2563e99db2eb3629a3"),
-            # 2,369 primes; spans 2^33 and PRESIEVE^2, so its scan segments
-            # take both the proven and the Miller-Rabin path
-            (["scan", "--from", "8589834592", "--to", "8590053124"],
-             "eb056730915bface11d283dd8541997b088b5238af522a95bfbd85e836de5353"),
-            # 119 primes just below the 2**62 modulus bound
-            (["scan", "--from", str(2**62 - 20000), "--to", str(2**62)],
-             "17b0f94745a0578eb9ce9948f6fc587c37473e8c972d550f10e16068a9c24bcd"),
+            pytest.param([*argv, "--jobs", str(jobs)], digest,
+                         id=name if jobs == 1 else f"{name}-jobs2")
+            for jobs in (1, 2)
+            for name, argv, digest in PINNED_SCANS
         ],
-        ids=["csv-sieve", "json-class-numbers", "csv-wheel", "csv-presieve-bound",
-             "csv-modulus-bound"],
     )
     def test_output_bytes_pinned(self, argv, digest, capsys):
-        # The certificate bytes are pinned: a change to them must be deliberate.
+        # The certificate bytes are pinned, and do not depend on the worker
+        # count: a change to them must be deliberate.
         assert main(argv) == 0
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "hi, cap, rows",
+        [
+            (2000, 2000, ["  chi = +1:  h%8=0: 30", "  chi = -1:  h%8=4: 38"]),
+            # 17 is the only prime, and its chi is -1
+            (20, 20, ["  chi = +1:  none", "  chi = -1:  h%8=4: 1"]),
+            (2000, 0, []),
+        ],
+        ids=["both-characters", "no-plus-one", "no-class-numbers"],
+    )
+    def test_class_number_tally(self, hi, cap, rows, capsys):
+        argv = ["scan", "--from", "0", "--to", str(hi), "--class-number-cap", str(cap)]
+        assert main(argv) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith("checked ") and err[1:] == rows
+
+    def test_bad_out_path_fails_before_scanning(self, tmp_path, capsys, monkeypatch):
+        import cm_octic.cli as cli_mod
+
+        calls = []
+        monkeypatch.setattr(cli_mod, "scan", calls.append)
+        for target in (tmp_path, tmp_path / "missing" / "scan.csv"):
+            assert main(["scan", "--from", "0", "--to", "100", "--out", str(target)]) == 1
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("cm-octic: error: ")
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "argv, lines_read",
+        [
+            # far more output than a pipe holds, so the writer meets the closed end
+            (["scan", "--from", "0", "--to", "400000"], 1),
+            (["scan", "--from", "0", "--to", "400000", "--format", "json"], 1),
+            # a few kB, still in stdout's buffer when the command returns
+            (["check", "41", "--trace"], 0),
+        ],
+        ids=["scan-csv", "scan-json", "check-buffered"],
+    )
+    def test_reader_closing_early_exits_141(self, argv, lines_read):
+        env = package_env()
+        env.pop("PYTHONUNBUFFERED", None)  # block-buffered, as under a shell pipe
+        read_fd, write_fd = os.pipe()
+        reader = os.fdopen(read_fd, "rb")
+        if not lines_read:
+            reader.close()  # before the child starts, so its every write fails
+        child = subprocess.Popen([sys.executable, "-m", "cm_octic.cli", *argv], env=env,
+                                 stdout=write_fd, stderr=subprocess.PIPE)
+        os.close(write_fd)
+        for _ in range(lines_read):
+            assert reader.readline()
+        reader.close()
+        err = child.stderr.read().decode()
+        child.stderr.close()
+        assert child.wait(timeout=60) == 141, err
+        assert "Traceback" not in err and "Exception ignored" not in err
 
     @pytest.mark.parametrize(
         "extra",
@@ -504,10 +576,7 @@ class TestCliOther:
             "s.curve_order = lambda p: real(p) + 8\n"
             "print(__debug__, clean, s.run_all())\n"
         )
-        src = str(Path(cm_octic.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+        done = subprocess.run([sys.executable, "-O", "-c", code], env=package_env(),
                               capture_output=True, text=True, check=True)
         assert done.stdout.splitlines()[-1].split() == ["False", "True", "False"]
 

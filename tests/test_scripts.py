@@ -16,15 +16,11 @@ ROOT = Path(__file__).resolve().parents[1]
     "script, args, code, stream, expected",
     [
         ("trace_prime.py", ["41"], 0, "stdout", "trace consistent: True"),
-        ("scan_class_numbers.py", ["--to", "2000"], 0, "stdout", "counterexamples: 0"),
         # Bad input exits 1 with one error line on stderr and no traceback.
         ("trace_prime.py", ["13"], 1, "stderr", "trace_prime.py: error:"),
         ("trace_prime.py", ["15"], 1, "stderr", "trace_prime.py: error:"),
-        ("scan_class_numbers.py", ["--from", "10", "--to", "5"], 1, "stderr",
-         "scan_class_numbers.py: error:"),
     ],
-    ids=["trace_prime", "scan_class_numbers", "trace_prime-wrong-class",
-         "trace_prime-composite", "scan_class_numbers-empty-range"],
+    ids=["trace_prime", "trace_prime-wrong-class", "trace_prime-composite"],
 )
 def test_script_runs(script, args, code, stream, expected):
     src = str(Path(cm_octic.__file__).resolve().parents[1])
