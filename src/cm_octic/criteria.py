@@ -116,44 +116,41 @@ def check_prime(p: Prime, with_class_number: bool = False) -> Certificate | Erro
     if n % 8 != 1:
         raise ValueError(f"check_prime expects p = 1 (mod 8), got {n}")
     h: int | None = None
-    # Plain integers throughout; the integer forms check their own results.
-    stage = "two_squares"
+    # Plain integers throughout; the integer forms check their own results,
+    # and the Certificate its own.  Every invariant failure becomes this
+    # prime's ErrorCertificate, labelled with the stage that raised it.
+    stage = "roots"
     try:
-        roots = _i_and_sqrt2(n)
-        i = next(roots)
+        i, s = _i_and_sqrt2(n)
+        stage = "two_squares"
         a, b = _two_squares(n, i)
         order = _curve_order(n, a, b)
         stage = "eight_decomposition"
-        s = next(roots)
         c, d = _eight_decomposition(n, i, s)
         stage = "chi"
         chi = _chi(n, s)
         if with_class_number:
             stage = "class_number"
             h = class_number(p)
+        stage = "certificate"
+        n_mod_32 = order % 32
+        d_even = d % 2 == 0
+        return Certificate(
+            p=n,
+            a=a,
+            b=b,
+            c=c,
+            d=d,
+            chi=chi,
+            n=order,
+            n_mod_32=n_mod_32,
+            h=h,
+            thm2_holds=(chi == 1) == (n_mod_32 == 0),
+            thm1_holds=None if h is None else (chi == 1) == d_even == (h % 8 == 0),
+            corollary_holds=(n_mod_32 == 0) == d_even,
+        )
     except InvariantViolation as exc:
         return ErrorCertificate(p=n, stage=stage, message=str(exc))
-    n_mod_32 = order % 32
-    d_even = d % 2 == 0
-    thm2 = (chi == 1) == (n_mod_32 == 0)
-    corollary = (n_mod_32 == 0) == d_even
-    thm1 = None
-    if h is not None:
-        thm1 = ((chi == 1) == d_even) and (d_even == (h % 8 == 0))
-    return Certificate(
-        p=n,
-        a=a,
-        b=b,
-        c=c,
-        d=d,
-        chi=chi,
-        n=order,
-        n_mod_32=n_mod_32,
-        h=h,
-        thm2_holds=thm2,
-        thm1_holds=thm1,
-        corollary_holds=corollary,
-    )
 
 
 @dataclass(frozen=True)

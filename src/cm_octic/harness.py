@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import multiprocessing
+import os
 import time
 from array import array
 from dataclasses import asdict, dataclass, field
@@ -130,12 +131,15 @@ def scan(config: ScanConfig) -> ScanReport:
     lo, hi, jobs = config.lo, config.hi, config.jobs
     # About four segments per worker, each at most one sieve segment long.
     step = min(_SEGMENT, -(-(hi - lo) // (4 * jobs)))
-    segments = ((start, min(start + step, hi), config.class_number_cap)
-                for start in range(lo, hi, step))
+    starts = range(lo, hi, step)
+    segments = ((start, min(start + step, hi), config.class_number_cap) for start in starts)
     if jobs == 1:
         parts = map(_check_segment, segments)
     else:
-        with multiprocessing.Pool(jobs) as pool:
+        # A pool starts all its workers at once: no more than the segments
+        # or the CPUs can use.
+        workers = min(jobs, len(starts), os.cpu_count() or 1)
+        with multiprocessing.Pool(workers) as pool:
             parts = pool.map(_check_segment, segments, chunksize=1)
     results = [r for part in parts for r in part]
     certificates = [r for r in results if isinstance(r, Certificate)]

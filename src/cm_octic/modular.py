@@ -4,10 +4,12 @@ All functions use exact integer arithmetic.  Moduli are odd primes below
 2**62; that bound is part of the contract even though Python integers would
 happily go further.
 
-The package gets i and sqrt(2) only from _i_and_sqrt2: one power of the
-least non-residue z yields both, each squared back before use.  The scan
-path takes the plain integers; canonical_i and canonical_sqrt2 wrap them as
-field elements for the curve layer and the proof traces.
+For p = 1 (mod 8) the package gets i and sqrt(2) from _i_and_sqrt2: one
+power of the least non-residue z yields both, each squared back before
+use.  The scan path takes the plain integers; canonical_sqrt2 wraps its
+sqrt(2) as a field element for the curve layer and the proof traces.
+canonical_i takes i straight from z^((p-1)/4), the same value for
+p = 1 (mod 8) and the only one defined for p = 5 (mod 8).
 sqrt_mod and its integer core _sqrt_residue (Tonelli-Shanks) serve every
 other square root, among them the roots mod q of the class-number count.
 """
@@ -16,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
 
 from .errors import InvariantViolation
 
@@ -235,30 +236,24 @@ def _smaller_root(r: int, square: int, n: int) -> int:
     return min(r, n - r)
 
 
-def _i_and_sqrt2(n: int) -> Iterator[int]:
-    # The canonical roots for the prime n = 1 (mod 4): first the smaller
-    # root of -1, then, when n = 1 (mod 8), the smaller root of 2.  Both come
-    # from one power of the least non-residue z: zeta = z^((n-1)/8) has
-    # zeta^4 = -1, so i = zeta^2 and (zeta - zeta^3)^2 = 2.  Each root is
-    # squared back before it is yielded, so a caller drawing i alone never
-    # computes sqrt(2), and a failure tells which root broke.
-    z = _nonresidue(n)
-    if n % 8 != 1:
-        yield _smaller_root(pow(z, (n - 1) // 4, n), -1, n)
-        return
-    zeta = pow(z, (n - 1) // 8, n)
+def _i_and_sqrt2(n: int) -> tuple[int, int]:
+    # The canonical roots (i, s) of -1 and 2 for the prime n = 1 (mod 8).
+    # Both come from one power of the least non-residue z: zeta =
+    # z^((n-1)/8) has zeta^4 = -1, so i = zeta^2 and (zeta - zeta^3)^2 = 2.
+    zeta = pow(_nonresidue(n), (n - 1) // 8, n)
     i = zeta * zeta % n
-    yield _smaller_root(i, -1, n)
-    yield _smaller_root((zeta - i * zeta) % n, 2, n)
+    return _smaller_root(i, -1, n), _smaller_root((zeta - i * zeta) % n, 2, n)
 
 
 @lru_cache(maxsize=512)
 def canonical_i(p: Prime) -> FieldElement:
-    """The smaller square root of -1 in F_p, +-z^((p-1)/4); requires p = 1 (mod 4)."""
+    """The smaller square root of -1 in F_p, +-z^((p-1)/4) for the least
+    non-residue z; requires p = 1 (mod 4).  For p = 1 (mod 8) that is
+    zeta^2, the i of _i_and_sqrt2."""
     n = p.value
     if n % 4 != 1:
         raise ValueError(f"-1 is a non-residue mod {n}; need p = 1 (mod 4)")
-    return FieldElement(next(_i_and_sqrt2(n)), p)
+    return FieldElement(_smaller_root(pow(_nonresidue(n), (n - 1) // 4, n), -1, n), p)
 
 
 @lru_cache(maxsize=512)
@@ -267,5 +262,4 @@ def canonical_sqrt2(p: Prime) -> FieldElement:
     n = p.value
     if n % 8 != 1:
         raise ValueError(f"no 8th root of unity mod {n}; need p = 1 (mod 8)")
-    _, s = _i_and_sqrt2(n)
-    return FieldElement(s, p)
+    return FieldElement(_i_and_sqrt2(n)[1], p)

@@ -14,8 +14,10 @@ The expected values come from the naive oracles below (trial division,
 exhaustive squaring, a double-loop point enumeration, a table point count,
 a bounded c^2 + 8d^2 search, chi from a searched sqrt(2), h(-4p) from the
 full (a, b, c) box), never from the package's own root extraction,
-descents, form counting or point sampling.  Failures raise
-AssertionError explicitly, so the checks still hold under `python -O`.
+descents, form counting or point sampling.  The primes p = 1 (mod 8) the
+checks loop over come from trial division too, not from the scan's prime
+stream.  Failures raise AssertionError explicitly, so the checks still
+hold under `python -O`.
 """
 
 from __future__ import annotations
@@ -42,7 +44,6 @@ from .curve import (
 from .decompose import eight_decomposition, two_squares
 from .errors import InvariantViolation
 from .modular import Prime, canonical_i, canonical_sqrt2, element, jacobi, sqrt_mod
-from .harness import primes_1_mod_8
 
 ETA_PRIMES = (17, 41, 73, 89, 97, 113)
 NAIVE_COUNT_BOUND = 100_000
@@ -51,6 +52,11 @@ NAIVE_COUNT_BOUND = 100_000
 def trial_division_primes(limit: int) -> list[int]:
     """All primes below limit, by trial division."""
     return [n for n in range(2, limit) if all(n % d for d in range(2, isqrt(n) + 1))]
+
+
+def _primes_1_mod_8(limit: int) -> list[Prime]:
+    # By trial division: a broken prime stream cannot empty the checks.
+    return [Prime(v) for v in trial_division_primes(limit) if v % 8 == 1]
 
 
 def squares_mod(p: int) -> set[int]:
@@ -152,8 +158,8 @@ def check_symbols_exhaustive() -> str:
 def check_canonical_roots() -> str:
     """canonical_i and canonical_sqrt2 square back to -1 and 2 for every
     p = 1 (mod 8) < 3000."""
-    count = 0
-    for p in primes_1_mod_8(0, 3000):
+    primes = _primes_1_mod_8(3000)
+    for p in primes:
         v = p.value
         i = canonical_i(p)
         s = canonical_sqrt2(p)
@@ -161,8 +167,7 @@ def check_canonical_roots() -> str:
         _require((s * s).residue == 2, "canonical_sqrt2^2 != 2", v)
         _require(i.residue <= v - i.residue and s.residue <= v - s.residue,
                  "canonical root is not the smaller one", v)
-        count += 1
-    return f"canonical roots verified for {count} primes < 3000"
+    return f"canonical roots verified for {len(primes)} primes < 3000"
 
 
 def check_eta_suite() -> str:
@@ -221,32 +226,30 @@ def check_eta_suite() -> str:
 
 def check_point_counts() -> str:
     """(a-1)^2 + b^2 equals the naive point count for every p = 1 (mod 8) < 2000."""
-    count = 0
-    for p in primes_1_mod_8(0, 2000):
+    primes = _primes_1_mod_8(2000)
+    for p in primes:
         _require(curve_order(p) == naive_point_count(p), "curve order != naive count", p.value)
-        count += 1
-    return f"CM order = naive count for {count} primes < 2000"
+    return f"CM order = naive count for {len(primes)} primes < 2000"
 
 
 def check_decompositions() -> str:
     """Cornacchia output matches brute-force search and normalization rules
     for every p = 1 (mod 8) < 20000."""
-    count = 0
-    for p in primes_1_mod_8(0, 20000):
+    primes = _primes_1_mod_8(20000)
+    for p in primes:
         v = p.value
         a, b = two_squares(p)
         _require(a * a + b * b == v, "a^2 + b^2 != p", v)
         _require(eight_decomposition(p) == eight_decomposition_search(p),
                  "descent and search disagree", v)
-        count += 1
-    return f"decompositions cross-checked for {count} primes < 20000"
+    return f"decompositions cross-checked for {len(primes)} primes < 20000"
 
 
 def check_criteria_small() -> str:
     """All three criteria hold, with class numbers, for p < 5000; chi, n and
     h match their first-principles values."""
-    count = 0
-    for p in primes_1_mod_8(0, 5000):
+    primes = _primes_1_mod_8(5000)
+    for p in primes:
         v = p.value
         cert = check_prime(p, with_class_number=True)
         _require(isinstance(cert, Certificate), "stage failure", v, cert)
@@ -255,8 +258,7 @@ def check_criteria_small() -> str:
         _require(cert.n == naive_point_count(p), "n != naive count", v)
         _require(cert.h == box_class_number(v), "h != box count", v, cert.h)
         _require(cert.h % 2 == 0, "h(-4p) odd", v)  # genus parity
-        count += 1
-    return f"criteria + class numbers verified for {count} primes < 5000"
+    return f"criteria + class numbers verified for {len(primes)} primes < 5000"
 
 
 CHECKS: tuple[Callable[[], str], ...] = (

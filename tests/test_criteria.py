@@ -1,10 +1,11 @@
 """Certificates and proof traces for the character criteria."""
 
+import multiprocessing
 from itertools import islice
 
 import pytest
 
-from cm_octic import criteria, curve, decompose, modular, selftest
+from cm_octic import criteria, curve, decompose, harness, modular, selftest
 from cm_octic.criteria import (
     Certificate,
     ErrorCertificate,
@@ -201,7 +202,7 @@ class TestStageFailures:
         assert err == ErrorCertificate(p=41, stage=stage, message=message)
 
     def test_root_that_fails_to_square_back(self, monkeypatch, capsys):
-        # A residue in place of the non-residue makes canonical_i's power
+        # A residue in place of the non-residue makes the power behind i
         # square to +1; the guard turns that into a stage failure at p = 41.
         real = modular._nonresidue
         monkeypatch.setattr(modular, "_nonresidue", lambda n: 4 if n == 41 else real(n))
@@ -209,20 +210,20 @@ class TestStageFailures:
         canonical_sqrt2.cache_clear()
         try:
             err = check_prime(Prime(41))
-            assert isinstance(err, ErrorCertificate) and err.stage == "two_squares"
+            assert isinstance(err, ErrorCertificate) and err.stage == "roots"
             assert err.message == "the root 1 of -1 mod 41 does not square back"
             report = scan(ScanConfig(lo=0, hi=100))
             assert [c.p for c in report.certificates] == [17, 73, 89, 97]
-            assert [(e.p, e.stage) for e in report.errors] == [(41, "two_squares")]
+            assert [(e.p, e.stage) for e in report.errors] == [(41, "roots")]
             assert main(["scan", "--from", "0", "--to", "100"]) == 3
-            assert "invariant violation at p=41 [two_squares]" in capsys.readouterr().err
+            assert "invariant violation at p=41 [roots]" in capsys.readouterr().err
         finally:
             canonical_i.cache_clear()
             canonical_sqrt2.cache_clear()
 
     def test_sqrt2_alone_fails_to_square_back(self, monkeypatch, capsys):
-        # i squares back but a corrupted sqrt(2) does not: the c^2 + 8d^2
-        # stage is the one that breaks.
+        # i squares back but a corrupted sqrt(2) does not: the roots stage
+        # breaks, and the message names the root of 2.
         real = modular._smaller_root
 
         def corrupt(r, square, n):
@@ -231,13 +232,31 @@ class TestStageFailures:
         monkeypatch.setattr(modular, "_smaller_root", corrupt)
         err = check_prime(Prime(41))
         assert err == ErrorCertificate(
-            p=41, stage="eight_decomposition",
+            p=41, stage="roots",
             message="the root 25 of 2 mod 41 does not square back")
         report = scan(ScanConfig(lo=0, hi=100))
         assert [c.p for c in report.certificates] == [17, 73, 89, 97]
-        assert [(e.p, e.stage) for e in report.errors] == [(41, "eight_decomposition")]
+        assert [(e.p, e.stage) for e in report.errors] == [(41, "roots")]
         assert main(["scan", "--from", "0", "--to", "100"]) == 3
-        assert "invariant violation at p=41 [eight_decomposition]" in capsys.readouterr().err
+        assert "invariant violation at p=41 [roots]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_certificate_guard_keeps_the_other_rows(self, jobs, monkeypatch, capsys):
+        # An order off by 8 at p = 41 passes the integer forms but not the
+        # Certificate's own guard; that prime alone becomes an error, and
+        # the scan still writes the rows it certified.
+        real = decompose._curve_order
+        monkeypatch.setattr(criteria, "_curve_order",
+                            lambda n, a, b: real(n, a, b) + (8 if n == 41 else 0))
+        # Forked workers inherit the patch whatever the platform's default.
+        monkeypatch.setattr(harness, "multiprocessing", multiprocessing.get_context("fork"))
+        message = "n != (a-1)^2 + b^2 at p=41"
+        assert check_prime(Prime(41)) == ErrorCertificate(p=41, stage="certificate",
+                                                           message=message)
+        assert main(["scan", "--from", "0", "--to", "100", "--jobs", str(jobs)]) == 3
+        out, err = capsys.readouterr()
+        assert [row.split(",")[0] for row in out.splitlines()[1:]] == ["17", "73", "89", "97"]
+        assert f"invariant violation at p=41 [certificate]: {message}" in err
 
 
 class TestProofTrace:

@@ -139,9 +139,6 @@ class TestLevelSets:
         levels = [{e.residue for e in lvl} for lvl in eta_level_sets(P17)]
         assert levels == [{0}, {1, 16}, {4, 13}, {5, 7, 10, 12}]
 
-    def test_p41(self):
-        assert {e.residue for e in eta_level_sets(P41)[3]} == {16, 18, 23, 25}
-
     def test_rejects_wrong_residue_class(self):
         with pytest.raises(ValueError):
             eta_level_sets(Prime(13))

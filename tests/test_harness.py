@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import cm_octic
-from cm_octic import selftest
+from cm_octic import harness, selftest
 from cm_octic.cli import main
 from cm_octic.criteria import Certificate, ErrorCertificate
 from cm_octic.errors import InvariantViolation
@@ -183,17 +183,6 @@ class TestScan:
         assert all(c.thm1_holds is True for c in with_h)
         assert all(c.thm1_holds is None for c in without)
 
-    def test_parallel_output_is_byte_identical(self):
-        outputs = {}
-        for jobs in (1, 4):
-            cfg = ScanConfig(lo=0, hi=3 * 10**4, class_number_cap=10**4, jobs=jobs)
-            report = scan(cfg)
-            csv_buf, json_buf = io.StringIO(), io.StringIO()
-            write_scan_csv(report.certificates, csv_buf)
-            write_scan_json(report, json_buf)
-            outputs[jobs] = (csv_buf.getvalue(), json_buf.getvalue())
-        assert outputs[1] == outputs[4]
-
     @staticmethod
     def _csv(cfg):
         buf = io.StringIO()
@@ -217,6 +206,39 @@ class TestScan:
         assert self._csv(ScanConfig(lo=lo, hi=hi, jobs=jobs)) == serial
         listed = [int(row.split(",", 1)[0]) for row in serial.splitlines()[1:]]
         assert listed == [p.value for p in primes_1_mod_8(lo, hi)]
+
+    @pytest.mark.parametrize(
+        "jobs, lo, hi, cpus, workers",
+        [
+            (100_000, 0, 100, 8, 8),  # capped by the CPUs
+            (3, 89, 98, 8, 3),  # by the jobs
+            (6, 17, 18, 8, 1),  # by the one segment
+            (4, 0, 100, None, 1),  # an unknown CPU count counts as one
+        ],
+    )
+    def test_pool_size_is_capped(self, jobs, lo, hi, cpus, workers, monkeypatch):
+        # A fake pool records its size and maps in-process, so no worker is
+        # ever started here.
+        sizes = []
+
+        class FakePool:
+            def __init__(self, processes):
+                sizes.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, iterable, chunksize=1):
+                return list(map(fn, iterable))
+
+        serial = self._csv(ScanConfig(lo=lo, hi=hi))
+        monkeypatch.setattr(harness.multiprocessing, "Pool", FakePool)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
+        assert self._csv(ScanConfig(lo=lo, hi=hi, jobs=jobs)) == serial
+        assert sizes == [workers]
 
 
 class TestSerialization:
@@ -565,6 +587,20 @@ class TestCliOther:
         assert capsys.readouterr().out == (
             "FAIL raising: InvariantViolation: planted\nPASS passing: fine\n"
         )
+
+    def test_selftest_lists_its_own_primes(self, monkeypatch):
+        # A prime stream that yields nothing must not empty the checks.
+        def empty(lo, hi):
+            return iter(())
+
+        monkeypatch.setattr(selftest, "primes_1_mod_8", empty, raising=False)
+        monkeypatch.setattr(harness, "primes_1_mod_8", empty)
+        assert selftest.check_canonical_roots() == "canonical roots verified for 101 primes < 3000"
+        assert selftest.check_point_counts() == "CM order = naive count for 68 primes < 2000"
+        assert selftest.check_decompositions() == (
+            "decompositions cross-checked for 556 primes < 20000")
+        assert selftest.check_criteria_small() == (
+            "criteria + class numbers verified for 161 primes < 5000")
 
     def test_selftest_catches_a_fault_under_optimize(self):
         # python -O strips assert statements; the checks must still fail.

@@ -159,14 +159,6 @@ class TestSqrtMod:
         assert (zero[0].residue, zero[1].residue) == (0, 0)
         assert sqrt_mod(element(p, 3)) is None
 
-    def test_three_mod_four_shortcut(self):
-        # p = 3 (mod 4) exercises the exponent shortcut.
-        p = Prime(19)
-        for a in range(19):
-            roots = sqrt_mod(element(p, a))
-            if roots is not None:
-                assert roots[0].residue ** 2 % 19 == a
-
 
 class TestCanonicalRoots:
     def test_canonical_i_examples(self):
