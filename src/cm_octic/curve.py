@@ -4,6 +4,10 @@ E has complex multiplication by Z[i]: (x, y) -> (-x, i*y) realizes i.  The
 degree-2 endomorphism eta = 1 + i, P -> P + [i]P, has kernel {O, (0,0)} and
 drives everything here: preimage computations, the x-coordinate level sets
 of its iterated kernels, and order bookkeeping via (a-1)^2 + b^2.
+
+The group law is one integer core on plain residues (_add_int,
+_scalar_mul_int), and group-law results are checked on the curve there.
+add and scalar_mul wrap it for Point operands.
 """
 
 from __future__ import annotations
@@ -16,13 +20,17 @@ from .modular import FieldElement, Prime, canonical_i, canonical_sqrt2, element,
 
 _SAMPLE_RETRIES = 64
 
+# An affine point as its residues (x, y) mod p, or None for the identity O.
+_Affine = tuple[int, int] | None
+
 
 @dataclass(frozen=True)
 class Point:
     """A point of E(F_p): affine coordinates, or (None, None) for the identity.
 
     Build affine points through affine()/point() so the curve equation is
-    checked at construction.
+    checked at construction.  Group-law results are checked on the curve in
+    the integer core, which raises InvariantViolation for one that is off it.
     """
 
     x: FieldElement | None
@@ -62,6 +70,61 @@ def negate(P: Point) -> Point:
     return Point(P.x, -P.y)
 
 
+def _add_int(P: _Affine, Q: _Affine, n: int) -> _Affine:
+    """Chord-and-tangent addition on residues mod n; None is the identity.
+
+    Every sum is checked on y^2 = x^3 - x.  A sum off the curve means an
+    operand was off it or the formulas are wrong; either is a bug, not a
+    property of n, so it raises InvariantViolation.
+    """
+    if P is None:
+        return Q
+    if Q is None:
+        return P
+    x1, y1 = P
+    x2, y2 = Q
+    if x1 == x2:
+        if y1 != y2 or y1 == 0:
+            return None
+        s = (3 * x1 * x1 - 1) * pow(2 * y1, -1, n) % n
+    else:
+        s = (y2 - y1) * pow(x2 - x1, -1, n) % n
+    x3 = (s * s - x1 - x2) % n
+    y3 = (s * (x1 - x3) - y1) % n
+    if (y3 * y3 - x3 * x3 * x3 + x3) % n:
+        raise InvariantViolation(
+            f"({x1}, {y1}) + ({x2}, {y2}) = ({x3}, {y3}) is not on y^2 = x^3 - x over F_{n}"
+        )
+    return x3, y3
+
+
+def _scalar_mul_int(k: int, P: _Affine, n: int) -> _Affine:
+    """k*P by double-and-add on residues mod n; k may be negative."""
+    if P is None:
+        return None
+    if k < 0:
+        k, P = -k, (P[0], -P[1] % n)
+    R = None
+    while k:
+        if k & 1:
+            R = _add_int(R, P, n)
+        k >>= 1
+        if k:
+            P = _add_int(P, P, n)
+    return R
+
+
+def _residues(P: Point) -> _Affine:
+    return None if P.is_infinity else (P.x.residue, P.y.residue)
+
+
+def _from_residues(R: _Affine, p: Prime) -> Point:
+    # R comes from the integer core, which has checked it on the curve.
+    if R is None:
+        return INFINITY
+    return Point(FieldElement(R[0], p), FieldElement(R[1], p))
+
+
 def add(P: Point, Q: Point) -> Point:
     """Chord-and-tangent addition."""
     if P.is_infinity:
@@ -70,30 +133,16 @@ def add(P: Point, Q: Point) -> Point:
         return P
     if P.x.modulus != Q.x.modulus:  # explicit, so python -O keeps the guard
         raise AssertionError("points on curves over different fields")
-    x1, y1 = P.x, P.y
-    x2, y2 = Q.x, Q.y
-    if x1 == x2:
-        if y1 != y2 or y1.residue == 0:
-            return INFINITY
-        s = (x1 * x1 * 3 - 1) / (y1 * 2)
-    else:
-        s = (y2 - y1) / (x2 - x1)
-    x3 = s * s - x1 - x2
-    y3 = s * (x1 - x3) - y1
-    return affine(x3, y3)
+    p = P.x.modulus
+    return _from_residues(_add_int(_residues(P), _residues(Q), p.value), p)
 
 
 def scalar_mul(n: int, P: Point) -> Point:
     """n*P by double-and-add; n may be negative."""
-    if n < 0:
-        n, P = -n, negate(P)
-    R = INFINITY
-    while n:
-        if n & 1:
-            R = add(R, P)
-        P = add(P, P)
-        n >>= 1
-    return R
+    if P.is_infinity:
+        return INFINITY
+    p = P.x.modulus
+    return _from_residues(_scalar_mul_int(n, _residues(P), p.value), p)
 
 
 def i_action(P: Point) -> Point:
@@ -221,16 +270,18 @@ def find_point_of_order(p: Prime, seed: int = 0) -> Point | None:
     if n % 32:
         raise ValueError(f"no point of order 8 unless 32 divides #E(F_p) = {n}")
     odd_part = n // (n & -n)
+    m = p.value
     x_seed = seed
     for _ in range(_SAMPLE_RETRIES):
         P = random_point(p, x_seed)
         x_seed = P.x.residue + 1
-        S = scalar_mul(odd_part, P)
-        T, order = S, 1
-        while not T.is_infinity:
-            T, order = add(T, T), order * 2
+        S = _scalar_mul_int(odd_part, _residues(P), m)
+        R, order = S, 1
+        while R is not None:
+            R, order = _add_int(R, R, m), order * 2
         if order >= 8:
-            T = scalar_mul(order // 8, S)
+            R = _scalar_mul_int(order // 8, S, m)
+            T = INFINITY if R is None else point(p, *R)
             if not scalar_mul(8, T).is_infinity or scalar_mul(4, T).is_infinity:
                 raise InvariantViolation(
                     f"{order // 8} * S has no exact order 8 mod {p.value}, "

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from math import isqrt
 
+from cm_octic.curve import INFINITY, Point, affine, negate
 from cm_octic.selftest import (  # noqa: F401  (re-exported to the tests)
     box_class_number,
     curve_points_oracle,
@@ -70,3 +71,40 @@ def sprp_prime_bases(n: int) -> bool:
         else:
             return False
     return True
+
+
+def field_add_oracle(P: Point, Q: Point) -> Point:
+    """Chord-and-tangent addition in FieldElement arithmetic.
+
+    Independent of the package's group law, which runs on plain integers.
+    """
+    if P.is_infinity:
+        return Q
+    if Q.is_infinity:
+        return P
+    if P.x.modulus != Q.x.modulus:  # explicit, so python -O keeps the guard
+        raise AssertionError("points on curves over different fields")
+    x1, y1 = P.x, P.y
+    x2, y2 = Q.x, Q.y
+    if x1 == x2:
+        if y1 != y2 or y1.residue == 0:
+            return INFINITY
+        s = (x1 * x1 * 3 - 1) / (y1 * 2)
+    else:
+        s = (y2 - y1) / (x2 - x1)
+    x3 = s * s - x1 - x2
+    y3 = s * (x1 - x3) - y1
+    return affine(x3, y3)
+
+
+def field_scalar_mul_oracle(n: int, P: Point) -> Point:
+    """n*P by double-and-add over field_add_oracle; n may be negative."""
+    if n < 0:
+        n, P = -n, negate(P)
+    R = INFINITY
+    while n:
+        if n & 1:
+            R = field_add_oracle(R, P)
+        P = field_add_oracle(P, P)
+        n >>= 1
+    return R

@@ -307,6 +307,15 @@ class TestProofTrace:
         assert main(["check", "41", "--trace"]) == 3
         assert "no exact order 8 mod 41" in capsys.readouterr().err
 
+    def test_off_curve_sum_is_an_invariant_violation(self, monkeypatch, capsys):
+        # A sample off the curve can only come from a bug; the first sum
+        # built from it breaks the group law's check, and the CLI reports
+        # an invariant violation, not a usage error.
+        monkeypatch.setattr(curve, "random_point",
+                            lambda p, seed: curve.Point(element(p, 2), element(p, 5)))
+        assert main(["check", "41", "--trace"]) == 3
+        assert "is not on y^2 = x^3 - x over F_41" in capsys.readouterr().err
+
     def test_applicability_matches_order(self):
         for p in primes_1_mod_8(0, 1000):
             tr = proof_trace(p)

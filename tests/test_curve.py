@@ -1,6 +1,7 @@
 """Group law, the 1+i endomorphism, its fibers and level sets."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from cm_octic.curve import (
     INFINITY,
+    Point,
     add,
     curve_order,
     eta_apply,
@@ -20,9 +22,16 @@ from cm_octic.curve import (
     random_point,
     scalar_mul,
 )
-from cm_octic.modular import Prime
+from cm_octic.errors import InvariantViolation
+from cm_octic.modular import Prime, element
 
-from conftest import curve_points_oracle, naive_point_count, squares_mod
+from conftest import (
+    curve_points_oracle,
+    field_add_oracle,
+    field_scalar_mul_oracle,
+    naive_point_count,
+    squares_mod,
+)
 
 P17 = Prime(17)
 P41 = Prime(41)
@@ -93,6 +102,49 @@ class TestGroupLaw:
     def test_scalar_linearity(self, m, n):
         P = random_point(P41, 3)
         assert scalar_mul(m + n, P) == add(scalar_mul(m, P), scalar_mul(n, P))
+
+    def test_off_curve_sum_is_an_invariant_violation(self):
+        # Only a directly built Point can be off the curve; a sum computed
+        # from it is a broken invariant, not bad input.
+        bad = Point(element(P17, 2), element(P17, 5))
+        with pytest.raises(InvariantViolation):
+            add(bad, point(P17, 5, 1))
+        with pytest.raises(InvariantViolation):
+            add(bad, bad)
+
+
+# Primes of 20, 40 and 61 bits, all = 1 (mod 8).
+ORACLE_PRIMES = (524353, 549755814121, 2305843009213694257)
+
+
+class TestGroupLawOracle:
+    """add and scalar_mul against the field-object oracle in conftest."""
+
+    @pytest.mark.parametrize("v", [17, 41])
+    def test_every_ordered_pair(self, v):
+        pts = curve_points_oracle(Prime(v))
+        for A, B in itertools.product(pts, repeat=2):
+            assert add(A, B) == field_add_oracle(A, B), (A, B)
+
+    @pytest.mark.parametrize("v", ORACLE_PRIMES)
+    def test_seeded_pairs(self, v):
+        p = Prime(v)
+        rng = random.Random(v)
+        sampled = [random_point(p, rng.randrange(v)) for _ in range(12)]
+        # the diagonal gives the doublings, the negations P + (-P)
+        pts = sampled + [negate(A) for A in sampled]
+        pts += [point(p, 0, 0), point(p, 1, 0), point(p, v - 1, 0)]
+        for A, B in itertools.product(pts, repeat=2):
+            assert add(A, B) == field_add_oracle(A, B), (A, B)
+
+    @pytest.mark.parametrize("v", ORACLE_PRIMES)
+    def test_scalar_mul(self, v):
+        p = Prime(v)
+        rng = random.Random(v)
+        for _ in range(8):
+            P = random_point(p, rng.randrange(v))
+            k = rng.randrange(-(1 << 61), 1 << 61)
+            assert scalar_mul(k, P) == field_scalar_mul_oracle(k, P), (k, P)
 
 
 class TestIAction:
@@ -208,7 +260,7 @@ class TestFindPointOfOrder:
             P = find_point_of_order(p, seed)
             assert P is not None and has_exact_order_8(P), seed
 
-    def test_sampling_path_beyond_exhaustive_bound(self):
+    def test_finds_order_eight_at_10009(self):
         p = Prime(10009)
         P = find_point_of_order(p)
         assert P is not None

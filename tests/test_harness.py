@@ -286,7 +286,43 @@ class TestSerialization:
         ]
 
 
+# (id, argv, exit status, sha256 of stdout) of each check --trace whose
+# bytes are pinned.  chi = +1 runs the order-8 search; chi = -1 never does.
+PINNED_TRACES = (
+    ("p41", ["check", "41", "--trace"], 0,
+     "0404b6123f1210c4f0093ecd1ff6c083643934d452de21f6b81d57751c4a2ba1"),
+    ("p113", ["check", "113", "--trace"], 0,
+     "ad35622dab12158131aac7fe439710069725a470e9178894789ddfebf1bea612"),
+    ("p10009", ["check", "10009", "--trace"], 0,
+     "6187c5109bba1ec4309dfe019cb96b6f76357e1c90aa461690a30b6452827e37"),
+    ("2^30-chi-minus", ["check", "1073741833", "--trace"], 0,
+     "6ebaeb63eaa8a41a6d7a841d5dab5ac36bf25bdf07a045fb50a1a3c8e0f1d402"),
+    ("2^30-chi-plus", ["check", "1073741857", "--trace"], 0,
+     "be9112d3186e84013b071ec35dca474fb54fe3b6738a70af5da8ee0224100a88"),
+    ("2^61-chi-minus", ["check", "2305843009213694009", "--trace"], 0,
+     "976fd050dcee1748d3f90b10bb32f08eb84af564611fcd0c4e39f03a54b16a36"),
+    ("2^61-chi-plus", ["check", "2305843009213694257", "--trace"], 0,
+     "59b5dd2b3c4d08f6cd03fcd9092c4ac2b2d62c323f50a1feee7eb09b31c2cf14"),
+    # the two primes where the seed-0 order-8 search finds nothing
+    ("miss-2476681", ["check", "2476681", "--trace"], 2,
+     "6f0353c1137bd5f2afb4c43ccab505352642f9df8d3bcc9d103c61ccd463850b"),
+    ("miss-528423887209", ["check", "528423887209", "--trace"], 2,
+     "5beb0774989d842208e47f9e923217b8ac69f367f670394b3188a5f338050c7a"),
+)
+
+
 class TestCliCheck:
+    @pytest.mark.parametrize(
+        "argv, status, digest",
+        [pytest.param(argv, status, digest, id=name)
+         for name, argv, status, digest in PINNED_TRACES],
+    )
+    def test_trace_bytes_pinned(self, argv, status, digest, capsys):
+        # The trace bytes, order-8 point included, are pinned: a change to
+        # the group law or the sampler must not move them.
+        assert main(argv) == status
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
     def test_pass(self, capsys):
         assert main(["check", "41"]) == 0
         doc = json.loads(capsys.readouterr().out)
