@@ -73,6 +73,9 @@ def _build_parser() -> _Parser:
     order = sub.add_parser("curve-order", help="print #E(F_p) for y^2 = x^3 - x")
     order.add_argument("p", type=int)
 
+    trace = sub.add_parser("trace", help="print the proof trace at one prime in readable form")
+    trace.add_argument("p", type=int)
+
     sub.add_parser("selftest", help="run the exhaustive small-prime invariant suite")
     return parser
 
@@ -153,6 +156,35 @@ def _cmd_curve_order(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _cmd_trace(args: argparse.Namespace) -> int:
+    # proof_trace at seed 0 as prose: the characters, #E, the eta-preimage
+    # counts above x = +-1 +- sqrt2 and the eta-orbit of a point of order 8.
+    tr = proof_trace(Prime(args.p))
+    print(f"p = {tr.p}:  chi(1+sqrt2) = {tr.chi:+d}, conjugate symbol = "
+          f"{tr.chi_conjugate:+d}, product = {tr.chi * tr.chi_conjugate:+d} "
+          f"(must be +1)")
+    print(f"#E(F_p) = {tr.n} = {tr.n_mod_32} (mod 32)")
+    print(f"level-4 x candidates (+-1 +- sqrt2): {list(tr.level4_x)}")
+    for fib in tr.fibers:
+        tag = "square" if fib.x_is_square else "non-square"
+        if fib.points:
+            pts = ", ".join(f"({x},{y})#{c}" for (x, y), c
+                            in zip(fib.points, fib.preimage_counts))
+            print(f"  x = {fib.x:>6} [{tag}]  points and preimage counts: {pts}")
+        else:
+            print(f"  x = {fib.x:>6} [{tag}]  no rational point")
+    if not tr.order8_applicable:
+        print("32 does not divide #E, so no order-8 orbit step applies")
+    elif tr.order8_point is None:
+        print("order-8 point: none found in the samples, so the orbit step did not run")
+    else:
+        print(f"order-8 point: {tr.order8_point}; orbit x-coordinates under 1+i: "
+              f"{tr.orbit_x}; landed on {tr.orbit_landed_x} "
+              f"({'square' if tr.orbit_landed_is_square else 'non-square'})")
+    print(f"trace consistent: {tr.consistent}")
+    return EXIT_OK if tr.consistent else EXIT_COUNTEREXAMPLE
+
+
 def _cmd_selftest(_args: argparse.Namespace) -> int:
     return EXIT_OK if selftest.run_all() else EXIT_INVARIANT
 
@@ -163,6 +195,7 @@ _COMMANDS = {
     "decompose": _cmd_decompose,
     "classno": _cmd_classno,
     "curve-order": _cmd_curve_order,
+    "trace": _cmd_trace,
     "selftest": _cmd_selftest,
 }
 

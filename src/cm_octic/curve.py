@@ -246,11 +246,9 @@ def random_point(p: Prime, seed: int) -> Point:
     n = p.value
     x = seed % n
     while True:
-        rhs = (x * x * x - x) % n
-        if rhs == 0:
-            return point(p, x, 0)
-        if jacobi(rhs, p) == 1:
-            return affine(element(p, x), sqrt_mod(element(p, rhs))[0])
+        ys = sqrt_mod(element(p, x * x * x - x))
+        if ys is not None:
+            return affine(element(p, x), ys[0])
         x = (x + 1) % n  # x = 0 always works, so the walk terminates
 
 
@@ -269,23 +267,27 @@ def find_point_of_order(p: Prime, seed: int = 0) -> Point | None:
     n = curve_order(p)
     if n % 32:
         raise ValueError(f"no point of order 8 unless 32 divides #E(F_p) = {n}")
-    odd_part = n // (n & -n)
+    v = (n & -n).bit_length() - 1  # 2^v || n
+    odd_part = n >> v
     m = p.value
     x_seed = seed
     for _ in range(_SAMPLE_RETRIES):
         P = random_point(p, x_seed)
         x_seed = P.x.residue + 1
-        S = _scalar_mul_int(odd_part, _residues(P), m)
-        R, order = S, 1
+        # S = odd_part * P lies in the 2-Sylow subgroup, so its doublings
+        # reach O within v steps; chain holds S, 2S, 4S, ... before O.
+        chain, R = [], _scalar_mul_int(odd_part, _residues(P), m)
         while R is not None:
-            R, order = _add_int(R, R, m), order * 2
-        if order >= 8:
-            R = _scalar_mul_int(order // 8, S, m)
-            T = INFINITY if R is None else point(p, *R)
+            if len(chain) == v:
+                raise InvariantViolation(f"S is not O after v2(#E) = {v} doublings mod {m}")
+            chain.append(R)
+            R = _add_int(R, R, m)
+        if len(chain) >= 3:  # S has order 2^len(chain) >= 8
+            T = point(p, *chain[-3])
             if not scalar_mul(8, T).is_infinity or scalar_mul(4, T).is_infinity:
                 raise InvariantViolation(
-                    f"{order // 8} * S has no exact order 8 mod {p.value}, "
-                    f"though S has order {order}"
+                    f"{2 ** (len(chain) - 3)} * S has no exact order 8 mod {m}, "
+                    f"though S has order {2 ** len(chain)}"
                 )
             return T
     return None

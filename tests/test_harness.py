@@ -388,6 +388,51 @@ class TestCliCheck:
         assert doc["stage"] == "chi"
 
 
+class TestCliTrace:
+    @pytest.mark.parametrize(
+        "p, status, digest",
+        [
+            ("41", 0, "608f487ac652ee573695e44ba5e3358740bd0f9c6083d2b8fde953cc7f510b04"),
+            # the seed-0 order-8 search finds nothing here, and says so
+            ("2476681", 2, "41b78ef29814a38834c56c5dad352163b03c1db9f20edd2c8492781b8d079ce2"),
+        ],
+        ids=["p41", "miss-2476681"],
+    )
+    def test_bytes_pinned(self, p, status, digest, capsys):
+        assert main(["trace", p]) == status
+        out = capsys.readouterr().out
+        assert ("order-8 point: none found in the samples" in out) == (status == 2)
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("p", ["13", "15"], ids=["wrong-class", "composite"])
+    def test_bad_prime_is_a_usage_error(self, p, capsys):
+        assert main(["trace", p]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1 and err.startswith("cm-octic: error: ")
+
+    def test_failed_order_check_is_an_invariant_violation(self, monkeypatch, capsys):
+        from cm_octic import curve
+
+        real = curve.scalar_mul
+        monkeypatch.setattr(curve, "scalar_mul",
+                            lambda n, P: curve.INFINITY if n == 4 else real(n, P))
+        assert main(["trace", "41"]) == 3
+        assert "no exact order 8 mod 41" in capsys.readouterr().err
+
+    def test_doubling_that_never_reaches_o_is_an_invariant_violation(self):
+        # A doubling that fixes every point never reaches O; the order count stops
+        # after v2(#E) steps.  A child runs it, so a count without that bound is killed.
+        code = ("from cm_octic import curve\nfrom cm_octic.cli import main\n"
+                "real = curve._add_int\n"
+                "curve._add_int = lambda P, Q, n: P if P == Q else real(P, Q, n)\n"
+                "raise SystemExit(main(['check', '41', '--trace']))")
+        done = subprocess.run([sys.executable, "-c", code], env=package_env(),
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 3, done.stderr
+        assert "S is not O after v2(#E) = 5 doublings mod 41" in done.stderr
+        assert "Traceback" not in done.stderr
+
+
 # (id, argv, sha256 of stdout) of each scan whose bytes are pinned.
 PINNED_SCANS = (
     ("csv-sieve", ["scan", "--from", "0", "--to", "200000"],
@@ -531,8 +576,9 @@ class TestCliScan:
             (["scan", "--from", "0", "--to", "400000", "--format", "json"], 1),
             # a few kB, still in stdout's buffer when the command returns
             (["check", "41", "--trace"], 0),
+            (["trace", "41"], 0),
         ],
-        ids=["scan-csv", "scan-json", "check-buffered"],
+        ids=["scan-csv", "scan-json", "check-buffered", "trace-buffered"],
     )
     def test_reader_closing_early_exits_141(self, argv, lines_read):
         env = package_env()
