@@ -13,7 +13,6 @@ import dataclasses
 import json
 import os
 import sys
-from collections import Counter
 from functools import cache
 from typing import Sequence
 
@@ -23,7 +22,7 @@ from .criteria import Certificate, check_prime, proof_trace
 from .curve import curve_order
 from .decompose import eight_decomposition, two_squares
 from .errors import InvariantViolation
-from .harness import ScanConfig, scan, write_scan_csv, write_scan_json
+from .harness import ScanConfig, write_scan_csv, write_scan_json
 from .modular import Prime
 
 EXIT_OK = 0
@@ -53,7 +52,9 @@ def _build_parser() -> _Parser:
     check.add_argument("p", type=int)
     check.add_argument("--class-number", action="store_true", help="also compute h(-4p)")
     check.add_argument("--trace", action="store_true", help="attach a structural proof trace")
-    check.add_argument("--seed", type=int, default=0, help="point-sampling seed for --trace")
+    check.add_argument("--seed", type=int, default=0,
+                       help="point-sampling seed for --trace; the walk starts at x = SEED, so "
+                            "nearby seeds share most samples: retry a miss with a distant one")
 
     scan_p = sub.add_parser("scan", help="verify a whole range of primes = 1 (mod 8)")
     scan_p.add_argument("--from", dest="lo", type=int, required=True)
@@ -106,10 +107,10 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     )
     # The sink is opened before the scan, so a bad --out path costs no work.
     sink = contextlib.nullcontext(sys.stdout) if args.out is None else open(args.out, "w")
+    write = write_scan_csv if args.format == "csv" else write_scan_json
     with sink as fh:
-        report = scan(config)
         # Certified rows are written even when some prime broke an invariant.
-        _write_report(report, args.format, fh)
+        report = write(config, fh)
     if report.errors:
         for err in report.errors:
             print(f"invariant violation at p={err.p} [{err.stage}]: {err.message}",
@@ -121,19 +122,12 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         file=sys.stderr,
     )
     # h(-4p) mod 8 by character: h = 0 (mod 8) exactly when chi = +1.
-    tally = Counter((c.chi, c.h % 8) for c in report.certificates if c.h is not None)
+    tally = report.h_mod_8
     if tally:
         for chi in (1, -1):
             rows = ", ".join(f"h%8={r}: {tally[chi, r]}" for r in range(8) if tally[chi, r])
             print(f"  chi = {chi:+d}:  {rows or 'none'}", file=sys.stderr)
     return EXIT_COUNTEREXAMPLE if report.counterexamples else EXIT_OK
-
-
-def _write_report(report, fmt: str, fh) -> None:
-    if fmt == "csv":
-        write_scan_csv(report.certificates, fh)
-    else:
-        write_scan_json(report, fh)
 
 
 def _cmd_decompose(args: argparse.Namespace) -> int:

@@ -4,22 +4,26 @@ A scan cuts [lo, hi) into segments; each segment is streamed and checked
 by one worker.  Scans are deterministic: given the same configuration the
 emitted CSV/JSON bytes are identical regardless of worker count, because
 the per-prime work is pure and results are joined in segment order.
+Each segment comes back as its CSV text and its totals, and is written as
+soon as it arrives, so no scan holds every certificate at once.
 Wall-clock timing lives only on the ScanReport, never in the serialized
 output.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import multiprocessing
 import os
 import time
 from array import array
+from collections import Counter, deque
 from dataclasses import asdict, dataclass, field
 from functools import cache
 from itertools import compress
 from math import isqrt
-from typing import Iterator, TextIO
+from typing import Callable, Iterator, TextIO
 
 from .classnumber import DEFAULT_CAP
 from .criteria import Certificate, ErrorCertificate, check_prime
@@ -59,12 +63,24 @@ class ScanConfig:
 
 @dataclass
 class ScanReport:
-    primes_checked: int
-    counterexamples: list[Certificate]
-    timing: float
-    aggregate: dict[str, int]
-    certificates: list[Certificate] = field(default_factory=list)
+    """The totals of a scan; its rows went to the writer as segments finished."""
+
+    primes_checked: int = 0
+    counterexamples: list[Certificate] = field(default_factory=list)
+    timing: float = 0.0
+    aggregate: dict[str, int] = field(
+        default_factory=lambda: dict.fromkeys(("chi_plus_1", "chi_minus_1", "d_even", "d_odd"), 0))
+    # (chi, h mod 8) -> primes, over the certificates that carry a class number.
+    h_mod_8: Counter[tuple[int, int]] = field(default_factory=Counter)
     errors: list[ErrorCertificate] = field(default_factory=list)
+
+    def add(self, part: ScanReport) -> None:
+        self.primes_checked += part.primes_checked
+        self.counterexamples += part.counterexamples
+        for key, count in part.aggregate.items():
+            self.aggregate[key] += count
+        self.h_mod_8.update(part.h_mod_8)
+        self.errors += part.errors
 
 
 def _simple_sieve(limit: int) -> list[int]:
@@ -120,45 +136,76 @@ def primes_1_mod_8(lo: int, hi: int) -> Iterator[Prime]:
                 yield Prime._proven(q)
 
 
-def _check_segment(segment: tuple[int, int, int]) -> list[Certificate | ErrorCertificate]:
+def _check_segment(segment: tuple[int, int, int]) -> tuple[str, ScanReport]:
+    # One segment as the parent needs it: its CSV rows as one text, which
+    # pickles far faster than the certificates, and its totals.
     lo, hi, cap = segment
-    return [check_prime(p, with_class_number=p.value <= cap) for p in primes_1_mod_8(lo, hi)]
+    rows = []
+    part = ScanReport()
+    aggregate = part.aggregate
+    for p in primes_1_mod_8(lo, hi):
+        cert = check_prime(p, with_class_number=p.value <= cap)
+        part.primes_checked += 1
+        if isinstance(cert, ErrorCertificate):
+            part.errors.append(cert)
+            continue
+        rows.append(certificate_csv_row(cert))
+        aggregate["chi_plus_1" if cert.chi == 1 else "chi_minus_1"] += 1
+        aggregate["d_odd" if cert.d % 2 else "d_even"] += 1
+        if cert.h is not None:
+            part.h_mod_8[cert.chi, cert.h % 8] += 1
+        if not cert.all_hold:
+            part.counterexamples.append(cert)
+    return "".join(f"{row}\n" for row in rows), part
 
 
-def scan(config: ScanConfig) -> ScanReport:
-    """Check every prime p = 1 (mod 8) in [lo, hi); deterministic output order."""
+def _in_order(pool, segments: Iterator[tuple[int, int, int]],
+              ahead: int) -> Iterator[tuple[str, ScanReport]]:
+    # pool.imap(_check_segment, segments), except that at most `ahead`
+    # segments are handed out and not yet taken: the workers cannot run
+    # further ahead of a slow writer, so finished segments cannot pile up.
+    pending: deque = deque()
+    for segment in segments:
+        pending.append(pool.apply_async(_check_segment, (segment,)))
+        if len(pending) == ahead:
+            yield pending.popleft().get()
+    while pending:
+        yield pending.popleft().get()
+
+
+def _discard(_text: str) -> None:
+    pass
+
+
+def scan(config: ScanConfig, write: Callable[[str], object] = _discard) -> ScanReport:
+    """Check every prime p = 1 (mod 8) in [lo, hi).
+
+    Each segment's CSV rows go to write, in segment order, as soon as the
+    segment is checked, and only the totals are kept: memory is bounded by
+    the segments in flight, not by the window.
+    """
     t0 = time.perf_counter()
     lo, hi, jobs = config.lo, config.hi, config.jobs
     # About four segments per worker, each at most one sieve segment long.
     step = min(_SEGMENT, -(-(hi - lo) // (4 * jobs)))
     starts = range(lo, hi, step)
     segments = ((start, min(start + step, hi), config.class_number_cap) for start in starts)
-    if jobs == 1:
-        parts = map(_check_segment, segments)
-    else:
-        # A pool starts all its workers at once: no more than the segments
-        # or the CPUs can use.
-        workers = min(jobs, len(starts), os.cpu_count() or 1)
-        with multiprocessing.Pool(workers) as pool:
-            parts = pool.map(_check_segment, segments, chunksize=1)
-    results = [r for part in parts for r in part]
-    certificates = [r for r in results if isinstance(r, Certificate)]
-    errors = [r for r in results if isinstance(r, ErrorCertificate)]
-    counterexamples = [c for c in certificates if not c.all_hold]
-    aggregate = {
-        "chi_plus_1": sum(1 for c in certificates if c.chi == 1),
-        "chi_minus_1": sum(1 for c in certificates if c.chi == -1),
-        "d_even": sum(1 for c in certificates if c.d % 2 == 0),
-        "d_odd": sum(1 for c in certificates if c.d % 2 == 1),
-    }
-    return ScanReport(
-        primes_checked=len(results),
-        counterexamples=counterexamples,
-        timing=time.perf_counter() - t0,
-        aggregate=aggregate,
-        certificates=certificates,
-        errors=errors,
-    )
+    report = ScanReport()
+    with contextlib.ExitStack() as stack:
+        if jobs == 1:
+            parts = map(_check_segment, segments)
+        else:
+            # A pool starts all its workers at once: no more than the segments
+            # or the CPUs can use.  Leaving this block terminates them, also
+            # when write raises while segments are still coming.
+            workers = min(jobs, len(starts), os.cpu_count() or 1)
+            pool = stack.enter_context(multiprocessing.Pool(workers))
+            parts = _in_order(pool, segments, 2 * workers)
+        for text, part in parts:
+            write(text)
+            report.add(part)
+    report.timing = time.perf_counter() - t0
+    return report
 
 
 def certificate_csv_row(cert: Certificate) -> str:
@@ -172,18 +219,59 @@ def certificate_csv_row(cert: Certificate) -> str:
     )
 
 
-def write_scan_csv(certificates: list[Certificate], out: TextIO) -> None:
+def certificate_from_csv_row(row: str) -> Certificate:
+    """The Certificate that certificate_csv_row wrote as row."""
+    p, a, b, c, d, chi, n, n_mod_32, _, h, _, thm1, thm2, corollary = row.split(",")
+    return Certificate(
+        p=int(p), a=int(a), b=int(b), c=int(c), d=int(d), chi=int(chi), n=int(n),
+        n_mod_32=int(n_mod_32), h=int(h) if h else None, thm2_holds=thm2 == "1",
+        thm1_holds=thm1 == "1" if thm1 else None, corollary_holds=corollary == "1",
+    )
+
+
+def write_scan_csv(config: ScanConfig, out: TextIO) -> ScanReport:
+    """Scan, writing the CSV header and then each segment's rows as they come."""
     out.write(CSV_HEADER + "\n")
-    for cert in certificates:
-        out.write(certificate_csv_row(cert) + "\n")
+    return scan(config, out.write)
 
 
-def write_scan_json(report: ScanReport, out: TextIO) -> None:
-    doc = {
-        "primes_checked": report.primes_checked,
-        "aggregate": report.aggregate,
-        "counterexamples": [asdict(c) for c in report.counterexamples],
-        "certificates": [asdict(c) for c in report.certificates],
-    }
-    json.dump(doc, out, indent=2)
+def write_scan_json(config: ScanConfig, out: TextIO) -> ScanReport:
+    """Scan, writing the document json.dump(indent=2) would write.
+
+    Its header (counts, aggregate, counterexamples) comes first but is known
+    only at the end, so the certificates are spooled to a temporary file as
+    segments finish, then copied out after the header.
+    """
+    import shutil
+    import tempfile
+
+    with tempfile.TemporaryFile("w+") as spool:
+        sep = "  "
+
+        def spool_segment(text: str) -> None:
+            # The segment's certificates as items of the document's list,
+            # which json.dump indents two levels deep.  vars() gives asdict's
+            # dict, fields in order, without its deep copy of plain values.
+            nonlocal sep
+            if text:
+                certs = [vars(certificate_from_csv_row(row)) for row in text.splitlines()]
+                spool.write(sep + json.dumps(certs, indent=2)[2:-2].replace("\n", "\n  "))
+                sep = ",\n  "
+
+        report = scan(config, spool_segment)
+        head = json.dumps({
+            "primes_checked": report.primes_checked,
+            "aggregate": report.aggregate,
+            "counterexamples": [asdict(c) for c in report.counterexamples],
+            "certificates": [],
+        }, indent=2)
+        if spool.tell():
+            # head ends in '"certificates": []\n}'; fill that list instead.
+            out.write(head[: -len("]\n}")] + "\n")
+            spool.seek(0)
+            shutil.copyfileobj(spool, out)
+            out.write("\n  ]\n}")
+        else:
+            out.write(head)
     out.write("\n")
+    return report

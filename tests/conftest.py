@@ -11,9 +11,12 @@ are re-exported here.
 
 from __future__ import annotations
 
+import io
 from math import isqrt
 
+from cm_octic.criteria import Certificate
 from cm_octic.curve import INFINITY, Point, affine, negate
+from cm_octic.harness import ScanConfig, ScanReport, certificate_from_csv_row, write_scan_csv
 from cm_octic.selftest import (  # noqa: F401  (re-exported to the tests)
     box_class_number,
     curve_points_oracle,
@@ -108,3 +111,11 @@ def field_scalar_mul_oracle(n: int, P: Point) -> Point:
         P = field_add_oracle(P, P)
         n >>= 1
     return R
+
+
+def streamed_scan(config: ScanConfig) -> tuple[ScanReport, list[Certificate]]:
+    """A scan's report and its certificates, read back from the CSV rows it streamed."""
+    buf = io.StringIO()
+    report = write_scan_csv(config, buf)
+    rows = buf.getvalue().splitlines()[1:]
+    return report, [certificate_from_csv_row(row) for row in rows]

@@ -30,6 +30,7 @@ from conftest import (
     brute_two_squares,
     eight_decomposition_search,
     first_principles_chi,
+    streamed_scan,
 )
 
 
@@ -109,12 +110,12 @@ def test_criterion_4_million_scan():
 def test_criterion_5_class_number_scan():
     expected = sum(1 for q in eratosthenes(10**5) if q % 8 == 1)
     t0 = time.perf_counter()
-    report = scan(ScanConfig(lo=0, hi=10**5, class_number_cap=10**5))
+    report, certificates = streamed_scan(ScanConfig(lo=0, hi=10**5, class_number_cap=10**5))
     elapsed = time.perf_counter() - t0
     assert report.errors == [] and report.counterexamples == [], \
         "criterion-5: three-way chain broke"
     assert report.primes_checked == expected
-    assert all(c.h is not None and c.thm1_holds is True for c in report.certificates), \
+    assert all(c.h is not None and c.thm1_holds is True for c in certificates), \
         "criterion-5: a class-number verdict is missing"
     assert elapsed < 120.0, f"criterion-5: {elapsed:.2f}s exceeds the 120 s budget"
     print(f"[PASS] criterion-5: chi=+1 <=> d even <=> 8 | h(-4p) for "
@@ -142,10 +143,10 @@ def test_criterion_6_well_definedness():
 def test_criterion_7_determinism_across_jobs():
     outputs = {}
     for jobs in (1, 4):
-        report = scan(ScanConfig(lo=0, hi=10**5, jobs=jobs))
+        config = ScanConfig(lo=0, hi=10**5, jobs=jobs)
         csv_buf, json_buf = io.StringIO(), io.StringIO()
-        write_scan_csv(report.certificates, csv_buf)
-        write_scan_json(report, json_buf)
+        write_scan_csv(config, csv_buf)
+        write_scan_json(config, json_buf)
         outputs[jobs] = (csv_buf.getvalue(), json_buf.getvalue())
     assert outputs[1][0] == outputs[4][0], "criterion-7: CSV differs across jobs"
     assert outputs[1][1] == outputs[4][1], "criterion-7: JSON differs across jobs"

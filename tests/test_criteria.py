@@ -16,8 +16,10 @@ from cm_octic.criteria import (
 )
 from cm_octic.cli import main
 from cm_octic.errors import InvariantViolation
-from cm_octic.harness import ScanConfig, primes_1_mod_8, scan
+from cm_octic.harness import ScanConfig, primes_1_mod_8
 from cm_octic.modular import Prime, canonical_i, canonical_sqrt2, element, jacobi, sqrt_mod
+
+from conftest import streamed_scan
 
 
 def norm_form_gcd(p: int, r: int, k: int) -> tuple[int, int]:
@@ -212,8 +214,8 @@ class TestStageFailures:
             err = check_prime(Prime(41))
             assert isinstance(err, ErrorCertificate) and err.stage == "roots"
             assert err.message == "the root 1 of -1 mod 41 does not square back"
-            report = scan(ScanConfig(lo=0, hi=100))
-            assert [c.p for c in report.certificates] == [17, 73, 89, 97]
+            report, certificates = streamed_scan(ScanConfig(lo=0, hi=100))
+            assert [c.p for c in certificates] == [17, 73, 89, 97]
             assert [(e.p, e.stage) for e in report.errors] == [(41, "roots")]
             assert main(["scan", "--from", "0", "--to", "100"]) == 3
             assert "invariant violation at p=41 [roots]" in capsys.readouterr().err
@@ -234,8 +236,8 @@ class TestStageFailures:
         assert err == ErrorCertificate(
             p=41, stage="roots",
             message="the root 25 of 2 mod 41 does not square back")
-        report = scan(ScanConfig(lo=0, hi=100))
-        assert [c.p for c in report.certificates] == [17, 73, 89, 97]
+        report, certificates = streamed_scan(ScanConfig(lo=0, hi=100))
+        assert [c.p for c in certificates] == [17, 73, 89, 97]
         assert [(e.p, e.stage) for e in report.errors] == [(41, "roots")]
         assert main(["scan", "--from", "0", "--to", "100"]) == 3
         assert "invariant violation at p=41 [roots]" in capsys.readouterr().err

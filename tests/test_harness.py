@@ -4,12 +4,16 @@ import dataclasses
 import hashlib
 import io
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
+import time
+import tracemalloc
 from functools import cache
 from itertools import islice
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -29,7 +33,7 @@ from cm_octic.harness import (
 )
 from cm_octic.modular import Prime, is_prime
 
-from conftest import trial_division_primes
+from conftest import streamed_scan, trial_division_primes
 
 PRESIEVE = 92682  # below PRESIEVE^2 the stream proves primes without Miller-Rabin
 
@@ -162,22 +166,22 @@ class TestScanConfig:
 
 class TestScan:
     def test_first_five_primes(self):
-        report = scan(ScanConfig(lo=0, hi=100))
+        report, certificates = streamed_scan(ScanConfig(lo=0, hi=100))
         assert report.primes_checked == 5
         assert report.counterexamples == [] and report.errors == []
-        assert [c.p for c in report.certificates] == [17, 41, 73, 89, 97]
+        assert [c.p for c in certificates] == [17, 41, 73, 89, 97]
         assert report.aggregate == {
             "chi_plus_1": 1, "chi_minus_1": 4, "d_even": 1, "d_odd": 4,
         }
 
     def test_empty_window(self):
-        report = scan(ScanConfig(lo=0, hi=16))
-        assert report.primes_checked == 0 and report.certificates == []
+        report, certificates = streamed_scan(ScanConfig(lo=0, hi=16))
+        assert report.primes_checked == 0 and certificates == []
 
     def test_class_number_cap_mixes_rows(self):
-        report = scan(ScanConfig(lo=0, hi=300, class_number_cap=100))
-        with_h = [c for c in report.certificates if c.h is not None]
-        without = [c for c in report.certificates if c.h is None]
+        _, certificates = streamed_scan(ScanConfig(lo=0, hi=300, class_number_cap=100))
+        with_h = [c for c in certificates if c.h is not None]
+        without = [c for c in certificates if c.h is None]
         assert {c.p for c in with_h} == {17, 41, 73, 89, 97}
         assert without and all(c.p > 100 for c in without)
         assert all(c.thm1_holds is True for c in with_h)
@@ -186,7 +190,7 @@ class TestScan:
     @staticmethod
     def _csv(cfg):
         buf = io.StringIO()
-        write_scan_csv(scan(cfg).certificates, buf)
+        write_scan_csv(cfg, buf)
         return buf.getvalue()
 
     @pytest.mark.parametrize(
@@ -231,8 +235,9 @@ class TestScan:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, iterable, chunksize=1):
-                return list(map(fn, iterable))
+            def apply_async(self, fn, args):
+                result = fn(*args)
+                return SimpleNamespace(get=lambda: result)
 
         serial = self._csv(ScanConfig(lo=lo, hi=hi))
         monkeypatch.setattr(harness.multiprocessing, "Pool", FakePool)
@@ -240,19 +245,46 @@ class TestScan:
         assert self._csv(ScanConfig(lo=lo, hi=hi, jobs=jobs)) == serial
         assert sizes == [workers]
 
+    def test_workers_stay_close_to_a_slow_writer(self, monkeypatch):
+        # 32 segments at jobs=2 and a writer far slower than the workers: no
+        # more than 2 * workers segments may be started and not yet written,
+        # else finished ones pile up in the parent.
+        fork = multiprocessing.get_context("fork")
+        started = fork.Value("i", 0)
+        real_stream = harness.primes_1_mod_8
+
+        def counting_stream(lo, hi):
+            # called once per segment, as the worker starts it
+            with started.get_lock():
+                started.value += 1
+            return real_stream(lo, hi)
+
+        monkeypatch.setattr(harness, "_SEGMENT", 1 << 13)
+        monkeypatch.setattr(harness, "primes_1_mod_8", counting_stream)
+        # Forked workers inherit the patches whatever the platform's default.
+        monkeypatch.setattr(harness, "multiprocessing", fork)
+        ahead = []
+
+        def slow_write(text):
+            time.sleep(0.005)
+            ahead.append(started.value - len(ahead))
+
+        report = scan(ScanConfig(lo=0, hi=1 << 18, jobs=2), slow_write)
+        assert len(ahead) == 32 and report.primes_checked == 5719
+        assert max(ahead) <= 4, ahead
+
 
 class TestSerialization:
     def test_csv_golden_rows(self):
-        with_h = scan(ScanConfig(lo=0, hi=42, class_number_cap=100)).certificates
-        without = scan(ScanConfig(lo=0, hi=42)).certificates
+        with_h = streamed_scan(ScanConfig(lo=0, hi=42, class_number_cap=100))[1]
+        without = streamed_scan(ScanConfig(lo=0, hi=42))[1]
         assert certificate_csv_row(with_h[0]) == "17,1,4,3,1,-1,16,16,1,4,4,1,1,1"
         assert certificate_csv_row(with_h[1]) == "41,5,4,3,2,+1,32,0,0,8,0,1,1,1"
         assert certificate_csv_row(without[0]) == "17,1,4,3,1,-1,16,16,1,,,,1,1"
 
     def test_csv_layout(self):
-        report = scan(ScanConfig(lo=0, hi=100))
         buf = io.StringIO()
-        write_scan_csv(report.certificates, buf)
+        write_scan_csv(ScanConfig(lo=0, hi=100), buf)
         lines = buf.getvalue().splitlines()
         assert lines[0] == CSV_HEADER
         assert lines[0] == "p,a,b,c,d,chi,n,n_mod_32,d_parity,h,h_mod_8,thm1,thm2,corollary"
@@ -260,9 +292,8 @@ class TestSerialization:
         assert all(row.count(",") == CSV_HEADER.count(",") for row in lines)
 
     def test_json_document(self):
-        report = scan(ScanConfig(lo=0, hi=100, class_number_cap=50))
         buf = io.StringIO()
-        write_scan_json(report, buf)
+        write_scan_json(ScanConfig(lo=0, hi=100, class_number_cap=50), buf)
         doc = json.loads(buf.getvalue())
         assert list(doc) == ["primes_checked", "aggregate", "counterexamples", "certificates"]
         assert doc["primes_checked"] == 5
@@ -558,10 +589,8 @@ class TestCliScan:
         assert err[0].startswith("checked ") and err[1:] == rows
 
     def test_bad_out_path_fails_before_scanning(self, tmp_path, capsys, monkeypatch):
-        import cm_octic.cli as cli_mod
-
         calls = []
-        monkeypatch.setattr(cli_mod, "scan", calls.append)
+        monkeypatch.setattr(harness, "scan", calls.append)
         for target in (tmp_path, tmp_path / "missing" / "scan.csv"):
             assert main(["scan", "--from", "0", "--to", "100", "--out", str(target)]) == 1
             err = capsys.readouterr().err.splitlines()
@@ -569,16 +598,106 @@ class TestCliScan:
         assert calls == []
 
     @pytest.mark.parametrize(
+        "exc, status",
+        [(OSError(28, "No space left on device"), 1), (KeyboardInterrupt(), None)],
+        ids=["os-error", "interrupt"],
+    )
+    def test_failing_sink_stops_the_workers(self, exc, status, capsys, monkeypatch):
+        # The --out file fails after the header and the first segment, while
+        # the pool still has segments to check.  The workers are gone when
+        # main returns, not once garbage collection reaches the pool.
+        import cm_octic.cli as cli_mod
+
+        class FailingSink(io.StringIO):
+            writes = 0
+
+            def write(self, text):
+                self.writes += 1
+                if self.writes > 2:
+                    raise exc
+                return super().write(text)
+
+        monkeypatch.setattr(cli_mod, "open", lambda path, mode: FailingSink(), raising=False)
+        argv = ["scan", "--from", "0", "--to", "4000000", "--jobs", "2", "--out", "scan.csv"]
+        if status is None:
+            with pytest.raises(KeyboardInterrupt):
+                main(argv)
+        else:
+            assert main(argv) == status
+            assert "No space left on device" in capsys.readouterr().err
+        assert multiprocessing.active_children() == []
+
+    def test_error_in_a_middle_segment(self, tmp_path, capsys, monkeypatch):
+        # [0, 20000) is 4 segments at jobs=1 and 8 at jobs=2, and p = 10009
+        # lies in a middle one of each.  The rows on both sides of it are
+        # written, in order, and the bytes do not depend on the job count.
+        real_check = harness.check_prime
+
+        def fail_at_10009(p, **kw):
+            if p.value == 10009:
+                return ErrorCertificate(p=10009, stage="chi", message="planted")
+            return real_check(p, **kw)
+
+        monkeypatch.setattr(harness, "check_prime", fail_at_10009)
+        # Forked workers inherit the patch whatever the platform's default.
+        monkeypatch.setattr(harness, "multiprocessing", multiprocessing.get_context("fork"))
+        expected = [p.value for p in primes_1_mod_8(0, 20000) if p.value != 10009]
+        outputs = {}
+        for jobs in (1, 2):
+            for fmt in ("csv", "json"):
+                target = tmp_path / f"jobs{jobs}.{fmt}"
+                argv = ["scan", "--from", "0", "--to", "20000", "--class-number-cap", "20000",
+                        "--format", fmt, "--jobs", str(jobs), "--out", str(target)]
+                assert main(argv) == 3
+                assert capsys.readouterr().err == "invariant violation at p=10009 [chi]: planted\n"
+                outputs[jobs, fmt] = target.read_text()
+        rows = outputs[1, "csv"].splitlines()
+        assert rows[0] == CSV_HEADER
+        assert [int(row.split(",", 1)[0]) for row in rows[1:]] == expected
+        doc = json.loads(outputs[1, "json"])
+        assert doc["primes_checked"] == len(expected) + 1
+        assert [c["p"] for c in doc["certificates"]] == expected
+        # the bytes json.dump(indent=2) writes for the whole document
+        assert outputs[1, "json"] == json.dumps(doc, indent=2) + "\n"
+        assert outputs[1, "csv"] == outputs[2, "csv"]
+        assert outputs[1, "json"] == outputs[2, "json"]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_memory_does_not_grow_with_the_window(self, jobs, tmp_path, monkeypatch):
+        # With segments 8192 wide, [0, 2^18) has four times the segments and
+        # primes of [0, 2^16), but the parent holds only the segments in
+        # flight: its traced peak must stay put.  Holding every certificate
+        # until the end took it from 0.46 MB to 1.73 MB at jobs=1.
+        monkeypatch.setattr(harness, "_SEGMENT", 1 << 13)
+        target = tmp_path / "scan.csv"
+
+        def traced_peak(hi):
+            argv = ["scan", "--from", "0", "--to", str(hi), "--jobs", str(jobs),
+                    "--out", str(target)]
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        traced_peak(1 << 16)  # warm-up: the sieve tables and root caches fill
+        small, large = traced_peak(1 << 16), traced_peak(1 << 18)
+        assert large <= 1.25 * small, (small, large)
+
+    @pytest.mark.parametrize(
         "argv, lines_read",
         [
             # far more output than a pipe holds, so the writer meets the closed end
             (["scan", "--from", "0", "--to", "400000"], 1),
             (["scan", "--from", "0", "--to", "400000", "--format", "json"], 1),
+            # the pool is still checking segments when the write fails
+            (["scan", "--from", "0", "--to", "4000000", "--jobs", "2"], 1),
             # a few kB, still in stdout's buffer when the command returns
             (["check", "41", "--trace"], 0),
             (["trace", "41"], 0),
         ],
-        ids=["scan-csv", "scan-json", "check-buffered", "trace-buffered"],
+        ids=["scan-csv", "scan-json", "scan-csv-jobs2", "check-buffered", "trace-buffered"],
     )
     def test_reader_closing_early_exits_141(self, argv, lines_read):
         env = package_env()
