@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import json
 import os
 import sys
@@ -84,14 +83,16 @@ def _build_parser() -> _Parser:
 def _cmd_check(args: argparse.Namespace) -> int:
     p = Prime(args.p)
     cert = check_prime(p, with_class_number=args.class_number)
+    # Shallow copies of the fields: every value is an int, a bool, None or
+    # a tuple of them, so dataclasses.asdict's deep copy would change no byte.
+    doc = dict(vars(cert))
     if not isinstance(cert, Certificate):
-        print(json.dumps(dataclasses.asdict(cert), indent=2))
+        print(json.dumps(doc, indent=2))
         return EXIT_INVARIANT
-    doc = dataclasses.asdict(cert)
     status = EXIT_OK if cert.all_hold else EXIT_COUNTEREXAMPLE
     if args.trace:
         trace = proof_trace(p, seed=args.seed)
-        doc["trace"] = dataclasses.asdict(trace)
+        doc["trace"] = {**vars(trace), "fibers": [vars(f) for f in trace.fibers]}
         if not trace.consistent:
             status = EXIT_COUNTEREXAMPLE
     print(json.dumps(doc, indent=2))

@@ -19,17 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .classnumber import class_number
-from .curve import (
-    affine,
-    curve_order,
-    eta_apply,
-    eta_level_sets,
-    eta_preimages,
-    find_point_of_order,
-)
+from .curve import _eta_int, _eta_preimages_int, find_point_of_order
 from .decompose import _curve_order, _eight_decomposition, _two_squares
 from .errors import InvariantViolation
-from .modular import FieldElement, Prime, _i_and_sqrt2, canonical_sqrt2, element, jacobi, sqrt_mod
+from .modular import FieldElement, Prime, _i_and_sqrt2, _jacobi, _roots_int, canonical_sqrt2
 
 
 def _euler(u: int, n: int) -> int:
@@ -201,27 +194,27 @@ def proof_trace(p: Prime, seed: int = 0) -> ProofTrace:
     returned with consistent=False so callers can surface it as a
     counterexample.
     """
-    if p.value % 8 != 1:
-        raise ValueError(f"proof_trace expects p = 1 (mod 8), got {p.value}")
-    chi = chi_one_plus_sqrt2(p)
-    s = canonical_sqrt2(p)
-    chi_conjugate = euler_symbol(1 - s)
-    minus_one = jacobi(-1, p)
+    n = p.value
+    if n % 8 != 1:
+        raise ValueError(f"proof_trace expects p = 1 (mod 8), got {n}")
+    # Plain residues throughout; only find_point_of_order returns a Point.
+    i, s = _i_and_sqrt2(n)
+    chi = _chi(n, s)
+    chi_conjugate = _euler((1 - s) % n, n)
+    minus_one = _jacobi(-1, n)
     jac_ok = chi * chi_conjugate == minus_one == 1
-    n = curve_order(p)
-    level4 = tuple(sorted(x.residue for x in eta_level_sets(p)[3]))
+    order = _curve_order(n, *_two_squares(n, i))
+    level4 = tuple(sorted({(1 + s) % n, (1 - s) % n, (s - 1) % n, (-1 - s) % n}))
 
     fibers = []
     preimage_ok = True
     for xr in level4:
-        xe = element(p, xr)
-        roots = sqrt_mod(xe * xe * xe - xe)
+        roots = _roots_int(xr * xr * xr - xr, n)
         pts: list[tuple[int, int]] = []
         counts: list[int] = []
         if roots is not None:
-            for yr in sorted({roots[0].residue, roots[1].residue}):
-                Q = affine(xe, element(p, yr))
-                cnt = len(eta_preimages(Q))
+            for yr in sorted(set(roots)):
+                cnt = len(_eta_preimages_int((xr, yr), n, i))
                 pts.append((xr, yr))
                 counts.append(cnt)
                 if chi == 1:
@@ -231,15 +224,15 @@ def proof_trace(p: Prime, seed: int = 0) -> ProofTrace:
         fibers.append(
             LevelFourFiber(
                 x=xr,
-                x_is_square=jacobi(xr, p) == 1,
+                x_is_square=_jacobi(xr, n) == 1,
                 points=tuple(pts),
                 preimage_counts=tuple(counts),
             )
         )
     if chi == 1:
-        preimage_ok = preimage_ok and n % 32 == 0
+        preimage_ok = preimage_ok and order % 32 == 0
 
-    applicable = n % 32 == 0
+    applicable = order % 32 == 0
     order8_point = orbit_x = landed = None
     landed_sq: bool | None = None
     order8_ok = True
@@ -248,26 +241,26 @@ def proof_trace(p: Prime, seed: int = 0) -> ProofTrace:
         if P is None:
             order8_ok = False  # 32 | n guarantees one; counterexample if missing
         else:
-            Q1 = eta_apply(P)
-            Q2 = eta_apply(Q1)
             order8_point = (P.x.residue, P.y.residue)
-            x1 = None if Q1.is_infinity else Q1.x.residue
-            x2 = None if Q2.is_infinity else Q2.x.residue
+            Q1 = _eta_int(order8_point, n, i)
+            Q2 = _eta_int(Q1, n, i)
+            x1 = None if Q1 is None else Q1[0]
+            x2 = None if Q2 is None else Q2[0]
             orbit_x = (x1, x2)
             landed = x1 if x1 in level4 else (x2 if x2 in level4 else None)
             if landed is None:
                 order8_ok = False
             else:
-                landed_sq = jacobi(landed, p) == 1
+                landed_sq = _jacobi(landed, n) == 1
                 order8_ok = landed_sq
     return ProofTrace(
-        p=p.value,
+        p=n,
         chi=chi,
         chi_conjugate=chi_conjugate,
         minus_one_symbol=minus_one,
         jac_identity_holds=jac_ok,
-        n=n,
-        n_mod_32=n % 32,
+        n=order,
+        n_mod_32=order % 32,
         level4_x=level4,
         fibers=tuple(fibers),
         preimage_direction_holds=preimage_ok,

@@ -7,7 +7,10 @@ of its iterated kernels, and order bookkeeping via (a-1)^2 + b^2.
 
 The group law is one integer core on plain residues (_add_int,
 _scalar_mul_int), and group-law results are checked on the curve there.
-add and scalar_mul wrap it for Point operands.
+add and scalar_mul wrap it for Point operands.  eta, its preimages and the
+point sampler have integer cores too (_eta_int, _eta_preimages_int,
+_random_point_int); the Point functions wrap them, so FieldElement and
+Point objects appear only at the public API boundary.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dataclasses import dataclass
 
 from .decompose import _curve_order, two_squares
 from .errors import InvariantViolation
-from .modular import FieldElement, Prime, canonical_i, canonical_sqrt2, element, jacobi, sqrt_mod
+from .modular import FieldElement, Prime, _jacobi, _roots_int, canonical_i, canonical_sqrt2, element
 
 _SAMPLE_RETRIES = 64
 
@@ -99,19 +102,99 @@ def _add_int(P: _Affine, Q: _Affine, n: int) -> _Affine:
 
 
 def _scalar_mul_int(k: int, P: _Affine, n: int) -> _Affine:
-    """k*P by double-and-add on residues mod n; k may be negative."""
+    """k*P on residues mod n; k may be negative.
+
+    Left-to-right double-and-add with a Jacobian accumulator (X : Y : Z),
+    x = X/Z^2 and y = Y/Z^3, so the loop inverts nothing; one inversion at
+    the end makes the result affine (Hankerson, Menezes and Vanstone, Guide
+    to Elliptic Curve Cryptography, 3.2.2).  O is (1 : 1 : 0).  Every step
+    is checked on Y^2 = X^3 - X Z^4, which O satisfies too, and a step off
+    it raises InvariantViolation, as _add_int does; the squares the check
+    takes are the ones the next doubling needs.
+    """
+    if P is None or k == 0:
+        return None
+    x, y = P
+    if k < 0:
+        k, y = -k, -y % n
+    X, Y, Z = x, y, 1
+    XX, YY, ZZZZ = x * x % n, y * y % n, 1
+    for bit in bin(k)[3:]:
+        # Doubling, for a = -1: O when Y = 0 (2-torsion) or Z = 0 (O).
+        if Y == 0 or Z == 0:
+            X, Y, Z = 1, 1, 0
+        else:
+            S = 4 * X * YY % n
+            M = (3 * XX - ZZZZ) % n
+            X3 = (M * M - 2 * S) % n
+            X, Y, Z = X3, (M * (S - X3) - 8 * YY * YY) % n, 2 * Y * Z % n
+        if bit == "1":
+            # Mixed addition of the affine (x, y).
+            if Z == 0:
+                X, Y, Z = x, y, 1
+            else:
+                ZZ = Z * Z % n
+                H = (x * ZZ - X) % n
+                r = (y * ZZ * Z - Y) % n
+                if H == 0:
+                    # The accumulator is (x, y), so the sum is its double,
+                    # or it is -(x, y), so the sum is O.
+                    D = _add_int((x, y), (x, y), n) if r == 0 else None
+                    X, Y, Z = (1, 1, 0) if D is None else (D[0], D[1], 1)
+                else:
+                    HH = H * H % n
+                    HHH = H * HH % n
+                    V = X * HH % n
+                    X3 = (r * r - HHH - 2 * V) % n
+                    X, Y, Z = X3, (r * (V - X3) - Y * HHH) % n, Z * H % n
+        XX, YY, ZZ = X * X % n, Y * Y % n, Z * Z % n
+        ZZZZ = ZZ * ZZ % n
+        if (YY - XX * X + X * ZZZZ) % n:
+            raise InvariantViolation(
+                f"{k} * ({x}, {y}) reached ({X} : {Y} : {Z}), which is not on "
+                f"y^2 = x^3 - x over F_{n}"
+            )
+    if Z == 0:
+        return None
+    zi = pow(Z, -1, n)
+    zi2 = zi * zi % n
+    return X * zi2 % n, Y * zi2 * zi % n
+
+
+def _eta_int(P: _Affine, n: int, i: int) -> _Affine:
+    """eta(P) = P + [i]P on residues, where [i](x, y) = (-x, i*y)."""
     if P is None:
         return None
-    if k < 0:
-        k, P = -k, (P[0], -P[1] % n)
-    R = None
-    while k:
-        if k & 1:
-            R = _add_int(R, P, n)
-        k >>= 1
-        if k:
-            P = _add_int(P, P, n)
-    return R
+    return _add_int(P, (-P[0] % n, i * P[1] % n), n)
+
+
+def _eta_preimages_int(Q: tuple[int, int], n: int, i: int) -> frozenset[tuple[int, int]]:
+    """All affine P with eta(P) = Q on residues mod n; i is a root of -1.
+
+    A non-square x0 = x(Q) has none.  Otherwise the candidate x solve
+    x^2 - 2i*x0*x - 1 = 0, i.e. x = i*x0 +- sqrt(1 - x0^2), and 1 - x0^2
+    must be a square: a non-residue raises InvariantViolation.  Every root
+    taken is squared back, so each candidate is on the curve, and each one
+    kept has eta(P) = Q, computed on _add_int.
+    """
+    x0 = Q[0]
+    if _jacobi(x0, n) == -1:
+        return frozenset()
+    roots = _roots_int(1 - x0 * x0, n)
+    if roots is None:
+        raise InvariantViolation(
+            f"1 - x0^2 is a non-residue at x0={x0} mod {n} despite x0 being a square"
+        )
+    found = set()
+    for s in set(roots):
+        x = (i * x0 + s) % n
+        ys = _roots_int(x * x * x - x, n)
+        if ys is None:
+            continue
+        for y in set(ys):
+            if _eta_int((x, y), n, i) == Q:
+                found.add((x, y))
+    return frozenset(found)
 
 
 def _residues(P: Point) -> _Affine:
@@ -155,7 +238,10 @@ def i_action(P: Point) -> Point:
 
 def eta_apply(P: Point) -> Point:
     """eta(P) = P + [i]P, the degree-2 endomorphism 1 + i."""
-    return add(P, i_action(P))
+    if P.is_infinity:
+        return P
+    p = P.x.modulus
+    return _from_residues(_eta_int(_residues(P), p.value, canonical_i(p).residue), p)
 
 
 def eta_x_via_slope(P: Point) -> FieldElement:
@@ -193,27 +279,8 @@ def eta_preimages(Q: Point, p: Prime | None = None) -> frozenset[Point]:
             raise ValueError("p is required to list the preimages of the identity")
         return kernel(p)
     p = Q.x.modulus
-    x0 = Q.x
-    if jacobi(x0.residue, p) == -1:
-        return frozenset()
-    # Candidate x solve x^2 - 2i*x0*x - 1 = 0, i.e. x = i*x0 +- sqrt(1 - x0^2).
-    roots = sqrt_mod(1 - x0 * x0)
-    if roots is None:
-        raise InvariantViolation(
-            f"1 - x0^2 is a non-residue at x0={x0.residue} mod {p.value} despite x0 being a square"
-        )
-    i = canonical_i(p)
-    found: set[Point] = set()
-    for s in set(roots):
-        x = x0 * i + s
-        ys = sqrt_mod(x * x * x - x)
-        if ys is None:
-            continue
-        for y in set(ys):
-            cand = affine(x, y)
-            if eta_apply(cand) == Q:
-                found.add(cand)
-    return frozenset(found)
+    found = _eta_preimages_int(_residues(Q), p.value, canonical_i(p).residue)
+    return frozenset(_from_residues(P, p) for P in found)
 
 
 def eta_level_sets(p: Prime) -> tuple[frozenset[FieldElement], ...]:
@@ -240,16 +307,21 @@ def curve_order(p: Prime) -> int:
     return _curve_order(p.value, *two_squares(p))
 
 
+def _random_point_int(seed: int, n: int) -> tuple[int, int]:
+    # Walk x = seed, seed+1, ... mod n until x^3 - x is a square, then take
+    # the smaller root y.  x = 0 always works, so the walk terminates.
+    x = seed % n
+    while True:
+        ys = _roots_int(x * x * x - x, n)
+        if ys is not None:
+            return x, ys[0]
+        x = (x + 1) % n
+
+
 def random_point(p: Prime, seed: int) -> Point:
     """Deterministic point sampler: walk x = seed, seed+1, ... until x^3 - x
     is a square, then take the canonical (smaller) y."""
-    n = p.value
-    x = seed % n
-    while True:
-        ys = sqrt_mod(element(p, x * x * x - x))
-        if ys is not None:
-            return affine(element(p, x), ys[0])
-        x = (x + 1) % n  # x = 0 always works, so the walk terminates
+    return _from_residues(_random_point_int(seed, p.value), p)
 
 
 def find_point_of_order(p: Prime, seed: int = 0) -> Point | None:
@@ -272,11 +344,11 @@ def find_point_of_order(p: Prime, seed: int = 0) -> Point | None:
     m = p.value
     x_seed = seed
     for _ in range(_SAMPLE_RETRIES):
-        P = random_point(p, x_seed)
-        x_seed = P.x.residue + 1
+        P = _random_point_int(x_seed, m)
+        x_seed = P[0] + 1
         # S = odd_part * P lies in the 2-Sylow subgroup, so its doublings
         # reach O within v steps; chain holds S, 2S, 4S, ... before O.
-        chain, R = [], _scalar_mul_int(odd_part, _residues(P), m)
+        chain, R = [], _scalar_mul_int(odd_part, P, m)
         while R is not None:
             if len(chain) == v:
                 raise InvariantViolation(f"S is not O after v2(#E) = {v} doublings mod {m}")

@@ -10,8 +10,9 @@ use.  The scan path takes the plain integers; canonical_sqrt2 wraps its
 sqrt(2) as a field element for the curve layer and the proof traces.
 canonical_i takes i straight from z^((p-1)/4), the same value for
 p = 1 (mod 8) and the only one defined for p = 5 (mod 8).
-sqrt_mod and its integer core _sqrt_residue (Tonelli-Shanks) serve every
-other square root, among them the roots mod q of the class-number count.
+sqrt_mod, its integer form _roots_int and their core _sqrt_residue
+(Tonelli-Shanks) serve every other square root, among them the roots mod q
+of the class-number count and the points of the curve layer.
 """
 
 from __future__ import annotations
@@ -190,7 +191,10 @@ def _tonelli_shanks(v: int, n: int) -> int:
         q //= 2
         s += 1
     z = _nonresidue(n)
-    m, c, t, r = s, pow(z, q, n), pow(v, q, n), pow(v, (q + 1) // 2, n)
+    # One power gives both r = v^((q+1)/2) and t = v^q, as v*w and v*w^2.
+    w = pow(v, (q - 1) // 2, n)
+    r = v * w % n
+    m, c, t = s, pow(z, q, n), r * w % n
     while t != 1:
         t2 = t
         i = 0
@@ -216,16 +220,10 @@ def sqrt_mod(a: FieldElement) -> tuple[FieldElement, FieldElement] | None:
     single root.
     """
     p = a.modulus
-    n = p.value
-    v = a.residue
-    if v == 0:
-        zero = FieldElement(0, p)
-        return (zero, zero)
-    if _jacobi(v, n) != 1:
+    roots = _roots_int(a.residue, p.value)
+    if roots is None:
         return None
-    r = _sqrt_residue(v, n)
-    r = min(r, n - r)
-    return (FieldElement(r, p), FieldElement(n - r, p))
+    return FieldElement(roots[0], p), FieldElement(roots[1], p)
 
 
 def _smaller_root(r: int, square: int, n: int) -> int:
@@ -234,6 +232,18 @@ def _smaller_root(r: int, square: int, n: int) -> int:
     if r * r % n != square % n:
         raise InvariantViolation(f"the root {r} of {square} mod {n} does not square back")
     return min(r, n - r)
+
+
+def _roots_int(v: int, n: int) -> tuple[int, int] | None:
+    # Both square roots of v mod the odd prime n, smaller first, or None for
+    # a non-residue; v = 0 gives (0, 0).  The root is squared back.
+    v %= n
+    if v == 0:
+        return 0, 0
+    if _jacobi(v, n) != 1:
+        return None
+    r = _smaller_root(_sqrt_residue(v, n), v, n)
+    return r, n - r
 
 
 def _i_and_sqrt2(n: int) -> tuple[int, int]:

@@ -14,9 +14,25 @@ from __future__ import annotations
 import io
 from math import isqrt
 
-from cm_octic.criteria import Certificate
-from cm_octic.curve import INFINITY, Point, affine, negate
+from cm_octic.criteria import (
+    Certificate,
+    LevelFourFiber,
+    ProofTrace,
+    chi_one_plus_sqrt2,
+    euler_symbol,
+)
+from cm_octic.curve import (
+    INFINITY,
+    Point,
+    affine,
+    curve_order,
+    eta_level_sets,
+    find_point_of_order,
+    i_action,
+    negate,
+)
 from cm_octic.harness import ScanConfig, ScanReport, certificate_from_csv_row, write_scan_csv
+from cm_octic.modular import Prime, canonical_i, canonical_sqrt2, element, jacobi, sqrt_mod
 from cm_octic.selftest import (  # noqa: F401  (re-exported to the tests)
     box_class_number,
     curve_points_oracle,
@@ -111,6 +127,101 @@ def field_scalar_mul_oracle(n: int, P: Point) -> Point:
         P = field_add_oracle(P, P)
         n >>= 1
     return R
+
+
+def field_eta_oracle(P: Point) -> Point:
+    """eta(P) = P + [i]P over field_add_oracle."""
+    return field_add_oracle(P, i_action(P))
+
+
+def field_eta_preimages_oracle(Q: Point) -> frozenset[Point]:
+    """The P with eta(P) = Q for an affine Q, in FieldElement arithmetic.
+
+    The candidate x solve x^2 - 2i*x0*x - 1 = 0, i.e.
+    x = i*x0 +- sqrt(1 - x0^2); each is kept when eta maps it back to Q.
+    """
+    p = Q.x.modulus
+    x0 = Q.x
+    if jacobi(x0.residue, p) == -1:
+        return frozenset()
+    roots = sqrt_mod(1 - x0 * x0)
+    if roots is None:
+        raise AssertionError(f"1 - x0^2 is a non-residue at x0={x0.residue} mod {p.value}")
+    i = canonical_i(p)
+    found: set[Point] = set()
+    for s in set(roots):
+        x = x0 * i + s
+        ys = sqrt_mod(x * x * x - x)
+        if ys is None:
+            continue
+        for y in set(ys):
+            cand = affine(x, y)
+            if field_eta_oracle(cand) == Q:
+                found.add(cand)
+    return frozenset(found)
+
+
+def field_proof_trace_oracle(p: Prime, seed: int = 0) -> ProofTrace:
+    """proof_trace with its fibers and eta-orbit in FieldElement arithmetic.
+
+    Independent of the package's trace, which runs on plain residues; the
+    order-8 point comes from the same find_point_of_order.
+    """
+    chi = chi_one_plus_sqrt2(p)
+    s = canonical_sqrt2(p)
+    chi_conjugate = euler_symbol(1 - s)
+    minus_one = jacobi(-1, p)
+    jac_ok = chi * chi_conjugate == minus_one == 1
+    n = curve_order(p)
+    level4 = tuple(sorted(x.residue for x in eta_level_sets(p)[3]))
+
+    fibers = []
+    preimage_ok = True
+    for xr in level4:
+        xe = element(p, xr)
+        roots = sqrt_mod(xe * xe * xe - xe)
+        pts: list[tuple[int, int]] = []
+        counts: list[int] = []
+        if roots is not None:
+            for yr in sorted({roots[0].residue, roots[1].residue}):
+                cnt = len(field_eta_preimages_oracle(affine(xe, element(p, yr))))
+                pts.append((xr, yr))
+                counts.append(cnt)
+                preimage_ok = preimage_ok and (cnt > 0 if chi == 1 else cnt == 0)
+        fibers.append(LevelFourFiber(x=xr, x_is_square=jacobi(xr, p) == 1,
+                                     points=tuple(pts), preimage_counts=tuple(counts)))
+    if chi == 1:
+        preimage_ok = preimage_ok and n % 32 == 0
+
+    applicable = n % 32 == 0
+    order8_point = orbit_x = landed = None
+    landed_sq: bool | None = None
+    order8_ok = True
+    if applicable:
+        P = find_point_of_order(p, seed=seed)
+        if P is None:
+            order8_ok = False
+        else:
+            Q1 = field_eta_oracle(P)
+            Q2 = field_eta_oracle(Q1)
+            order8_point = (P.x.residue, P.y.residue)
+            x1 = None if Q1.is_infinity else Q1.x.residue
+            x2 = None if Q2.is_infinity else Q2.x.residue
+            orbit_x = (x1, x2)
+            landed = x1 if x1 in level4 else (x2 if x2 in level4 else None)
+            if landed is None:
+                order8_ok = False
+            else:
+                landed_sq = jacobi(landed, p) == 1
+                order8_ok = landed_sq
+    return ProofTrace(
+        p=p.value, chi=chi, chi_conjugate=chi_conjugate, minus_one_symbol=minus_one,
+        jac_identity_holds=jac_ok, n=n, n_mod_32=n % 32, level4_x=level4,
+        fibers=tuple(fibers), preimage_direction_holds=preimage_ok,
+        order8_applicable=applicable, order8_point=order8_point, orbit_x=orbit_x,
+        orbit_landed_x=landed, orbit_landed_is_square=landed_sq,
+        order8_direction_holds=order8_ok, consistent=jac_ok and preimage_ok and order8_ok,
+    )
 
 
 def streamed_scan(config: ScanConfig) -> tuple[ScanReport, list[Certificate]]:

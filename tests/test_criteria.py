@@ -1,6 +1,7 @@
 """Certificates and proof traces for the character criteria."""
 
 import multiprocessing
+import random
 from itertools import islice
 
 import pytest
@@ -19,7 +20,7 @@ from cm_octic.errors import InvariantViolation
 from cm_octic.harness import ScanConfig, primes_1_mod_8
 from cm_octic.modular import Prime, canonical_i, canonical_sqrt2, element, jacobi, sqrt_mod
 
-from conftest import streamed_scan
+from conftest import field_proof_trace_oracle, sprp_prime_bases, streamed_scan
 
 
 def norm_form_gcd(p: int, r: int, k: int) -> tuple[int, int]:
@@ -261,6 +262,21 @@ class TestStageFailures:
         assert f"invariant violation at p=41 [certificate]: {message}" in err
 
 
+def seeded_trace_primes(count: int, seed: int) -> list[int]:
+    """count primes = 1 (mod 8), spread evenly over 12 to 62 bits, drawn
+    from random.Random(seed)."""
+    rng = random.Random(seed)
+    out: list[int] = []
+    for j in range(count):
+        bits = 12 + j * 50 // (count - 1)
+        while True:
+            q = rng.randrange(1 << (bits - 1), 1 << bits) >> 3 << 3 | 1
+            if q >> (bits - 1) and sprp_prime_bases(q):
+                out.append(q)
+                break
+    return out
+
+
 class TestProofTrace:
     def test_chi_minus_one_trace(self):
         tr = proof_trace(Prime(17))
@@ -313,8 +329,7 @@ class TestProofTrace:
         # A sample off the curve can only come from a bug; the first sum
         # built from it breaks the group law's check, and the CLI reports
         # an invariant violation, not a usage error.
-        monkeypatch.setattr(curve, "random_point",
-                            lambda p, seed: curve.Point(element(p, 2), element(p, 5)))
+        monkeypatch.setattr(curve, "_random_point_int", lambda seed, n: (2, 5))
         assert main(["check", "41", "--trace"]) == 3
         assert "is not on y^2 = x^3 - x over F_41" in capsys.readouterr().err
 
@@ -330,3 +345,20 @@ class TestProofTrace:
         for p in primes_1_mod_8(0, 3000):
             tr = proof_trace(p)
             assert all(f.x_is_square == (tr.chi == 1) for f in tr.fibers)
+
+
+class TestProofTraceOracle:
+    """proof_trace, on plain residues, against its FieldElement oracle in conftest."""
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            pytest.param([p.value for p in primes_1_mod_8(0, 10**4)], id="below-10^4"),
+            pytest.param(seeded_trace_primes(20, 18), id="seeded-to-2^62"),
+            pytest.param([2476681, 528423887209], id="sampler-misses"),
+        ],
+    )
+    def test_matches_field_oracle(self, values):
+        for v in values:
+            p = Prime(v)
+            assert proof_trace(p) == field_proof_trace_oracle(p), v

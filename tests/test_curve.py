@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from cm_octic.curve import (
     INFINITY,
+    _add_int,
+    _scalar_mul_int,
     Point,
     add,
     curve_order,
@@ -111,6 +113,22 @@ class TestGroupLaw:
             add(bad, point(P17, 5, 1))
         with pytest.raises(InvariantViolation):
             add(bad, bad)
+        with pytest.raises(InvariantViolation, match="is not on y\\^2 = x\\^3 - x over F_17"):
+            scalar_mul(3, bad)
+
+    # Primes of every residue class mod 8, up to 113.
+    @pytest.mark.parametrize("v", [3, 5, 7, 11, 13, 17, 19, 41, 97, 113])
+    def test_jacobian_scalar_mul_exhaustive(self, v):
+        # Every point and every k in (-3p, 3p) against repeated _add_int:
+        # the accumulator meets +-P, O and the 2-torsion along the way.
+        for P in curve_points_oracle(Prime(v)):
+            R = None if P.is_infinity else (P.x.residue, P.y.residue)
+            minus_R = None if R is None else (R[0], -R[1] % v)
+            up = down = None
+            for k in range(3 * v):
+                assert _scalar_mul_int(k, R, v) == up, (k, R)
+                assert _scalar_mul_int(-k, R, v) == down, (-k, R)
+                up, down = _add_int(up, R, v), _add_int(down, minus_R, v)
 
 
 # Primes of 20, 40 and 61 bits, all = 1 (mod 8).
