@@ -84,7 +84,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     p = Prime(args.p)
     cert = check_prime(p, with_class_number=args.class_number)
     # Shallow copies of the fields: every value is an int, a bool, None or
-    # a tuple of them, so dataclasses.asdict's deep copy would change no byte.
+    # a tuple of them, so a deep copy would change no byte.
     doc = dict(vars(cert))
     if not isinstance(cert, Certificate):
         print(json.dumps(doc, indent=2))

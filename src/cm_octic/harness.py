@@ -19,7 +19,7 @@ import os
 import time
 from array import array
 from collections import Counter, deque
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from functools import cache
 from itertools import compress
 from math import isqrt
@@ -173,11 +173,7 @@ def _in_order(pool, segments: Iterator[tuple[int, int, int]],
         yield pending.popleft().get()
 
 
-def _discard(_text: str) -> None:
-    pass
-
-
-def scan(config: ScanConfig, write: Callable[[str], object] = _discard) -> ScanReport:
+def scan(config: ScanConfig, write: Callable[[str], object]) -> ScanReport:
     """Check every prime p = 1 (mod 8) in [lo, hi).
 
     Each segment's CSV rows go to write, in segment order, as soon as the
@@ -220,8 +216,8 @@ def certificate_csv_row(cert: Certificate) -> str:
 
 
 def certificate_from_csv_row(row: str) -> Certificate:
-    """The Certificate that certificate_csv_row wrote as row."""
-    p, a, b, c, d, chi, n, n_mod_32, _, h, _, thm1, thm2, corollary = row.split(",")
+    """The Certificate that certificate_csv_row wrote as row, with or without its newline."""
+    p, a, b, c, d, chi, n, n_mod_32, _, h, _, thm1, thm2, corollary = row.rstrip("\n").split(",")
     return Certificate(
         p=int(p), a=int(a), b=int(b), c=int(c), d=int(d), chi=int(chi), n=int(n),
         n_mod_32=int(n_mod_32), h=int(h) if h else None, thm2_holds=thm2 == "1",
@@ -239,37 +235,32 @@ def write_scan_json(config: ScanConfig, out: TextIO) -> ScanReport:
     """Scan, writing the document json.dump(indent=2) would write.
 
     Its header (counts, aggregate, counterexamples) comes first but is known
-    only at the end, so the certificates are spooled to a temporary file as
-    segments finish, then copied out after the header.
+    only at the end, so the scan's CSV rows are spooled to a temporary file
+    as segments finish.  After the header they are read back in batches of
+    about _SEGMENT bytes, each written as items of the certificate list.
     """
-    import shutil
     import tempfile
 
     with tempfile.TemporaryFile("w+") as spool:
-        sep = "  "
-
-        def spool_segment(text: str) -> None:
-            # The segment's certificates as items of the document's list,
-            # which json.dump indents two levels deep.  vars() gives asdict's
-            # dict, fields in order, without its deep copy of plain values.
-            nonlocal sep
-            if text:
-                certs = [vars(certificate_from_csv_row(row)) for row in text.splitlines()]
-                spool.write(sep + json.dumps(certs, indent=2)[2:-2].replace("\n", "\n  "))
-                sep = ",\n  "
-
-        report = scan(config, spool_segment)
+        report = scan(config, spool.write)
         head = json.dumps({
             "primes_checked": report.primes_checked,
             "aggregate": report.aggregate,
-            "counterexamples": [asdict(c) for c in report.counterexamples],
+            "counterexamples": [vars(c) for c in report.counterexamples],
             "certificates": [],
         }, indent=2)
-        if spool.tell():
-            # head ends in '"certificates": []\n}'; fill that list instead.
-            out.write(head[: -len("]\n}")] + "\n")
-            spool.seek(0)
-            shutil.copyfileobj(spool, out)
+        spool.seek(0)
+        batch = spool.readlines(_SEGMENT)
+        if batch:
+            # head ends in '"certificates": []\n}'; fill that list instead,
+            # whose items json.dump indents two levels deep.
+            out.write(head[: -len("]\n}")])
+            sep = "\n  "
+            while batch:
+                certs = [vars(certificate_from_csv_row(row)) for row in batch]
+                out.write(sep + json.dumps(certs, indent=2)[2:-2].replace("\n", "\n  "))
+                sep = ",\n  "
+                batch = spool.readlines(_SEGMENT)
             out.write("\n  ]\n}")
         else:
             out.write(head)

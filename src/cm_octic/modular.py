@@ -12,7 +12,9 @@ canonical_i takes i straight from z^((p-1)/4), the same value for
 p = 1 (mod 8) and the only one defined for p = 5 (mod 8).
 sqrt_mod, its integer form _roots_int and their core _sqrt_residue
 (Tonelli-Shanks) serve every other square root, among them the roots mod q
-of the class-number count and the points of the curve layer.
+of the class-number count and the points of the curve layer.  _sqrt_residue
+looks up a non-residue only when its first guess v^((q+1)/2) is not yet a
+root, which never happens for p = 3 (mod 4).
 """
 
 from __future__ import annotations
@@ -182,19 +184,24 @@ def _nonresidue(n: int) -> int:
     return z
 
 
-def _tonelli_shanks(v: int, n: int) -> int:
-    # One square root of the residue v mod n; v nonzero and a square,
-    # n = 1 (mod 4).  _sqrt_residue takes the n = 3 (mod 4) shortcut.
+def _sqrt_residue(v: int, n: int) -> int:
+    # One square root of v mod the odd prime n by Tonelli-Shanks; v must be
+    # a nonzero square.  With n - 1 = q * 2^s, q odd, the first guess
+    # r = v^((q+1)/2) is a root when t = v^q is 1; for n = 3 (mod 4), where
+    # s = 1, that is always so and r = v^((n+1)/4).  Only t != 1 needs the
+    # least non-residue z.
     q = n - 1
     s = 0
     while q % 2 == 0:
         q //= 2
         s += 1
-    z = _nonresidue(n)
-    # One power gives both r = v^((q+1)/2) and t = v^q, as v*w and v*w^2.
+    # One power gives both r and t, as v*w and v*w^2.
     w = pow(v, (q - 1) // 2, n)
     r = v * w % n
-    m, c, t = s, pow(z, q, n), r * w % n
+    t = r * w % n
+    if t == 1:
+        return r
+    m, c = s, pow(_nonresidue(n), q, n)
     while t != 1:
         t2 = t
         i = 0
@@ -204,13 +211,6 @@ def _tonelli_shanks(v: int, n: int) -> int:
         b = pow(c, 1 << (m - i - 1), n)
         m, c, t, r = i, b * b % n, t * b * b % n, r * b % n
     return r
-
-
-def _sqrt_residue(v: int, n: int) -> int:
-    # One square root of v mod the odd prime n; v must be a nonzero square.
-    if n % 4 == 3:
-        return pow(v, (n + 1) // 4, n)
-    return _tonelli_shanks(v, n)
 
 
 def sqrt_mod(a: FieldElement) -> tuple[FieldElement, FieldElement] | None:

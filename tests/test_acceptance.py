@@ -96,7 +96,7 @@ def test_criterion_3_exhaustive_eta_suite():
 def test_criterion_4_million_scan():
     expected = sum(1 for q in eratosthenes(10**6) if q % 8 == 1)
     t0 = time.perf_counter()
-    report = scan(ScanConfig(lo=0, hi=10**6, jobs=1))
+    report = scan(ScanConfig(lo=0, hi=10**6, jobs=1), lambda text: None)
     elapsed = time.perf_counter() - t0
     assert report.errors == [], "criterion-4: invariant violations during scan"
     assert report.counterexamples == [], \

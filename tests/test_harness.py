@@ -309,9 +309,9 @@ class TestSerialization:
         assert above_cap["thm2_holds"] is True
 
     def test_dict_key_order(self):
-        # check and scan --format json serialize through asdict
+        # check and scan --format json serialize through vars
         cert = rigged_certificate()
-        assert list(dataclasses.asdict(cert)) == [
+        assert list(vars(cert)) == [
             "p", "a", "b", "c", "d", "chi", "n", "n_mod_32",
             "h", "thm2_holds", "thm1_holds", "corollary_holds",
         ]
@@ -662,18 +662,23 @@ class TestCliScan:
         assert outputs[1, "csv"] == outputs[2, "csv"]
         assert outputs[1, "json"] == outputs[2, "json"]
 
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_memory_does_not_grow_with_the_window(self, jobs, tmp_path, monkeypatch):
+    @pytest.mark.parametrize(
+        "fmt, jobs",
+        [("csv", 1), ("csv", 2), ("json", 1), ("json", 2)],
+        ids=["1", "2", "json-1", "json-2"],
+    )
+    def test_memory_does_not_grow_with_the_window(self, fmt, jobs, tmp_path, monkeypatch):
         # With segments 8192 wide, [0, 2^18) has four times the segments and
         # primes of [0, 2^16), but the parent holds only the segments in
-        # flight: its traced peak must stay put.  Holding every certificate
+        # flight, and JSON reads its spool back in batches of about one
+        # segment: its traced peak must stay put.  Holding every certificate
         # until the end took it from 0.46 MB to 1.73 MB at jobs=1.
         monkeypatch.setattr(harness, "_SEGMENT", 1 << 13)
-        target = tmp_path / "scan.csv"
+        target = tmp_path / f"scan.{fmt}"
 
         def traced_peak(hi):
             argv = ["scan", "--from", "0", "--to", str(hi), "--jobs", str(jobs),
-                    "--out", str(target)]
+                    "--format", fmt, "--out", str(target)]
             tracemalloc.start()
             try:
                 assert main(argv) == 0
@@ -684,6 +689,43 @@ class TestCliScan:
         traced_peak(1 << 16)  # warm-up: the sieve tables and root caches fill
         small, large = traced_peak(1 << 16), traced_peak(1 << 18)
         assert large <= 1.25 * small, (small, large)
+
+    @pytest.mark.parametrize(
+        "hi, segment, rigged",
+        [(16, None, False), (1 << 16, 1 << 13, False), (100, None, True)],
+        ids=["empty", "batches", "counterexamples"],
+    )
+    def test_json_bytes(self, hi, segment, rigged, monkeypatch):
+        # The document is the bytes json.dump(indent=2) writes for it, at
+        # either job count: with no certificates, with more rows than one
+        # batch read back from the spool, and with counterexamples in the
+        # header.
+        if segment:
+            monkeypatch.setattr(harness, "_SEGMENT", segment)
+        if rigged:
+            monkeypatch.setattr(
+                harness, "check_prime",
+                lambda p, **kw: rigged_certificate(p=p.value, thm2_holds=False),
+            )
+        # Forked workers inherit the patches whatever the platform's default.
+        monkeypatch.setattr(harness, "multiprocessing", multiprocessing.get_context("fork"))
+        outputs = []
+        for jobs in (1, 2):
+            buf = io.StringIO()
+            write_scan_json(ScanConfig(lo=0, hi=hi, jobs=jobs), buf)
+            outputs.append(buf.getvalue())
+        out = outputs[0]
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+        assert outputs[1] == out
+        doc = json.loads(out)
+        report, certificates = streamed_scan(ScanConfig(lo=0, hi=hi))
+        assert doc["certificates"] == [vars(c) for c in certificates]
+        assert doc["counterexamples"] == (doc["certificates"] if rigged else [])
+        assert doc["primes_checked"] == report.primes_checked == len(certificates)
+        if segment:  # the spooled rows fill more than four batches
+            assert sum(len(certificate_csv_row(c)) + 1 for c in certificates) > 4 * segment
+        else:
+            assert len(certificates) == (5 if rigged else 0)
 
     @pytest.mark.parametrize(
         "argv, lines_read",

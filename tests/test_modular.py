@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cm_octic import selftest
+from cm_octic import modular, selftest
 from cm_octic.modular import (
     FieldElement,
     Prime,
     _nonresidue,
+    _sqrt_residue,
     canonical_i,
     canonical_sqrt2,
     element,
@@ -158,6 +159,23 @@ class TestSqrtMod:
         zero = sqrt_mod(element(p, 0))
         assert (zero[0].residue, zero[1].residue) == (0, 0)
         assert sqrt_mod(element(p, 3)) is None
+
+    def test_three_mod_four_takes_the_first_guess(self, monkeypatch):
+        # For n = 3 (mod 4) the first Tonelli-Shanks guess v^((q+1)/2) is
+        # v^((n+1)/4), the root of the classic shortcut, and no non-residue
+        # is looked up.  Every square mod the odd primes <= 257, and seeded
+        # 61-bit cases.
+        cases = [(v, n) for n in ODD_PRIMES_257 if n % 4 == 3 for v in squares_mod(n)]
+        rng = random.Random(3)
+        wide = []
+        while len(wide) < 300:
+            n = rng.randrange(1 << 60, 1 << 61) | 3
+            if is_prime(n):
+                wide.append((pow(rng.randrange(1, n), 2, n), n))
+        cases += wide
+        monkeypatch.setattr(modular, "_nonresidue", lambda n: pytest.fail(f"non-residue {n}"))
+        for v, n in cases:
+            assert _sqrt_residue(v, n) == pow(v, (n + 1) // 4, n), (v, n)
 
 
 class TestCanonicalRoots:
