@@ -6,17 +6,28 @@ exactly one reduced form (Cohen, GTM 138, Section 5.3; Buell, *Binary
 Quadratic Forms*, ch. 4).  The discriminant forces b = 2*beta with
 beta^2 + p = ac, and every reduced form has a <= sqrt(4p/3).
 
-The count takes about sqrt(p) steps instead of walking every (a, b):
+The count takes about sqrt(p) steps, nearly all of them in C-level slices:
 
 - For a <= sqrt(p), a^2 < p makes c > a automatically, and (-a/2, a/2]
   is a complete residue system mod a, so a carries exactly f(a) forms,
   the number of roots of beta^2 = -p (mod a).  f is multiplicative: 0
   when 4 | a, a factor 1 for 2 || a, and a factor 1 + (-p | q) for each
-  odd prime q | a whatever its power (Hensel).  A smallest-prime-factor
-  table gives f along each a's factor chain.
+  odd prime q | a whatever its power (Hensel).  So f(a) = weight(a) when
+  every odd prime of a splits, (-p | q) = 1, and 0 when one is inert,
+  where weight(a) is 0 for 4 | a and 2^(number of odd primes of a)
+  otherwise.  Euler's criterion finds the inert q <= sqrt(4p/3), each of
+  which clears its multiples from an `alive` bytearray in one slice
+  assignment, and the part of h below sqrt(p) is the sum of weight over
+  the a <= sqrt(p) still alive.
 - In the band sqrt(p) < a <= sqrt(4p/3) the roots themselves are built
   by CRT from one root of -p mod each prime, lifted to prime powers, and
   a root beta in (-a/2, a/2] counts when c > a, that is beta^2 + p > a^2.
+
+The smallest prime factors, the weights and the odd primes depend on no
+p, so one module-level table serves every call.  It only grows: a call
+whose sqrt(4p/3) lies past its end rebuilds it at twice its size, or at
+that bound if larger.  One `classno` call builds only what it needs, and
+a scan rebuilds it O(log) times.
 
 Neither tie of the reduction rule needs a branch.  a = c would need
 (a - beta)(a + beta) = p, so a = (p + 1)/2, far above the band; and
@@ -28,12 +39,17 @@ need ac even, i.e. beta^2 = -p = 3 (mod 4).
 
 from __future__ import annotations
 
+from itertools import compress
 from math import isqrt
 
 from .errors import InvariantViolation
-from .modular import Prime, _jacobi, _sqrt_residue
+from .modular import Prime, _sqrt_residue
 
 DEFAULT_CAP = 10_000_000_000
+
+# Maps each weight to twice itself.  Tables end below 2 * sqrt(4 * DEFAULT_CAP / 3),
+# under 3*5*7*11*13*17 = 255255, so no weight there exceeds 2^5.
+_DOUBLE = bytes(2 * w % 256 for w in range(256))
 
 
 def _smallest_prime_factors(top: int) -> list[int]:
@@ -43,6 +59,28 @@ def _smallest_prime_factors(top: int) -> list[int]:
     for q in range(isqrt(top), 1, -1):
         spf[q * q :: q] = [q] * len(range(q * q, top + 1, q))
     return spf
+
+
+def _factor_tables(top: int) -> tuple[list[int], bytearray, list[int]]:
+    # spf, weight and the odd primes, for 0 <= a <= top.
+    spf = _smallest_prime_factors(top)
+    primes = [q for q in range(3, top + 1, 2) if spf[q] == q]
+    weight = bytearray(b"\1") * (top + 1)
+    for q in primes:
+        weight[q::q] = weight[q::q].translate(_DOUBLE)
+    weight[::4] = bytes(len(range(0, top + 1, 4)))
+    return spf, weight, primes
+
+
+_tables = _factor_tables(1)
+
+
+def _tables_to(top: int) -> tuple[list[int], bytearray, list[int]]:
+    global _tables
+    size = len(_tables[0]) - 1
+    if top > size:
+        _tables = _factor_tables(max(top, 2 * size))
+    return _tables
 
 
 def _roots_mod(a: int, n: int, spf: list[int], prime_roots: dict[int, int]) -> list[int]:
@@ -86,24 +124,24 @@ def class_number(p: Prime) -> int:
         raise ValueError(f"p = {p.value} exceeds the class-number limit {DEFAULT_CAP}")
     n = p.value
     sqrt_n, top = isqrt(n), isqrt(4 * n // 3)
-    spf = _smallest_prime_factors(top)
-    # f[a] = #{beta mod a : beta^2 = -n (mod a)}, along a = q * m, q = spf[a].
-    f = [0] * (top + 1)
-    f[1] = 1
-    for a in range(2, top + 1):
-        q = spf[a]
-        if q == a:
-            f[a] = 1 if a == 2 else 1 + _jacobi(-n, a)
-        else:
-            m = a // q
-            if m % q:
-                f[a] = f[m] * f[q]
-            elif q != 2:
-                f[a] = f[m]
-    h = sum(f[: sqrt_n + 1])
+    spf, weight, primes = _tables_to(top)
+    # alive[a] = 0 once an odd prime of a is inert: -n is a non-residue mod q,
+    # (-n)^((q-1)/2) = -1 by Euler's criterion.  No q <= top divides n.  An
+    # inert q above top/2 has no other multiple to clear.
+    alive = bytearray(b"\1") * (top + 1)
+    half = top // 2
+    for q in primes:
+        if q > top:
+            break
+        if pow(-n % q, q >> 1, q) != 1:
+            if q > half:
+                alive[q] = 0
+            else:
+                alive[q::q] = bytes(top // q)
+    h = sum(compress(weight[1 : sqrt_n + 1], alive[1 : sqrt_n + 1]))
     prime_roots: dict[int, int] = {}
-    for a in range(sqrt_n + 1, top + 1):
-        if not f[a]:
+    for a in compress(range(sqrt_n + 1, top + 1), alive[sqrt_n + 1 :]):
+        if not weight[a]:
             continue
         for beta in _roots_mod(a, n, spf, prime_roots):
             if beta > a // 2:

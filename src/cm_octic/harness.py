@@ -237,7 +237,9 @@ def write_scan_json(config: ScanConfig, out: TextIO) -> ScanReport:
     Its header (counts, aggregate, counterexamples) comes first but is known
     only at the end, so the scan's CSV rows are spooled to a temporary file
     as segments finish.  After the header they are read back in batches of
-    about _SEGMENT bytes, each written as items of the certificate list.
+    about _SEGMENT // 16 bytes, each written as items of the certificate
+    list: the indented JSON of a batch takes some 50 times its CSV bytes
+    while it is built, so a batch of _SEGMENT bytes would outweigh the scan.
     """
     import tempfile
 
@@ -250,7 +252,7 @@ def write_scan_json(config: ScanConfig, out: TextIO) -> ScanReport:
             "certificates": [],
         }, indent=2)
         spool.seek(0)
-        batch = spool.readlines(_SEGMENT)
+        batch = spool.readlines(_SEGMENT // 16)
         if batch:
             # head ends in '"certificates": []\n}'; fill that list instead,
             # whose items json.dump indents two levels deep.
@@ -260,7 +262,7 @@ def write_scan_json(config: ScanConfig, out: TextIO) -> ScanReport:
                 certs = [vars(certificate_from_csv_row(row)) for row in batch]
                 out.write(sep + json.dumps(certs, indent=2)[2:-2].replace("\n", "\n  "))
                 sep = ",\n  "
-                batch = spool.readlines(_SEGMENT)
+                batch = spool.readlines(_SEGMENT // 16)
             out.write("\n  ]\n}")
         else:
             out.write(head)

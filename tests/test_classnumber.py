@@ -1,5 +1,8 @@
 """Class number of discriminant -4p by reduced-form counting."""
 
+import random
+from functools import cache
+
 import pytest
 
 from cm_octic import classnumber
@@ -12,14 +15,32 @@ from cm_octic.modular import Prime
 from conftest import box_class_number
 
 
+@cache
+def box_class_numbers_below_20000() -> dict[int, int]:
+    return {p.value: box_class_number(p.value) for p in primes_1_mod_8(0, 20000)}
+
+
 class TestClassNumber:
     @pytest.mark.parametrize("v,h", [(17, 4), (41, 8), (73, 4), (89, 12), (97, 4), (113, 8)])
     def test_examples(self, v, h):
         assert class_number(Prime(v)) == h
 
     def test_matches_box_enumeration_oracle(self):
-        for p in primes_1_mod_8(0, 20000):
-            assert class_number(p) == box_class_number(p.value), p.value
+        for v, h in box_class_numbers_below_20000().items():
+            assert class_number(Prime(v)) == h, v
+
+    @pytest.mark.parametrize("order", ["descending", "shuffled"])
+    def test_tables_serve_any_order(self, order, monkeypatch):
+        # From an empty factor table: descending, the table built for the
+        # largest p serves every smaller one; shuffled, it grows several
+        # times and is reused in between.
+        monkeypatch.setattr(classnumber, "_tables", classnumber._factor_tables(1))
+        expected = box_class_numbers_below_20000()
+        primes = sorted(expected, reverse=True)
+        if order == "shuffled":
+            random.Random(20).shuffle(primes)
+        for v in primes:
+            assert class_number(Prime(v)) == expected[v], v
 
     @pytest.mark.parametrize(
         "v",
@@ -35,9 +56,14 @@ class TestClassNumber:
         # band sqrt(p) < a <= sqrt(4p/3) and needs the named root path.
         assert class_number(Prime(v)) == box_class_number(v)
 
-    @pytest.mark.parametrize("v,h", [(1000033, 360), (10000121, 6000)])
+    @pytest.mark.parametrize(
+        "v,h", [(1000033, 360), (10000121, 6000), (1000000009, 19588), (9999999929, 189356)]
+    )
     def test_large_pinned(self, v, h):
-        # Values of the former O(p) walk; Dirichlet's formula gives 360 at 1000033.
+        # Values of the former O(p) walk (the first two) and of the former
+        # count with one Jacobi symbol per prime a (the last two); Dirichlet's
+        # formula gives 360 at 1000033.  9999999929 is the largest prime
+        # = 1 (mod 8) below 10^10.
         assert class_number(Prime(v)) == h
 
     def test_root_that_is_not_a_root(self, monkeypatch):

@@ -51,6 +51,18 @@ def package_env() -> dict[str, str]:
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
+def traced_scan_peak(hi: int, fmt: str, jobs: int, out: Path) -> int:
+    # The tracemalloc peak of `scan --from 0 --to hi` through the CLI.
+    argv = ["scan", "--from", "0", "--to", str(hi), "--jobs", str(jobs),
+            "--format", fmt, "--out", str(out)]
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def rigged_certificate(**overrides) -> Certificate:
     fields = dict(
         p=17, a=1, b=4, c=3, d=1, chi=-1, n=16, n_mod_32=16,
@@ -670,25 +682,27 @@ class TestCliScan:
     def test_memory_does_not_grow_with_the_window(self, fmt, jobs, tmp_path, monkeypatch):
         # With segments 8192 wide, [0, 2^18) has four times the segments and
         # primes of [0, 2^16), but the parent holds only the segments in
-        # flight, and JSON reads its spool back in batches of about one
-        # segment: its traced peak must stay put.  Holding every certificate
+        # flight, and JSON reads its spool back in batches of a sixteenth of
+        # a segment: its traced peak must stay put.  Holding every certificate
         # until the end took it from 0.46 MB to 1.73 MB at jobs=1.
         monkeypatch.setattr(harness, "_SEGMENT", 1 << 13)
         target = tmp_path / f"scan.{fmt}"
-
-        def traced_peak(hi):
-            argv = ["scan", "--from", "0", "--to", str(hi), "--jobs", str(jobs),
-                    "--format", fmt, "--out", str(target)]
-            tracemalloc.start()
-            try:
-                assert main(argv) == 0
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
-        traced_peak(1 << 16)  # warm-up: the sieve tables and root caches fill
-        small, large = traced_peak(1 << 16), traced_peak(1 << 18)
+        traced_scan_peak(1 << 16, fmt, jobs, target)  # warm-up: the sieve tables and root caches fill
+        small = traced_scan_peak(1 << 16, fmt, jobs, target)
+        large = traced_scan_peak(1 << 18, fmt, jobs, target)
         assert large <= 1.25 * small, (small, large)
+
+    def test_json_memory_matches_csv(self, tmp_path):
+        # The indented JSON of a batch read back from the spool weighs some
+        # 50 times its CSV rows, so at the default segment size the batches
+        # must be small for the JSON path to peak near the scan that the CSV
+        # path runs.  On [0, 3*10^5), batches of a whole segment's bytes
+        # peaked at 14.1 MB against 0.47 MB for CSV; a sixteenth of that
+        # peaks at 1.0 MB.
+        traced_scan_peak(10**4, "csv", 1, tmp_path / "warm.csv")  # the sieve tables and root caches fill
+        csv = traced_scan_peak(3 * 10**5, "csv", 1, tmp_path / "scan.csv")
+        as_json = traced_scan_peak(3 * 10**5, "json", 1, tmp_path / "scan.json")
+        assert as_json <= 3 * csv, (csv, as_json)
 
     @pytest.mark.parametrize(
         "hi, segment, rigged",
