@@ -52,18 +52,13 @@ DEFAULT_CAP = 10_000_000_000
 _DOUBLE = bytes(2 * w % 256 for w in range(256))
 
 
-def _smallest_prime_factors(top: int) -> list[int]:
-    # spf[k] for 2 <= k <= top.  Each q marks its multiples from q^2 on,
-    # largest q first, so the smallest divisor of k, a prime, writes last.
+def _factor_tables(top: int) -> tuple[list[int], bytearray, list[int]]:
+    # spf, weight and the odd primes, for 0 <= a <= top.  For spf each q
+    # marks its multiples from q^2 on, largest q first, so the smallest
+    # divisor of k, a prime, writes last.
     spf = list(range(top + 1))
     for q in range(isqrt(top), 1, -1):
         spf[q * q :: q] = [q] * len(range(q * q, top + 1, q))
-    return spf
-
-
-def _factor_tables(top: int) -> tuple[list[int], bytearray, list[int]]:
-    # spf, weight and the odd primes, for 0 <= a <= top.
-    spf = _smallest_prime_factors(top)
     primes = [q for q in range(3, top + 1, 2) if spf[q] == q]
     weight = bytearray(b"\1") * (top + 1)
     for q in primes:
@@ -126,18 +121,15 @@ def class_number(p: Prime) -> int:
     sqrt_n, top = isqrt(n), isqrt(4 * n // 3)
     spf, weight, primes = _tables_to(top)
     # alive[a] = 0 once an odd prime of a is inert: -n is a non-residue mod q,
-    # (-n)^((q-1)/2) = -1 by Euler's criterion.  No q <= top divides n.  An
-    # inert q above top/2 has no other multiple to clear.
-    alive = bytearray(b"\1") * (top + 1)
-    half = top // 2
+    # (-n)^((q-1)/2) = -1 by Euler's criterion.  No q <= top divides n.  The
+    # zeros come as a bytearray slice, which a bytearray takes without the
+    # copy it makes of a bytes value.
+    alive, zero = bytearray(b"\1") * (top + 1), bytearray(top + 1)
     for q in primes:
         if q > top:
             break
         if pow(-n % q, q >> 1, q) != 1:
-            if q > half:
-                alive[q] = 0
-            else:
-                alive[q::q] = bytes(top // q)
+            alive[q::q] = zero[q::q]
     h = sum(compress(weight[1 : sqrt_n + 1], alive[1 : sqrt_n + 1]))
     prime_roots: dict[int, int] = {}
     for a in compress(range(sqrt_n + 1, top + 1), alive[sqrt_n + 1 :]):

@@ -252,19 +252,14 @@ def write_scan_json(config: ScanConfig, out: TextIO) -> ScanReport:
             "certificates": [],
         }, indent=2)
         spool.seek(0)
-        batch = spool.readlines(_SEGMENT // 16)
-        if batch:
-            # head ends in '"certificates": []\n}'; fill that list instead,
-            # whose items json.dump indents two levels deep.
-            out.write(head[: -len("]\n}")])
-            sep = "\n  "
-            while batch:
-                certs = [vars(certificate_from_csv_row(row)) for row in batch]
-                out.write(sep + json.dumps(certs, indent=2)[2:-2].replace("\n", "\n  "))
-                sep = ",\n  "
-                batch = spool.readlines(_SEGMENT // 16)
-            out.write("\n  ]\n}")
-        else:
-            out.write(head)
+        # head ends in '"certificates": []\n}'; fill that list instead, whose
+        # items json.dump indents two levels deep.
+        out.write(head[: -len("]\n}")])
+        sep, close = "\n  ", "]\n}"
+        for batch in iter(lambda: spool.readlines(_SEGMENT // 16), []):
+            certs = [vars(certificate_from_csv_row(row)) for row in batch]
+            out.write(sep + json.dumps(certs, indent=2)[2:-2].replace("\n", "\n  "))
+            sep, close = ",\n  ", "\n  ]\n}"
+        out.write(close)
     out.write("\n")
     return report
