@@ -197,7 +197,6 @@ def proof_trace(p: Prime, seed: int = 0) -> ProofTrace:
     n = p.value
     if n % 8 != 1:
         raise ValueError(f"proof_trace expects p = 1 (mod 8), got {n}")
-    # Plain residues throughout; only find_point_of_order returns a Point.
     i, s = _i_and_sqrt2(n)
     chi = _chi(n, s)
     chi_conjugate = _euler((1 - s) % n, n)
@@ -237,11 +236,10 @@ def proof_trace(p: Prime, seed: int = 0) -> ProofTrace:
     landed_sq: bool | None = None
     order8_ok = True
     if applicable:
-        P = find_point_of_order(p, seed=seed)
-        if P is None:
+        order8_point = find_point_of_order(p, seed=seed)
+        if order8_point is None:
             order8_ok = False  # 32 | n guarantees one; counterexample if missing
         else:
-            order8_point = (P.x.residue, P.y.residue)
             Q1 = _eta_int(order8_point, n, i)
             Q2 = _eta_int(Q1, n, i)
             x1 = None if Q1 is None else Q1[0]

@@ -7,10 +7,10 @@ of its iterated kernels, and order bookkeeping via (a-1)^2 + b^2.
 
 The group law is one integer core on plain residues (_add_int,
 _scalar_mul_int), and group-law results are checked on the curve there.
-add and scalar_mul wrap it for Point operands.  eta, its preimages and the
-point sampler have integer cores too (_eta_int, _eta_preimages_int,
-_random_point_int); the Point functions wrap them, so FieldElement and
-Point objects appear only at the public API boundary.
+eta, its preimages, the point sampler and the order-8 search run on it too
+(_eta_int, _eta_preimages_int, _random_point_int, find_point_of_order).
+The Point functions wrap these cores for the selftest and the tests, so
+check, trace and scan build no Point.
 """
 
 from __future__ import annotations
@@ -324,8 +324,8 @@ def random_point(p: Prime, seed: int) -> Point:
     return _from_residues(_random_point_int(seed, p.value), p)
 
 
-def find_point_of_order(p: Prime, seed: int = 0) -> Point | None:
-    """A point of exact order 8, or None if the samples find none.
+def find_point_of_order(p: Prime, seed: int = 0) -> tuple[int, int] | None:
+    """Residues (x, y) of a point of exact order 8, or None if the samples find none.
 
     32 | #E(F_p) is required.  For p = 1 (mod 4), E(F_p) is isomorphic to
     Z[i]/(pi - 1), whose 2-part is Z/2^ceil(k/2) x Z/2^floor(k/2) with
@@ -355,8 +355,8 @@ def find_point_of_order(p: Prime, seed: int = 0) -> Point | None:
             chain.append(R)
             R = _add_int(R, R, m)
         if len(chain) >= 3:  # S has order 2^len(chain) >= 8
-            T = point(p, *chain[-3])
-            if not scalar_mul(8, T).is_infinity or scalar_mul(4, T).is_infinity:
+            T = chain[-3]
+            if _scalar_mul_int(8, T, m) is not None or _scalar_mul_int(4, T, m) is None:
                 raise InvariantViolation(
                     f"{2 ** (len(chain) - 3)} * S has no exact order 8 mod {m}, "
                     f"though S has order {2 ** len(chain)}"

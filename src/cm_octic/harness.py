@@ -6,8 +6,6 @@ emitted CSV/JSON bytes are identical regardless of worker count, because
 the per-prime work is pure and results are joined in segment order.
 Each segment comes back as its CSV text and its totals, and is written as
 soon as it arrives, so no scan holds every certificate at once.
-Wall-clock timing lives only on the ScanReport, never in the serialized
-output.
 """
 
 from __future__ import annotations
@@ -16,7 +14,6 @@ import contextlib
 import json
 import multiprocessing
 import os
-import time
 from array import array
 from collections import Counter, deque
 from dataclasses import dataclass, field
@@ -37,6 +34,9 @@ _SEGMENT = 1 << 18
 _PRESIEVE = 92682
 
 CSV_HEADER = "p,a,b,c,d,chi,n,n_mod_32,d_parity,h,h_mod_8,thm1,thm2,corollary"
+# Every certificate value is a scalar, so this item separator alone lays a
+# certificate out as json.dump(indent=2) does two levels deep.
+_CERT_JSON = json.JSONEncoder(separators=(",\n      ", ": "))
 
 
 @dataclass(frozen=True)
@@ -67,7 +67,6 @@ class ScanReport:
 
     primes_checked: int = 0
     counterexamples: list[Certificate] = field(default_factory=list)
-    timing: float = 0.0
     aggregate: dict[str, int] = field(
         default_factory=lambda: dict.fromkeys(("chi_plus_1", "chi_minus_1", "d_even", "d_odd"), 0))
     # (chi, h mod 8) -> primes, over the certificates that carry a class number.
@@ -180,7 +179,6 @@ def scan(config: ScanConfig, write: Callable[[str], object]) -> ScanReport:
     segment is checked, and only the totals are kept: memory is bounded by
     the segments in flight, not by the window.
     """
-    t0 = time.perf_counter()
     lo, hi, jobs = config.lo, config.hi, config.jobs
     # About four segments per worker, each at most one sieve segment long.
     step = min(_SEGMENT, -(-(hi - lo) // (4 * jobs)))
@@ -200,7 +198,6 @@ def scan(config: ScanConfig, write: Callable[[str], object]) -> ScanReport:
         for text, part in parts:
             write(text)
             report.add(part)
-    report.timing = time.perf_counter() - t0
     return report
 
 
@@ -236,10 +233,8 @@ def write_scan_json(config: ScanConfig, out: TextIO) -> ScanReport:
 
     Its header (counts, aggregate, counterexamples) comes first but is known
     only at the end, so the scan's CSV rows are spooled to a temporary file
-    as segments finish.  After the header they are read back in batches of
-    about _SEGMENT // 16 bytes, each written as items of the certificate
-    list: the indented JSON of a batch takes some 50 times its CSV bytes
-    while it is built, so a batch of _SEGMENT bytes would outweigh the scan.
+    as segments finish.  After the header they are read back one at a time,
+    each written as an item of the certificate list.
     """
     import tempfile
 
@@ -255,11 +250,11 @@ def write_scan_json(config: ScanConfig, out: TextIO) -> ScanReport:
         # head ends in '"certificates": []\n}'; fill that list instead, whose
         # items json.dump indents two levels deep.
         out.write(head[: -len("]\n}")])
-        sep, close = "\n  ", "]\n}"
-        for batch in iter(lambda: spool.readlines(_SEGMENT // 16), []):
-            certs = [vars(certificate_from_csv_row(row)) for row in batch]
-            out.write(sep + json.dumps(certs, indent=2)[2:-2].replace("\n", "\n  "))
-            sep, close = ",\n  ", "\n  ]\n}"
+        sep, close = "\n", "]\n}"
+        for row in spool:
+            body = _CERT_JSON.encode(vars(certificate_from_csv_row(row)))[1:-1]
+            out.write(f"{sep}    {{\n      {body}\n    }}")
+            sep, close = ",\n", "\n  ]\n}"
         out.write(close)
     out.write("\n")
     return report

@@ -6,8 +6,9 @@ happily go further.
 
 For p = 1 (mod 8) the package gets i and sqrt(2) from _i_and_sqrt2: one
 power of the least non-residue z yields both, each squared back before
-use.  The scan path takes the plain integers; canonical_sqrt2 wraps its
-sqrt(2) as a field element for the curve layer and the proof traces.
+use.  The scan and the proof traces take the plain integers; canonical_sqrt2
+wraps its sqrt(2) as a field element for the public wrappers
+(chi_one_plus_sqrt2, eight_decomposition, eta_level_sets).
 canonical_i takes i straight from z^((p-1)/4), the same value for
 p = 1 (mod 8) and the only one defined for p = 5 (mod 8).
 sqrt_mod, its integer form _roots_int and their core _sqrt_residue

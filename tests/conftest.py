@@ -164,8 +164,10 @@ def field_eta_preimages_oracle(Q: Point) -> frozenset[Point]:
 def field_proof_trace_oracle(p: Prime, seed: int = 0) -> ProofTrace:
     """proof_trace with its fibers and eta-orbit in FieldElement arithmetic.
 
-    Independent of the package's trace, which runs on plain residues; the
-    order-8 point comes from the same find_point_of_order.
+    Independent of the package's trace, which runs on plain residues.  The
+    order-8 residues come from the same find_point_of_order, but their point
+    is rebuilt with affine and its exact order judged by
+    field_scalar_mul_oracle.
     """
     chi = chi_one_plus_sqrt2(p)
     s = canonical_sqrt2(p)
@@ -198,13 +200,16 @@ def field_proof_trace_oracle(p: Prime, seed: int = 0) -> ProofTrace:
     landed_sq: bool | None = None
     order8_ok = True
     if applicable:
-        P = find_point_of_order(p, seed=seed)
-        if P is None:
+        order8_point = find_point_of_order(p, seed=seed)
+        if order8_point is None:
             order8_ok = False
         else:
+            P = affine(*(element(p, r) for r in order8_point))
+            if (not field_scalar_mul_oracle(8, P).is_infinity
+                    or field_scalar_mul_oracle(4, P).is_infinity):
+                raise AssertionError(f"{order8_point} has no exact order 8 mod {p.value}")
             Q1 = field_eta_oracle(P)
             Q2 = field_eta_oracle(Q1)
-            order8_point = (P.x.residue, P.y.residue)
             x1 = None if Q1.is_infinity else Q1.x.residue
             x2 = None if Q2.is_infinity else Q2.x.residue
             orbit_x = (x1, x2)

@@ -319,9 +319,10 @@ class TestProofTrace:
     def test_failed_order_check_is_an_invariant_violation(self, monkeypatch, capsys):
         # The scaled sample has order 8 by construction; if the check on it
         # fails, the group law is broken, which is not a counterexample.
-        real = curve.scalar_mul
-        monkeypatch.setattr(curve, "scalar_mul",
-                            lambda n, P: curve.INFINITY if n == 4 else real(n, P))
+        # The sampler's odd-part multiplier is never 4, so only the check sees this.
+        real = curve._scalar_mul_int
+        monkeypatch.setattr(curve, "_scalar_mul_int",
+                            lambda k, P, n: None if k == 4 else real(k, P, n))
         assert main(["check", "41", "--trace"]) == 3
         assert "no exact order 8 mod 41" in capsys.readouterr().err
 

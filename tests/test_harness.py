@@ -6,6 +6,7 @@ import io
 import json
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 import time
@@ -456,11 +457,29 @@ class TestCliTrace:
     def test_failed_order_check_is_an_invariant_violation(self, monkeypatch, capsys):
         from cm_octic import curve
 
-        real = curve.scalar_mul
-        monkeypatch.setattr(curve, "scalar_mul",
-                            lambda n, P: curve.INFINITY if n == 4 else real(n, P))
+        # The sampler's odd-part multiplier is never 4, so only the check sees this.
+        real = curve._scalar_mul_int
+        monkeypatch.setattr(curve, "_scalar_mul_int",
+                            lambda k, P, n: None if k == 4 else real(k, P, n))
         assert main(["trace", "41"]) == 3
         assert "no exact order 8 mod 41" in capsys.readouterr().err
+
+    def test_commands_build_no_point(self, monkeypatch, capsys):
+        # The commands run on plain residues: a Point that cannot be built
+        # stops none of them.
+        from cm_octic import curve
+
+        class NoPoint:
+            def __init__(self, *args):
+                raise AssertionError("a command built a Point")
+
+        monkeypatch.setattr(curve, "Point", NoPoint)
+        for argv in (["check", "41"], ["check", "41", "--trace"],
+                     ["check", "2305843009213694257", "--trace"], ["trace", "41"],
+                     ["scan", "--from", "0", "--to", "2000"],
+                     ["scan", "--from", "0", "--to", "2000", "--format", "json"]):
+            assert main(argv) == 0, argv
+        assert "order-8 point: (" in capsys.readouterr().out
 
     def test_doubling_that_never_reaches_o_is_an_invariant_violation(self):
         # A doubling that fixes every point never reaches O; the order count stops
@@ -514,6 +533,19 @@ class TestCliScan:
         assert main(["scan", "--from", "0", "--to", "100", "--out", str(target)]) == 0
         assert capsys.readouterr().out == ""
         assert target.read_text().splitlines()[0] == CSV_HEADER
+
+    def test_time_covers_the_write(self, monkeypatch, capsys):
+        # The figure on stderr is the whole command's, JSON render included.
+        from cm_octic import cli
+
+        def slow_write(config, out):
+            time.sleep(0.3)
+            return write_scan_json(config, out)
+
+        monkeypatch.setattr(cli, "write_scan_json", slow_write)
+        assert main(["scan", "--from", "0", "--to", "100", "--format", "json"]) == 0
+        err = capsys.readouterr().err
+        assert float(re.search(r" in ([0-9.]+)s;", err).group(1)) >= 0.3, err
 
     def test_bad_range(self, capsys):
         assert main(["scan", "--from", "100", "--to", "50"]) == 1
@@ -682,9 +714,9 @@ class TestCliScan:
     def test_memory_does_not_grow_with_the_window(self, fmt, jobs, tmp_path, monkeypatch):
         # With segments 8192 wide, [0, 2^18) has four times the segments and
         # primes of [0, 2^16), but the parent holds only the segments in
-        # flight, and JSON reads its spool back in batches of a sixteenth of
-        # a segment: its traced peak must stay put.  Holding every certificate
-        # until the end took it from 0.46 MB to 1.73 MB at jobs=1.
+        # flight, and JSON reads its spool back one row at a time: its
+        # traced peak must stay put.  Holding every certificate until the
+        # end took it from 0.46 MB to 1.73 MB at jobs=1.
         monkeypatch.setattr(harness, "_SEGMENT", 1 << 13)
         target = tmp_path / f"scan.{fmt}"
         traced_scan_peak(1 << 16, fmt, jobs, target)  # warm-up: the sieve tables and root caches fill
@@ -693,12 +725,11 @@ class TestCliScan:
         assert large <= 1.25 * small, (small, large)
 
     def test_json_memory_matches_csv(self, tmp_path):
-        # The indented JSON of a batch read back from the spool weighs some
-        # 50 times its CSV rows, so at the default segment size the batches
-        # must be small for the JSON path to peak near the scan that the CSV
-        # path runs.  On [0, 3*10^5), batches of a whole segment's bytes
-        # peaked at 14.1 MB against 0.47 MB for CSV; a sixteenth of that
-        # peaks at 1.0 MB.
+        # The indented JSON of rows read back from the spool weighs some 50
+        # times their CSV bytes, so JSON renders one row at a time to peak
+        # near the scan that the CSV path runs.  On [0, 3*10^5), reading back
+        # a whole segment's bytes at once peaked at 14.1 MB against 0.47 MB
+        # for CSV; one row at a time peaks at 0.48 MB.
         traced_scan_peak(10**4, "csv", 1, tmp_path / "warm.csv")  # the sieve tables and root caches fill
         csv = traced_scan_peak(3 * 10**5, "csv", 1, tmp_path / "scan.csv")
         as_json = traced_scan_peak(3 * 10**5, "json", 1, tmp_path / "scan.json")
@@ -711,8 +742,8 @@ class TestCliScan:
     )
     def test_json_bytes(self, hi, segment, rigged, monkeypatch):
         # The document is the bytes json.dump(indent=2) writes for it, at
-        # either job count: with no certificates, with more rows than one
-        # batch read back from the spool, and with counterexamples in the
+        # either job count: with no certificates, with the rows of many
+        # segments read back from the spool, and with counterexamples in the
         # header.
         if segment:
             monkeypatch.setattr(harness, "_SEGMENT", segment)
@@ -736,7 +767,7 @@ class TestCliScan:
         assert doc["certificates"] == [vars(c) for c in certificates]
         assert doc["counterexamples"] == (doc["certificates"] if rigged else [])
         assert doc["primes_checked"] == report.primes_checked == len(certificates)
-        if segment:  # the spooled rows fill more than four batches
+        if segment:  # the spooled rows fill more than four segments
             assert sum(len(certificate_csv_row(c)) + 1 for c in certificates) > 4 * segment
         else:
             assert len(certificates) == (5 if rigged else 0)
