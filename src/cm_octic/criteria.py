@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .classnumber import class_number
-from .curve import _eta_int, _eta_preimages_int, find_point_of_order
+from .curve import _eta_int, eta_preimages, find_point_of_order
 from .decompose import _curve_order, _eight_decomposition, _two_squares
 from .errors import InvariantViolation
 from .modular import FieldElement, Prime, _i_and_sqrt2, _jacobi, _roots_int, canonical_sqrt2
@@ -213,7 +213,7 @@ def proof_trace(p: Prime, seed: int = 0) -> ProofTrace:
         counts: list[int] = []
         if roots is not None:
             for yr in sorted(set(roots)):
-                cnt = len(_eta_preimages_int((xr, yr), n, i))
+                cnt = len(eta_preimages((xr, yr), n, i))
                 pts.append((xr, yr))
                 counts.append(cnt)
                 if chi == 1:

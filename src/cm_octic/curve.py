@@ -5,17 +5,14 @@ degree-2 endomorphism eta = 1 + i, P -> P + [i]P, has kernel {O, (0,0)} and
 drives everything here: preimage computations, the x-coordinate level sets
 of its iterated kernels, and order bookkeeping via (a-1)^2 + b^2.
 
-The group law is one integer core on plain residues (_add_int,
-_scalar_mul_int), and group-law results are checked on the curve there.
-eta, its preimages, the point sampler and the order-8 search run on it too
-(_eta_int, _eta_preimages_int, _random_point_int, find_point_of_order).
-The Point functions wrap these cores for the selftest and the tests, so
-check, trace and scan build no Point.
+Points are plain residues: (x, y) mod p, or None for the identity O.  The
+group law is one integer core (_add_int, _scalar_mul_int) that checks
+every result on the curve.  eta, its preimages, the point sampler and the
+order-8 search run on it (_eta_int, eta_preimages, _random_point_int,
+find_point_of_order), and so do the selftest and proof_trace.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .decompose import _curve_order, two_squares
 from .errors import InvariantViolation
@@ -25,52 +22,6 @@ _SAMPLE_RETRIES = 64
 
 # An affine point as its residues (x, y) mod p, or None for the identity O.
 _Affine = tuple[int, int] | None
-
-
-@dataclass(frozen=True)
-class Point:
-    """A point of E(F_p): affine coordinates, or (None, None) for the identity.
-
-    Build affine points through affine()/point() so the curve equation is
-    checked at construction.  Group-law results are checked on the curve in
-    the integer core, which raises InvariantViolation for one that is off it.
-    """
-
-    x: FieldElement | None
-    y: FieldElement | None
-
-    @property
-    def is_infinity(self) -> bool:
-        return self.x is None
-
-
-INFINITY = Point(None, None)
-
-
-def affine(x: FieldElement, y: FieldElement) -> Point:
-    if x.modulus != y.modulus:  # explicit, so python -O keeps the guard
-        raise AssertionError("coordinates from different prime fields")
-    if y * y != x * x * x - x:
-        raise ValueError(
-            f"({x.residue}, {y.residue}) is not on y^2 = x^3 - x over F_{x.modulus.value}"
-        )
-    return Point(x, y)
-
-
-def point(p: Prime, x: int, y: int) -> Point:
-    """Affine point from integer coordinates, reduced mod p and checked."""
-    return affine(element(p, x), element(p, y))
-
-
-def kernel(p: Prime) -> frozenset[Point]:
-    """ker(eta) = {O, (0,0)}."""
-    return frozenset({INFINITY, point(p, 0, 0)})
-
-
-def negate(P: Point) -> Point:
-    if P.is_infinity:
-        return P
-    return Point(P.x, -P.y)
 
 
 def _add_int(P: _Affine, Q: _Affine, n: int) -> _Affine:
@@ -168,10 +119,12 @@ def _eta_int(P: _Affine, n: int, i: int) -> _Affine:
     return _add_int(P, (-P[0] % n, i * P[1] % n), n)
 
 
-def _eta_preimages_int(Q: tuple[int, int], n: int, i: int) -> frozenset[tuple[int, int]]:
-    """All affine P with eta(P) = Q on residues mod n; i is a root of -1.
+def eta_preimages(Q: tuple[int, int], n: int, i: int) -> frozenset[tuple[int, int]]:
+    """All P with eta(P) = Q for an affine Q on residues mod n; i is a root of -1.
 
-    A non-square x0 = x(Q) has none.  Otherwise the candidate x solve
+    The set is nonempty exactly when x0 = x(Q) is a square mod n (0
+    included), and then it holds two points differing by (0,0); the fiber
+    over O is {O, (0,0)}.  For a square x0 the candidate x solve
     x^2 - 2i*x0*x - 1 = 0, i.e. x = i*x0 +- sqrt(1 - x0^2), and 1 - x0^2
     must be a square: a non-residue raises InvariantViolation.  Every root
     taken is squared back, so each candidate is on the curve, and each one
@@ -195,92 +148,6 @@ def _eta_preimages_int(Q: tuple[int, int], n: int, i: int) -> frozenset[tuple[in
             if _eta_int((x, y), n, i) == Q:
                 found.add((x, y))
     return frozenset(found)
-
-
-def _residues(P: Point) -> _Affine:
-    return None if P.is_infinity else (P.x.residue, P.y.residue)
-
-
-def _from_residues(R: _Affine, p: Prime) -> Point:
-    # R comes from the integer core, which has checked it on the curve.
-    if R is None:
-        return INFINITY
-    return Point(FieldElement(R[0], p), FieldElement(R[1], p))
-
-
-def add(P: Point, Q: Point) -> Point:
-    """Chord-and-tangent addition."""
-    if P.is_infinity:
-        return Q
-    if Q.is_infinity:
-        return P
-    if P.x.modulus != Q.x.modulus:  # explicit, so python -O keeps the guard
-        raise AssertionError("points on curves over different fields")
-    p = P.x.modulus
-    return _from_residues(_add_int(_residues(P), _residues(Q), p.value), p)
-
-
-def scalar_mul(n: int, P: Point) -> Point:
-    """n*P by double-and-add; n may be negative."""
-    if P.is_infinity:
-        return INFINITY
-    p = P.x.modulus
-    return _from_residues(_scalar_mul_int(n, _residues(P), p.value), p)
-
-
-def i_action(P: Point) -> Point:
-    """The automorphism [i]: (x, y) -> (-x, i*y); fixes O and (0,0)."""
-    if P.is_infinity:
-        return P
-    i = canonical_i(P.x.modulus)
-    return affine(-P.x, i * P.y)
-
-
-def eta_apply(P: Point) -> Point:
-    """eta(P) = P + [i]P, the degree-2 endomorphism 1 + i."""
-    if P.is_infinity:
-        return P
-    p = P.x.modulus
-    return _from_residues(_eta_int(_residues(P), p.value, canonical_i(p).residue), p)
-
-
-def eta_x_via_slope(P: Point) -> FieldElement:
-    """x(eta(P)) as the square of the chord slope: ((1-i) y / (2x))^2.
-
-    Requires an affine P with x != 0; exposes why x(eta(P)) is always a
-    square (or 0).
-    """
-    i = canonical_i(P.x.modulus)
-    t = (1 - i) * P.y / (P.x * 2)
-    return t * t
-
-
-def eta_x_via_rational_map(P: Point) -> FieldElement:
-    """x(eta(P)) in rational-map form: (x^2 - 1) / (2 i x); x != 0 required."""
-    i = canonical_i(P.x.modulus)
-    return (P.x * P.x - 1) / (i * P.x * 2)
-
-
-def eta_y_via_slope(P: Point, x0: FieldElement) -> FieldElement:
-    """y(eta(P)) = ((1-i) y / (2x)) (x - x0) - y, where x0 = x(eta(P))."""
-    i = canonical_i(P.x.modulus)
-    return (1 - i) * P.y / (P.x * 2) * (P.x - x0) - P.y
-
-
-def eta_preimages(Q: Point, p: Prime | None = None) -> frozenset[Point]:
-    """All P in E(F_p) with eta(P) = Q.
-
-    For affine Q the set is nonempty exactly when x(Q) is a square mod p
-    (0 included); when nonempty it has two elements differing by the
-    kernel point (0,0).  Pass p explicitly when Q is the identity.
-    """
-    if Q.is_infinity:
-        if p is None:
-            raise ValueError("p is required to list the preimages of the identity")
-        return kernel(p)
-    p = Q.x.modulus
-    found = _eta_preimages_int(_residues(Q), p.value, canonical_i(p).residue)
-    return frozenset(_from_residues(P, p) for P in found)
 
 
 def eta_level_sets(p: Prime) -> tuple[frozenset[FieldElement], ...]:
@@ -316,12 +183,6 @@ def _random_point_int(seed: int, n: int) -> tuple[int, int]:
         if ys is not None:
             return x, ys[0]
         x = (x + 1) % n
-
-
-def random_point(p: Prime, seed: int) -> Point:
-    """Deterministic point sampler: walk x = seed, seed+1, ... until x^3 - x
-    is a square, then take the canonical (smaller) y."""
-    return _from_residues(_random_point_int(seed, p.value), p)
 
 
 def find_point_of_order(p: Prime, seed: int = 0) -> tuple[int, int] | None:

@@ -7,8 +7,10 @@ a lattice of pairs (every third point against every fifth) at 73 to 113.
 Checks mirror the package's contract: symbol/sqrt consistency, canonical
 roots, the eta endomorphism identities, point counts against the CM order
 formula, decomposition oracles, and the criteria themselves with class
-numbers on a small range.  The tier-1 tests call these same checks, so the
-command and the tests certify one thing.
+numbers on a small range.  The eta identities run on the integer group
+law, eta and eta-preimages that proof_trace runs, with points as residue
+pairs (x, y) and None for the identity.  The tier-1 tests call these same
+checks, so the command and the tests certify one thing.
 
 The expected values come from the naive oracles below (trial division,
 exhaustive squaring, a double-loop point enumeration, a table point count,
@@ -26,21 +28,7 @@ from math import gcd, isqrt
 from typing import Callable
 
 from .criteria import Certificate, check_prime
-from .curve import (
-    INFINITY,
-    Point,
-    add,
-    curve_order,
-    eta_apply,
-    eta_preimages,
-    eta_x_via_rational_map,
-    eta_x_via_slope,
-    eta_y_via_slope,
-    i_action,
-    negate,
-    point,
-    scalar_mul,
-)
+from .curve import _add_int, _eta_int, _scalar_mul_int, curve_order, eta_preimages
 from .decompose import eight_decomposition, two_squares
 from .errors import InvariantViolation
 from .modular import Prime, canonical_i, canonical_sqrt2, element, jacobi, sqrt_mod
@@ -64,15 +52,16 @@ def squares_mod(p: int) -> set[int]:
     return {x * x % p for x in range(1, p)}
 
 
-def curve_points_oracle(p: Prime) -> list[Point]:
-    """Every point of y^2 = x^3 - x over F_p by a double loop, identity first."""
+def curve_points_oracle(p: Prime) -> list[tuple[int, int] | None]:
+    """Every point of y^2 = x^3 - x over F_p by a double loop: None for the
+    identity first, then the residue pairs (x, y)."""
     v = p.value
-    pts = [INFINITY]
+    pts: list[tuple[int, int] | None] = [None]
     for x in range(v):
         rhs = (x * x * x - x) % v
         for y in range(v):
             if y * y % v == rhs:
-                pts.append(point(p, x, y))
+                pts.append((x, y))
     return pts
 
 
@@ -171,7 +160,8 @@ def check_canonical_roots() -> str:
 
 
 def check_eta_suite() -> str:
-    """The eta contract over every point of E(F_p), p in ETA_PRIMES.
+    """The eta contract over every point of E(F_p), p in ETA_PRIMES, on the
+    integer core that proof_trace runs.
 
     Additivity is checked on all pairs of points for p <= 41, and on the
     pairs (every third point, every fifth point), about 1/15 of them, for
@@ -179,47 +169,48 @@ def check_eta_suite() -> str:
     """
     for v in ETA_PRIMES:
         p = Prime(v)
+        i = canonical_i(p).residue
         pts = curve_points_oracle(p)
         squares = squares_mod(v) | {0}
-        torsion = point(p, 0, 0)
-        ker = {INFINITY, torsion}
+        torsion = (0, 0)
         _require(len(pts) == curve_order(p), "point count != curve_order", v)
-        images = [eta_apply(P) for P in pts]
-        _require({P for P, Q in zip(pts, images) if Q.is_infinity} == ker,
+        images = [_eta_int(P, v, i) for P in pts]
+        _require({P for P, Q in zip(pts, images) if Q is None} == {None, torsion},
                  "computed kernel wrong", v)
         for P, Q in zip(pts, images):
-            _require(i_action(i_action(P)) == negate(P), "[i]^2 != -1", v, P)
-            _require(eta_apply(Q) == scalar_mul(2, i_action(P)), "eta^2 != [2][i]", v, P)
-            if not P.is_infinity and P.x.residue != 0:
-                x0 = eta_x_via_slope(P)
-                _require(x0 == eta_x_via_rational_map(P) == Q.x,
+            i_P = None if P is None else (-P[0] % v, i * P[1] % v)
+            _require(_eta_int(Q, v, i) == _scalar_mul_int(2, i_P, v), "eta^2 != [2][i]", v, P)
+            if P is not None and P[0] != 0:
+                x, y = P
+                t = (1 - i) * y * pow(2 * x, -1, v) % v  # the chord slope of P + [i]P
+                x0 = t * t % v
+                _require(x0 == (x * x - 1) * pow(2 * i * x, -1, v) % v == Q[0],
                          "closed forms disagree", v, P)
-                _require(eta_y_via_slope(P, x0) == Q.y, "y formula disagrees", v, P)
-                _require(x0.residue in squares, "x(eta P) not a square", v, P)
+                _require((t * (x - x0) - y) % v == Q[1], "y formula disagrees", v, P)
+                _require(x0 in squares, "x(eta P) not a square", v, P)
         # eta is a homomorphism.
         step_j, step_k = (1, 1) if v <= 41 else (3, 5)
         for j in range(0, len(pts), step_j):
             for k in range(0, len(pts), step_k):
-                _require(eta_apply(add(pts[j], pts[k])) == add(images[j], images[k]),
+                _require(_eta_int(_add_int(pts[j], pts[k], v), v, i)
+                         == _add_int(images[j], images[k], v),
                          "eta not additive", v, pts[j], pts[k])
-        # Preimage criterion, fiber sizes, and the fiber partition.
-        _require(eta_preimages(INFINITY, p) == ker, "identity fiber wrong", v)
-        _require(eta_preimages(torsion) == {point(p, 1, 0), point(p, -1, 0)},
+        # Preimage criterion, fiber sizes, and the fiber partition.  The
+        # fiber over O is the kernel checked above.
+        _require(eta_preimages(torsion, v, i) == {(1, 0), (v - 1, 0)},
                  "fiber over (0,0) wrong", v)
-        total = 0
-        for Q in pts:
-            pre = eta_preimages(Q, p)
+        total = 2
+        for Q in pts[1:]:
+            pre = eta_preimages(Q, v, i)
             total += len(pre)
             for P in pre:
-                _require(eta_apply(P) == Q, "preimage does not map back", v, Q)
-            if Q.is_infinity:
-                continue
-            _require((len(pre) > 0) == (Q.x.residue in squares),
+                _require(_eta_int(P, v, i) == Q, "preimage does not map back", v, Q)
+            _require((len(pre) > 0) == (Q[0] in squares),
                      "square preimage criterion fails", v, Q)
             _require(len(pre) in (0, 2), "fiber size not 0 or 2", v, Q)
             if len(pre) == 2:
                 A, B = pre
-                _require(add(A, torsion) == B, "fiber not a kernel coset", v, Q)
+                _require(_add_int(A, torsion, v) == B, "fiber not a kernel coset", v, Q)
         _require(total == len(pts), "fibers do not partition E(F_p)", v)
     return f"1+i suite on p in {ETA_PRIMES}, additivity on all pairs for p <= 41"
 

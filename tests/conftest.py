@@ -21,18 +21,17 @@ from cm_octic.criteria import (
     chi_one_plus_sqrt2,
     euler_symbol,
 )
-from cm_octic.curve import (
-    INFINITY,
-    Point,
-    affine,
-    curve_order,
-    eta_level_sets,
-    find_point_of_order,
-    i_action,
-    negate,
-)
+from cm_octic.curve import curve_order, eta_level_sets, find_point_of_order
 from cm_octic.harness import ScanConfig, ScanReport, certificate_from_csv_row, write_scan_csv
-from cm_octic.modular import Prime, canonical_i, canonical_sqrt2, element, jacobi, sqrt_mod
+from cm_octic.modular import (
+    FieldElement,
+    Prime,
+    canonical_i,
+    canonical_sqrt2,
+    element,
+    jacobi,
+    sqrt_mod,
+)
 from cm_octic.selftest import (  # noqa: F401  (re-exported to the tests)
     box_class_number,
     curve_points_oracle,
@@ -92,35 +91,58 @@ def sprp_prime_bases(n: int) -> bool:
     return True
 
 
-def field_add_oracle(P: Point, Q: Point) -> Point:
+# A point of E(F_p) in the FieldElement oracle: (x, y), or None for O.
+FieldPoint = tuple[FieldElement, FieldElement] | None
+
+
+def field_affine(x: FieldElement, y: FieldElement) -> tuple[FieldElement, FieldElement]:
+    """The affine point (x, y), checked on y^2 = x^3 - x."""
+    if y * y != x * x * x - x:
+        raise ValueError(
+            f"({x.residue}, {y.residue}) is not on y^2 = x^3 - x over F_{x.modulus.value}"
+        )
+    return x, y
+
+
+def field_point(p: Prime, x: int, y: int) -> tuple[FieldElement, FieldElement]:
+    """The affine point (x mod p, y mod p), checked on the curve."""
+    return field_affine(element(p, x), element(p, y))
+
+
+def residues(P: FieldPoint) -> tuple[int, int] | None:
+    """An oracle point as the package's residue pair, None for O."""
+    return None if P is None else (P[0].residue, P[1].residue)
+
+
+def field_add_oracle(P: FieldPoint, Q: FieldPoint) -> FieldPoint:
     """Chord-and-tangent addition in FieldElement arithmetic.
 
     Independent of the package's group law, which runs on plain integers.
     """
-    if P.is_infinity:
+    if P is None:
         return Q
-    if Q.is_infinity:
+    if Q is None:
         return P
-    if P.x.modulus != Q.x.modulus:  # explicit, so python -O keeps the guard
+    x1, y1 = P
+    x2, y2 = Q
+    if x1.modulus != x2.modulus:  # explicit, so python -O keeps the guard
         raise AssertionError("points on curves over different fields")
-    x1, y1 = P.x, P.y
-    x2, y2 = Q.x, Q.y
     if x1 == x2:
         if y1 != y2 or y1.residue == 0:
-            return INFINITY
+            return None
         s = (x1 * x1 * 3 - 1) / (y1 * 2)
     else:
         s = (y2 - y1) / (x2 - x1)
     x3 = s * s - x1 - x2
     y3 = s * (x1 - x3) - y1
-    return affine(x3, y3)
+    return field_affine(x3, y3)
 
 
-def field_scalar_mul_oracle(n: int, P: Point) -> Point:
+def field_scalar_mul_oracle(n: int, P: FieldPoint) -> FieldPoint:
     """n*P by double-and-add over field_add_oracle; n may be negative."""
     if n < 0:
-        n, P = -n, negate(P)
-    R = INFINITY
+        n, P = -n, None if P is None else (P[0], -P[1])
+    R = None
     while n:
         if n & 1:
             R = field_add_oracle(R, P)
@@ -129,33 +151,36 @@ def field_scalar_mul_oracle(n: int, P: Point) -> Point:
     return R
 
 
-def field_eta_oracle(P: Point) -> Point:
-    """eta(P) = P + [i]P over field_add_oracle."""
-    return field_add_oracle(P, i_action(P))
+def field_eta_oracle(P: FieldPoint) -> FieldPoint:
+    """eta(P) = P + [i]P over field_add_oracle, where [i](x, y) = (-x, i*y)."""
+    if P is None:
+        return None
+    x, y = P
+    return field_add_oracle(P, field_affine(-x, canonical_i(x.modulus) * y))
 
 
-def field_eta_preimages_oracle(Q: Point) -> frozenset[Point]:
+def field_eta_preimages_oracle(Q: tuple[FieldElement, FieldElement]) -> frozenset[FieldPoint]:
     """The P with eta(P) = Q for an affine Q, in FieldElement arithmetic.
 
     The candidate x solve x^2 - 2i*x0*x - 1 = 0, i.e.
     x = i*x0 +- sqrt(1 - x0^2); each is kept when eta maps it back to Q.
     """
-    p = Q.x.modulus
-    x0 = Q.x
+    x0 = Q[0]
+    p = x0.modulus
     if jacobi(x0.residue, p) == -1:
         return frozenset()
     roots = sqrt_mod(1 - x0 * x0)
     if roots is None:
         raise AssertionError(f"1 - x0^2 is a non-residue at x0={x0.residue} mod {p.value}")
     i = canonical_i(p)
-    found: set[Point] = set()
+    found: set[FieldPoint] = set()
     for s in set(roots):
         x = x0 * i + s
         ys = sqrt_mod(x * x * x - x)
         if ys is None:
             continue
         for y in set(ys):
-            cand = affine(x, y)
+            cand = field_affine(x, y)
             if field_eta_oracle(cand) == Q:
                 found.add(cand)
     return frozenset(found)
@@ -166,7 +191,7 @@ def field_proof_trace_oracle(p: Prime, seed: int = 0) -> ProofTrace:
 
     Independent of the package's trace, which runs on plain residues.  The
     order-8 residues come from the same find_point_of_order, but their point
-    is rebuilt with affine and its exact order judged by
+    is rebuilt with field_point and its exact order judged by
     field_scalar_mul_oracle.
     """
     chi = chi_one_plus_sqrt2(p)
@@ -186,7 +211,7 @@ def field_proof_trace_oracle(p: Prime, seed: int = 0) -> ProofTrace:
         counts: list[int] = []
         if roots is not None:
             for yr in sorted({roots[0].residue, roots[1].residue}):
-                cnt = len(field_eta_preimages_oracle(affine(xe, element(p, yr))))
+                cnt = len(field_eta_preimages_oracle(field_affine(xe, element(p, yr))))
                 pts.append((xr, yr))
                 counts.append(cnt)
                 preimage_ok = preimage_ok and (cnt > 0 if chi == 1 else cnt == 0)
@@ -204,14 +229,13 @@ def field_proof_trace_oracle(p: Prime, seed: int = 0) -> ProofTrace:
         if order8_point is None:
             order8_ok = False
         else:
-            P = affine(*(element(p, r) for r in order8_point))
-            if (not field_scalar_mul_oracle(8, P).is_infinity
-                    or field_scalar_mul_oracle(4, P).is_infinity):
+            P = field_point(p, *order8_point)
+            if field_scalar_mul_oracle(8, P) is not None or field_scalar_mul_oracle(4, P) is None:
                 raise AssertionError(f"{order8_point} has no exact order 8 mod {p.value}")
             Q1 = field_eta_oracle(P)
             Q2 = field_eta_oracle(Q1)
-            x1 = None if Q1.is_infinity else Q1.x.residue
-            x2 = None if Q2.is_infinity else Q2.x.residue
+            x1 = None if Q1 is None else Q1[0].residue
+            x2 = None if Q2 is None else Q2[0].residue
             orbit_x = (x1, x2)
             landed = x1 if x1 in level4 else (x2 if x2 in level4 else None)
             if landed is None:

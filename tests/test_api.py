@@ -1,13 +1,19 @@
-"""The documented library API: the README example, the names in __all__, and
-the source policy that every guard survives python -O."""
+"""The documented library API: the README example, the names in __all__,
+the names the benchmark reaches into, and the source policy that every guard
+survives python -O."""
 
 import ast
+import importlib
 import re
 from pathlib import Path
 
 import cm_octic
+from cm_octic import modular
+from cm_octic.cli import main
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
+BENCH = ROOT / "bench"
 SRC = Path(cm_octic.__file__).resolve().parent
 
 
@@ -33,3 +39,33 @@ def test_no_assert_statements_in_src():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def bench_constant(filename: str, name: str):
+    # A literal assigned at the top of a bench script, read without importing it.
+    path = BENCH / filename
+    for node in ast.parse(path.read_text(), str(path)).body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == name for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"{filename} assigns no {name}")
+
+
+def test_names_the_benchmark_uses_resolve(capsys):
+    # bench/tracing.py wraps these functions by name and bench/run.py clears
+    # the root caches each round; a deletion that breaks them must fail here.
+    layers = bench_constant("tracing.py", "LAYERS")
+    assert layers
+    for module, func, only in layers:
+        fn = getattr(importlib.import_module(f"cm_octic.{module}"), func, None)
+        assert callable(fn), f"{module}.{func}"
+        for holder in only or ():
+            assert getattr(importlib.import_module(f"cm_octic.{holder}"), func, None) is fn, (
+                f"{holder} does not hold {module}.{func}")
+    assert callable(modular.Prime.__post_init__)
+    assert callable(modular.canonical_i.cache_clear)
+    assert callable(modular.canonical_sqrt2.cache_clear)
+    warm = bench_constant("run.py", "TRACE_WARM_ARGV")
+    assert warm == ["check", "41", "--trace", "--seed", "0"]
+    assert main(warm) == 0
+    assert '"consistent": true' in capsys.readouterr().out

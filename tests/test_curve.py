@@ -1,4 +1,8 @@
-"""Group law, the 1+i endomorphism, its fibers and level sets."""
+"""Group law, the 1+i endomorphism, its fibers and level sets.
+
+Points are the package's residue pairs (x, y), None for O; the oracle
+comparisons rebuild them as FieldElement points in conftest.
+"""
 
 import itertools
 import random
@@ -7,114 +11,127 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cm_octic import curve, selftest
 from cm_octic.curve import (
-    INFINITY,
     _add_int,
+    _eta_int,
+    _random_point_int,
     _scalar_mul_int,
-    Point,
-    add,
     curve_order,
-    eta_apply,
     eta_level_sets,
     eta_preimages,
     find_point_of_order,
-    i_action,
-    negate,
-    point,
-    random_point,
-    scalar_mul,
 )
 from cm_octic.errors import InvariantViolation
-from cm_octic.modular import Prime, element
+from cm_octic.modular import Prime, _roots_int, canonical_i
 
 from conftest import (
     curve_points_oracle,
     field_add_oracle,
+    field_eta_oracle,
+    field_eta_preimages_oracle,
+    field_point,
     field_scalar_mul_oracle,
     naive_point_count,
+    residues,
     squares_mod,
 )
 
 P17 = Prime(17)
 P41 = Prime(41)
+I17 = 4  # canonical_i(P17)
+
+
+def negate(P, n):
+    return None if P is None else (P[0], -P[1] % n)
+
+
+def as_field(p, P):
+    # A residue pair as an oracle point, checked on the curve there.
+    return None if P is None else field_point(p, *P)
+
+
+def oracle_sum(p, A, B):
+    return residues(field_add_oracle(as_field(p, A), as_field(p, B)))
 
 
 class TestConstruction:
     def test_on_curve_accepted(self):
-        P = point(P17, 5, 1)
-        assert (P.x.residue, P.y.residue) == (5, 1)
-        assert not P.is_infinity
+        assert residues(field_point(P17, 5, 1)) == (5, 1)
+        assert _add_int((5, 1), None, 17) == (5, 1)
 
     def test_off_curve_rejected(self):
+        # The oracle's own curve check.
         with pytest.raises(ValueError):
-            point(P17, 2, 5)
+            field_point(P17, 2, 5)
 
     def test_mixed_fields_rejected(self):
         with pytest.raises(AssertionError):
-            add(point(P17, 1, 0), point(P41, 1, 0))
+            field_add_oracle(field_point(P17, 1, 0), field_point(P41, 1, 0))
 
     def test_identity(self):
-        assert INFINITY.is_infinity
-        assert negate(INFINITY) is INFINITY
+        # None is O for every integer core.
+        assert _add_int(None, None, 17) is None
+        assert _scalar_mul_int(3, None, 17) is None
+        assert _scalar_mul_int(-3, None, 17) is None
+        assert _eta_int(None, 17, I17) is None
 
 
 class TestGroupLaw:
     def test_two_torsion_chord(self):
-        R = add(point(P17, 1, 0), point(P17, 16, 0))
-        assert (R.x.residue, R.y.residue) == (0, 0)
+        assert _add_int((1, 0), (16, 0), 17) == (0, 0)
 
     def test_doubling_two_torsion_gives_identity(self):
-        T = point(P17, 0, 0)
-        assert add(T, T) is INFINITY
+        assert _add_int((0, 0), (0, 0), 17) is None
 
     def test_inverse(self):
-        P = point(P17, 5, 1)
-        assert add(P, negate(P)) is INFINITY
-        assert add(INFINITY, P) == P
-        assert add(P, INFINITY) == P
+        P = (5, 1)
+        assert _add_int(P, negate(P, 17), 17) is None
+        assert _add_int(None, P, 17) == P
+        assert _add_int(P, None, 17) == P
 
     def test_axioms_on_sampled_triples(self):
-        for p in (P17, P41, Prime(73)):
-            pts = [random_point(p, s) for s in range(8)]
+        for v in (17, 41, 73):
+            pts = [_random_point_int(s, v) for s in range(8)]
             for A, B, C in itertools.islice(itertools.product(pts, repeat=3), 150):
-                assert add(A, B) == add(B, A)
-                assert add(add(A, B), C) == add(A, add(B, C))
+                assert _add_int(A, B, v) == _add_int(B, A, v)
+                assert _add_int(_add_int(A, B, v), C, v) == _add_int(A, _add_int(B, C, v), v)
 
     def test_lagrange_exhaustive(self):
         for p in (P17, P41):
             n = curve_order(p)
             for P in curve_points_oracle(p):
-                assert scalar_mul(n, P).is_infinity
+                assert _scalar_mul_int(n, P, p.value) is None
 
     def test_lagrange_sampled(self):
         p = Prime(97)
         n = curve_order(p)
         for s in range(0, 40, 3):
-            assert scalar_mul(n, random_point(p, s)).is_infinity
+            assert _scalar_mul_int(n, _random_point_int(s, 97), 97) is None
 
     def test_scalar_edge_cases(self):
-        P = point(P41, 1, 0)
-        assert scalar_mul(0, P) is INFINITY
-        assert scalar_mul(1, P) == P
-        assert scalar_mul(-1, P) == negate(P)
-        assert scalar_mul(2, P) is INFINITY
+        P = (1, 0)
+        assert _scalar_mul_int(0, P, 41) is None
+        assert _scalar_mul_int(1, P, 41) == P
+        assert _scalar_mul_int(-1, P, 41) == negate(P, 41)
+        assert _scalar_mul_int(2, P, 41) is None
 
     @settings(deadline=None)
     @given(st.integers(-64, 64), st.integers(-64, 64))
     def test_scalar_linearity(self, m, n):
-        P = random_point(P41, 3)
-        assert scalar_mul(m + n, P) == add(scalar_mul(m, P), scalar_mul(n, P))
+        P = _random_point_int(3, 41)
+        assert _scalar_mul_int(m + n, P, 41) == _add_int(
+            _scalar_mul_int(m, P, 41), _scalar_mul_int(n, P, 41), 41)
 
     def test_off_curve_sum_is_an_invariant_violation(self):
-        # Only a directly built Point can be off the curve; a sum computed
-        # from it is a broken invariant, not bad input.
-        bad = Point(element(P17, 2), element(P17, 5))
+        # (2, 5) is off the curve mod 17; a sum computed from it is a broken
+        # invariant, not bad input.
         with pytest.raises(InvariantViolation):
-            add(bad, point(P17, 5, 1))
+            _add_int((2, 5), (5, 1), 17)
         with pytest.raises(InvariantViolation):
-            add(bad, bad)
+            _add_int((2, 5), (2, 5), 17)
         with pytest.raises(InvariantViolation, match="is not on y\\^2 = x\\^3 - x over F_17"):
-            scalar_mul(3, bad)
+            _scalar_mul_int(3, (2, 5), 17)
 
     # Primes of every residue class mod 8, up to 113.
     @pytest.mark.parametrize("v", [3, 5, 7, 11, 13, 17, 19, 41, 97, 113])
@@ -122,13 +139,12 @@ class TestGroupLaw:
         # Every point and every k in (-3p, 3p) against repeated _add_int:
         # the accumulator meets +-P, O and the 2-torsion along the way.
         for P in curve_points_oracle(Prime(v)):
-            R = None if P.is_infinity else (P.x.residue, P.y.residue)
-            minus_R = None if R is None else (R[0], -R[1] % v)
+            minus_P = negate(P, v)
             up = down = None
             for k in range(3 * v):
-                assert _scalar_mul_int(k, R, v) == up, (k, R)
-                assert _scalar_mul_int(-k, R, v) == down, (-k, R)
-                up, down = _add_int(up, R, v), _add_int(down, minus_R, v)
+                assert _scalar_mul_int(k, P, v) == up, (k, P)
+                assert _scalar_mul_int(-k, P, v) == down, (-k, P)
+                up, down = _add_int(up, P, v), _add_int(down, minus_P, v)
 
 
 # Primes of 20, 40 and 61 bits, all = 1 (mod 8).
@@ -136,72 +152,111 @@ ORACLE_PRIMES = (524353, 549755814121, 2305843009213694257)
 
 
 class TestGroupLawOracle:
-    """add and scalar_mul against the field-object oracle in conftest."""
+    """_add_int and _scalar_mul_int against the FieldElement oracle in conftest."""
 
     @pytest.mark.parametrize("v", [17, 41])
     def test_every_ordered_pair(self, v):
-        pts = curve_points_oracle(Prime(v))
+        p = Prime(v)
+        pts = curve_points_oracle(p)
         for A, B in itertools.product(pts, repeat=2):
-            assert add(A, B) == field_add_oracle(A, B), (A, B)
+            assert _add_int(A, B, v) == oracle_sum(p, A, B), (A, B)
 
     @pytest.mark.parametrize("v", ORACLE_PRIMES)
     def test_seeded_pairs(self, v):
         p = Prime(v)
         rng = random.Random(v)
-        sampled = [random_point(p, rng.randrange(v)) for _ in range(12)]
+        sampled = [_random_point_int(rng.randrange(v), v) for _ in range(12)]
         # the diagonal gives the doublings, the negations P + (-P)
-        pts = sampled + [negate(A) for A in sampled]
-        pts += [point(p, 0, 0), point(p, 1, 0), point(p, v - 1, 0)]
+        pts = sampled + [negate(A, v) for A in sampled] + [(0, 0), (1, 0), (v - 1, 0)]
         for A, B in itertools.product(pts, repeat=2):
-            assert add(A, B) == field_add_oracle(A, B), (A, B)
+            assert _add_int(A, B, v) == oracle_sum(p, A, B), (A, B)
 
     @pytest.mark.parametrize("v", ORACLE_PRIMES)
     def test_scalar_mul(self, v):
         p = Prime(v)
         rng = random.Random(v)
         for _ in range(8):
-            P = random_point(p, rng.randrange(v))
+            P = _random_point_int(rng.randrange(v), v)
             k = rng.randrange(-(1 << 61), 1 << 61)
-            assert scalar_mul(k, P) == field_scalar_mul_oracle(k, P), (k, P)
-
-
-class TestIAction:
-    def test_example(self):
-        # i = 4 mod 17, so (5, 1) -> (-5, 4) = (12, 4)
-        Q = i_action(point(P17, 5, 1))
-        assert (Q.x.residue, Q.y.residue) == (12, 4)
-
-    def test_is_homomorphism(self):
-        pts = [random_point(P41, s) for s in range(10)]
-        for A, B in itertools.combinations(pts, 2):
-            assert i_action(add(A, B)) == add(i_action(A), i_action(B))
-
-    def test_fixes_kernel(self):
-        T = point(P17, 0, 0)
-        assert i_action(T) == T
-        assert i_action(INFINITY) is INFINITY
+            expected = residues(field_scalar_mul_oracle(k, as_field(p, P)))
+            assert _scalar_mul_int(k, P, v) == expected, (k, P)
 
 
 class TestEta:
     def test_examples(self):
-        assert eta_apply(point(P17, 1, 0)) == point(P17, 0, 0)
-        assert eta_apply(point(P17, 0, 0)) is INFINITY
-        Q = eta_apply(point(P17, 5, 1))
-        assert (Q.x.residue, Q.y.residue) == (4, 14)
+        assert _eta_int((1, 0), 17, I17) == (0, 0)
+        assert _eta_int((0, 0), 17, I17) is None
+        assert _eta_int((5, 1), 17, I17) == (4, 14)
 
     def test_is_homomorphism(self):
-        pts = [random_point(Prime(73), s) for s in range(10)]
+        i = canonical_i(Prime(73)).residue
+        pts = [_random_point_int(s, 73) for s in range(10)]
         for A, B in itertools.combinations(pts, 2):
-            assert eta_apply(add(A, B)) == add(eta_apply(A), eta_apply(B))
+            assert _eta_int(_add_int(A, B, 73), 73, i) == _add_int(
+                _eta_int(A, 73, i), _eta_int(B, 73, i), 73)
+
+    @pytest.mark.parametrize("v", [41, 113])
+    def test_matches_field_oracle(self, v):
+        p = Prime(v)
+        i = canonical_i(p).residue
+        for P in curve_points_oracle(p):
+            assert _eta_int(P, v, i) == residues(field_eta_oracle(as_field(p, P))), P
 
 
 class TestEtaPreimages:
-    def test_identity_fiber_needs_field(self):
-        with pytest.raises(ValueError):
-            eta_preimages(INFINITY)
-
     def test_nonsquare_x_has_empty_fiber(self):
-        assert eta_preimages(point(P17, 5, 1)) == frozenset()
+        assert eta_preimages((5, 1), 17, I17) == frozenset()
+
+    @pytest.mark.parametrize("v", [41, 113])
+    def test_matches_field_oracle(self, v):
+        p = Prime(v)
+        i = canonical_i(p).residue
+        for Q in curve_points_oracle(p)[1:]:
+            expected = {residues(P) for P in field_eta_preimages_oracle(as_field(p, Q))}
+            assert eta_preimages(Q, v, i) == expected, Q
+
+
+def _i_keeps_x(P, n, i):
+    # eta with [i](x, y) = (x, i*y) in place of (-x, i*y).
+    return None if P is None else curve._add_int(P, (P[0], i * P[1] % n), n)
+
+
+def _candidates_use_minus_i(Q, n, i):
+    # eta_preimages with x = -i*x0 +- sqrt(1 - x0^2) as its candidates.
+    x0 = Q[0]
+    found = set()
+    for s in set(_roots_int(1 - x0 * x0, n) or ()):
+        x = (-i * x0 + s) % n
+        for y in set(_roots_int(x * x * x - x, n) or ()):
+            if curve._eta_int((x, y), n, i) == Q:
+                found.add((x, y))
+    return frozenset(found)
+
+
+def _tangent_at_two_torsion(P, Q, n):
+    # _add_int without its y = 0 case: a 2-torsion point is doubled along
+    # its vertical tangent instead of to O.
+    if P is not None and P == Q:
+        x, y = P
+        s = (3 * x * x - 1) * pow(2 * y, -1, n) % n
+        x3 = (s * s - 2 * x) % n
+        return x3, (s * (x - x3) - y) % n
+    return curve._add_int(P, Q, n)
+
+
+@pytest.mark.parametrize("name, mutant, failure", [
+    ("_eta_int", _i_keeps_x, "computed kernel wrong"),
+    ("eta_preimages", _candidates_use_minus_i, "square preimage criterion fails"),
+    ("_add_int", _tangent_at_two_torsion, "ValueError"),
+], ids=["i-keeps-x", "preimages-minus-i", "doubling-misses-o"])
+def test_eta_suite_catches_a_broken_integer_core(name, mutant, failure, monkeypatch, capsys):
+    # The selftest's eta suite runs on the integer core that proof_trace
+    # runs; each mutant, put in for one of its names, must fail it.
+    monkeypatch.setattr(selftest, "CHECKS", (selftest.check_eta_suite,))
+    monkeypatch.setattr(selftest, name, mutant)
+    assert not selftest.run_all()
+    out = capsys.readouterr().out
+    assert out.splitlines()[-1].startswith("FAIL check_eta_suite") and failure in out
 
 
 class TestLevelSets:
@@ -232,34 +287,31 @@ class TestCounting:
 class TestSampling:
     @pytest.mark.parametrize("v,seed,xy", [(17, 0, (0, 0)), (41, 1, (1, 0)), (17, 2, (4, 3))])
     def test_walk_examples(self, v, seed, xy):
-        P = random_point(Prime(v), seed)
-        assert (P.x.residue, P.y.residue) == xy
+        assert _random_point_int(seed, v) == xy
 
     def test_walk_replication(self):
         # independently replay the walk: first x >= seed with x^3 - x a square
-        p = Prime(41)
         sq = squares_mod(41)
         for seed in range(41):
             x = seed
             while (x**3 - x) % 41 not in sq | {0}:
                 x = (x + 1) % 41
-            P = random_point(p, seed)
-            assert P.x.residue == x
+            px, py = _random_point_int(seed, 41)
+            assert px == x
             rhs = (x**3 - x) % 41
             if rhs == 0:
-                assert P.y.residue == 0
+                assert py == 0
             else:
-                assert P.y.residue == min(P.y.residue, 41 - P.y.residue)
+                assert py * py % 41 == rhs and py == min(py, 41 - py)
 
     def test_deterministic(self):
-        assert random_point(P41, 7) == random_point(P41, 7)
+        assert _random_point_int(7, 41) == _random_point_int(7, 41)
 
 
 def has_exact_order_8(p, xy):
     # Judged by the FieldElement oracle, not by the package's own group law.
-    P = point(p, *xy)
-    return (field_scalar_mul_oracle(8, P).is_infinity
-            and not field_scalar_mul_oracle(4, P).is_infinity)
+    P = field_point(p, *xy)
+    return field_scalar_mul_oracle(8, P) is None and field_scalar_mul_oracle(4, P) is not None
 
 
 class TestFindPointOfOrder:

@@ -464,23 +464,6 @@ class TestCliTrace:
         assert main(["trace", "41"]) == 3
         assert "no exact order 8 mod 41" in capsys.readouterr().err
 
-    def test_commands_build_no_point(self, monkeypatch, capsys):
-        # The commands run on plain residues: a Point that cannot be built
-        # stops none of them.
-        from cm_octic import curve
-
-        class NoPoint:
-            def __init__(self, *args):
-                raise AssertionError("a command built a Point")
-
-        monkeypatch.setattr(curve, "Point", NoPoint)
-        for argv in (["check", "41"], ["check", "41", "--trace"],
-                     ["check", "2305843009213694257", "--trace"], ["trace", "41"],
-                     ["scan", "--from", "0", "--to", "2000"],
-                     ["scan", "--from", "0", "--to", "2000", "--format", "json"]):
-            assert main(argv) == 0, argv
-        assert "order-8 point: (" in capsys.readouterr().out
-
     def test_doubling_that_never_reaches_o_is_an_invariant_violation(self):
         # A doubling that fixes every point never reaches O; the order count stops
         # after v2(#E) steps.  A child runs it, so a count without that bound is killed.
