@@ -16,7 +16,7 @@ import multiprocessing
 import os
 from array import array
 from collections import Counter, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cache
 from itertools import compress
 from math import isqrt
@@ -34,9 +34,16 @@ _SEGMENT = 1 << 18
 _PRESIEVE = 92682
 
 CSV_HEADER = "p,a,b,c,d,chi,n,n_mod_32,d_parity,h,h_mod_8,thm1,thm2,corollary"
-# Every certificate value is a scalar, so this item separator alone lays a
-# certificate out as json.dump(indent=2) does two levels deep.
-_CERT_JSON = json.JSONEncoder(separators=(",\n      ", ": "))
+_COLUMNS = CSV_HEADER.split(",")
+# One certificate list item as json.dump(indent=2) lays it out: Certificate's
+# fields in order, each filled from the CSV column of its name less "_holds",
+# whose text _JSON_TEXT maps column by column (a = 1 is a number, not true).
+_ITEM = "    {{\n%s\n    }}" % ",\n".join(
+    f'      "{f.name}": {{{_COLUMNS.index(f.name.removesuffix("_holds"))}}}'
+    for f in fields(Certificate))
+_VERDICT = {"1": "true", "0": "false", "": "null"}
+_JSON_TEXT = [{"chi": {"+1": "1"}, "h": {"": "null"}, "thm1": _VERDICT, "thm2": _VERDICT,
+               "corollary": _VERDICT}.get(column, {}) for column in _COLUMNS]
 
 
 @dataclass(frozen=True)
@@ -212,16 +219,6 @@ def certificate_csv_row(cert: Certificate) -> str:
     )
 
 
-def certificate_from_csv_row(row: str) -> Certificate:
-    """The Certificate that certificate_csv_row wrote as row, with or without its newline."""
-    p, a, b, c, d, chi, n, n_mod_32, _, h, _, thm1, thm2, corollary = row.rstrip("\n").split(",")
-    return Certificate(
-        p=int(p), a=int(a), b=int(b), c=int(c), d=int(d), chi=int(chi), n=int(n),
-        n_mod_32=int(n_mod_32), h=int(h) if h else None, thm2_holds=thm2 == "1",
-        thm1_holds=thm1 == "1" if thm1 else None, corollary_holds=corollary == "1",
-    )
-
-
 def write_scan_csv(config: ScanConfig, out: TextIO) -> ScanReport:
     """Scan, writing the CSV header and then each segment's rows as they come."""
     out.write(CSV_HEADER + "\n")
@@ -234,7 +231,7 @@ def write_scan_json(config: ScanConfig, out: TextIO) -> ScanReport:
     Its header (counts, aggregate, counterexamples) comes first but is known
     only at the end, so the scan's CSV rows are spooled to a temporary file
     as segments finish.  After the header they are read back one at a time,
-    each written as an item of the certificate list.
+    each filling _ITEM as an item of the certificate list.
     """
     import tempfile
 
@@ -252,8 +249,8 @@ def write_scan_json(config: ScanConfig, out: TextIO) -> ScanReport:
         out.write(head[: -len("]\n}")])
         sep, close = "\n", "]\n}"
         for row in spool:
-            body = _CERT_JSON.encode(vars(certificate_from_csv_row(row)))[1:-1]
-            out.write(f"{sep}    {{\n      {body}\n    }}")
+            values = row.rstrip("\n").split(",")
+            out.write(sep + _ITEM.format(*map(dict.get, _JSON_TEXT, values, values)))
             sep, close = ",\n", "\n  ]\n}"
         out.write(close)
     out.write("\n")

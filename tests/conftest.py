@@ -22,7 +22,7 @@ from cm_octic.criteria import (
     euler_symbol,
 )
 from cm_octic.curve import curve_order, eta_level_sets, find_point_of_order
-from cm_octic.harness import ScanConfig, ScanReport, certificate_from_csv_row, write_scan_csv
+from cm_octic.harness import ScanConfig, ScanReport, write_scan_csv
 from cm_octic.modular import (
     FieldElement,
     Prime,
@@ -257,5 +257,12 @@ def streamed_scan(config: ScanConfig) -> tuple[ScanReport, list[Certificate]]:
     """A scan's report and its certificates, read back from the CSV rows it streamed."""
     buf = io.StringIO()
     report = write_scan_csv(config, buf)
-    rows = buf.getvalue().splitlines()[1:]
-    return report, [certificate_from_csv_row(row) for row in rows]
+    certificates = []
+    for row in buf.getvalue().splitlines()[1:]:
+        p, a, b, c, d, chi, n, n_mod_32, _, h, _, thm1, thm2, corollary = row.split(",")
+        certificates.append(Certificate(
+            p=int(p), a=int(a), b=int(b), c=int(c), d=int(d), chi=int(chi), n=int(n),
+            n_mod_32=int(n_mod_32), h=int(h) if h else None, thm2_holds=thm2 == "1",
+            thm1_holds=thm1 == "1" if thm1 else None, corollary_holds=corollary == "1",
+        ))
+    return report, certificates

@@ -322,7 +322,8 @@ class TestSerialization:
         assert above_cap["thm2_holds"] is True
 
     def test_dict_key_order(self):
-        # check and scan --format json serialize through vars
+        # check and the JSON counterexamples serialize through vars, and scan
+        # --format json items take their keys from fields(Certificate)
         cert = rigged_certificate()
         assert list(vars(cert)) == [
             "p", "a", "b", "c", "d", "chi", "n", "n_mod_32",
@@ -720,21 +721,22 @@ class TestCliScan:
 
     @pytest.mark.parametrize(
         "hi, segment, rigged",
-        [(16, None, False), (1 << 16, 1 << 13, False), (100, None, True)],
-        ids=["empty", "batches", "counterexamples"],
+        [(16, None, None), (1 << 16, 1 << 13, None), (100, None, {"thm2_holds": False}),
+         (100, None, {"h": 8, "thm1_holds": False})],
+        ids=["empty", "batches", "counterexamples", "counterexamples-h"],
     )
     def test_json_bytes(self, hi, segment, rigged, monkeypatch):
         # The document is the bytes json.dump(indent=2) writes for it, at
         # either job count: with no certificates, with the rows of many
         # segments read back from the spool, and with counterexamples in the
-        # header.
+        # header.  Between them the items hold every kind of value the item
+        # template fills in: numbers, chi = -1 and +1, null, true and false,
+        # and h and thm1 both null and not.
         if segment:
             monkeypatch.setattr(harness, "_SEGMENT", segment)
         if rigged:
             monkeypatch.setattr(
-                harness, "check_prime",
-                lambda p, **kw: rigged_certificate(p=p.value, thm2_holds=False),
-            )
+                harness, "check_prime", lambda p, **kw: rigged_certificate(p=p.value, **rigged))
         # Forked workers inherit the patches whatever the platform's default.
         monkeypatch.setattr(harness, "multiprocessing", multiprocessing.get_context("fork"))
         outputs = []
@@ -747,7 +749,9 @@ class TestCliScan:
         assert outputs[1] == out
         doc = json.loads(out)
         report, certificates = streamed_scan(ScanConfig(lo=0, hi=hi))
-        assert doc["certificates"] == [vars(c) for c in certificates]
+        # compared as JSON text, where false is not 0 and true is not 1
+        assert [json.dumps(c) for c in doc["certificates"]] == [
+            json.dumps(vars(c)) for c in certificates]
         assert doc["counterexamples"] == (doc["certificates"] if rigged else [])
         assert doc["primes_checked"] == report.primes_checked == len(certificates)
         if segment:  # the spooled rows fill more than four segments
