@@ -23,7 +23,7 @@ from .curve import curve_order
 from .decompose import eight_decomposition, two_squares
 from .errors import InvariantViolation
 from .harness import ScanConfig, write_scan_csv, write_scan_json
-from .modular import Prime
+from .modular import Prime, canonical_i, canonical_sqrt2
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -136,10 +136,11 @@ def _cmd_scan(args: argparse.Namespace) -> int:
 
 def _cmd_decompose(args: argparse.Namespace) -> int:
     p = Prime(args.p)
-    a, b = two_squares(p)
-    doc: dict = {"p": p.value, "a": a, "b": b}
-    if p.value % 8 == 1:
-        doc["c"], doc["d"] = eight_decomposition(p)
+    n, i = p.value, canonical_i(p)
+    a, b = two_squares(n, i)
+    doc: dict = {"p": n, "a": a, "b": b}
+    if n % 8 == 1:
+        doc["c"], doc["d"] = eight_decomposition(n, i, canonical_sqrt2(p))
     print(json.dumps(doc, indent=2))
     return EXIT_OK
 

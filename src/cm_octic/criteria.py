@@ -19,14 +19,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .classnumber import class_number
-from .curve import _eta_int, eta_preimages, find_point_of_order
-from .decompose import _curve_order, _eight_decomposition, _two_squares
+from .curve import _eta_int, eta_level_sets, eta_preimages, find_point_of_order
+from .decompose import _curve_order, eight_decomposition, two_squares
 from .errors import InvariantViolation
-from .modular import FieldElement, Prime, _i_and_sqrt2, _jacobi, _roots_int, canonical_sqrt2
+from .modular import Prime, _i_and_sqrt2, jacobi, sqrt_mod
 
 
-def _euler(u: int, n: int) -> int:
-    # Euler's criterion for the residue u mod the odd prime n.
+def euler_symbol(u: int, n: int) -> int:
+    """Euler's criterion: u^((n-1)/2) mod the odd prime n resolved into
+    {-1, 0, +1}; u is a residue in [0, n)."""
     if u == 0:
         return 0
     e = pow(u, (n - 1) // 2, n)
@@ -37,30 +38,21 @@ def _euler(u: int, n: int) -> int:
     raise InvariantViolation(f"Euler's criterion returned {e} mod {n}")
 
 
-def _chi(n: int, s: int) -> int:
-    # (1 + s | n) for a root s of 2 mod n.
-    u = (s + 1) % n
-    if u == 0:
-        raise InvariantViolation(f"1 + sqrt(2) vanished mod {n}")
-    return _euler(u, n)
-
-
-def euler_symbol(u: FieldElement) -> int:
-    """Euler's criterion: u^((p-1)/2) resolved into {-1, 0, +1}."""
-    return _euler(u.residue, u.modulus.value)
-
-
-def chi_one_plus_sqrt2(p: Prime) -> int:
-    """The quadratic character of 1 + sqrt(2) mod p, for p = 1 (mod 8).
+def chi_one_plus_sqrt2(n: int, s: int) -> int:
+    """The quadratic character of 1 + sqrt(2) mod the prime n = 1 (mod 8),
+    for a root s of 2 mod n.
 
     Well defined: replacing sqrt(2) by its negative gives the symbol of
     1 - sqrt2, and (1 + sqrt2)(1 - sqrt2) = -1 with (-1 | p) = +1, so the
     two symbols multiply to +1: they are equal, and both roots give the
-    same value.
+    same value.  An s with s^2 != 2 (mod n) raises InvariantViolation.
     """
-    if p.value % 8 != 1:
-        raise ValueError(f"chi is defined for p = 1 (mod 8), got {p.value}")
-    return _chi(p.value, canonical_sqrt2(p).residue)
+    if (s * s - 2) % n:
+        raise InvariantViolation(f"{s} is not a square root of 2 mod {n}")
+    u = (s + 1) % n
+    if u == 0:
+        raise InvariantViolation(f"1 + sqrt(2) vanished mod {n}")
+    return euler_symbol(u, n)
 
 
 @dataclass(frozen=True)
@@ -116,12 +108,12 @@ def check_prime(p: Prime, with_class_number: bool = False) -> Certificate | Erro
     try:
         i, s = _i_and_sqrt2(n)
         stage = "two_squares"
-        a, b = _two_squares(n, i)
+        a, b = two_squares(n, i)
         order = _curve_order(n, a, b)
         stage = "eight_decomposition"
-        c, d = _eight_decomposition(n, i, s)
+        c, d = eight_decomposition(n, i, s)
         stage = "chi"
-        chi = _chi(n, s)
+        chi = chi_one_plus_sqrt2(n, s)
         if with_class_number:
             stage = "class_number"
             h = class_number(p)
@@ -198,17 +190,17 @@ def proof_trace(p: Prime, seed: int = 0) -> ProofTrace:
     if n % 8 != 1:
         raise ValueError(f"proof_trace expects p = 1 (mod 8), got {n}")
     i, s = _i_and_sqrt2(n)
-    chi = _chi(n, s)
-    chi_conjugate = _euler((1 - s) % n, n)
-    minus_one = _jacobi(-1, n)
+    chi = chi_one_plus_sqrt2(n, s)
+    chi_conjugate = euler_symbol((1 - s) % n, n)
+    minus_one = jacobi(-1, n)
     jac_ok = chi * chi_conjugate == minus_one == 1
-    order = _curve_order(n, *_two_squares(n, i))
-    level4 = tuple(sorted({(1 + s) % n, (1 - s) % n, (s - 1) % n, (-1 - s) % n}))
+    order = _curve_order(n, *two_squares(n, i))
+    level4 = eta_level_sets(n, i, s)[3]
 
     fibers = []
     preimage_ok = True
     for xr in level4:
-        roots = _roots_int(xr * xr * xr - xr, n)
+        roots = sqrt_mod(xr * xr * xr - xr, n)
         pts: list[tuple[int, int]] = []
         counts: list[int] = []
         if roots is not None:
@@ -223,7 +215,7 @@ def proof_trace(p: Prime, seed: int = 0) -> ProofTrace:
         fibers.append(
             LevelFourFiber(
                 x=xr,
-                x_is_square=_jacobi(xr, n) == 1,
+                x_is_square=jacobi(xr, n) == 1,
                 points=tuple(pts),
                 preimage_counts=tuple(counts),
             )
@@ -249,7 +241,7 @@ def proof_trace(p: Prime, seed: int = 0) -> ProofTrace:
             if landed is None:
                 order8_ok = False
             else:
-                landed_sq = _jacobi(landed, n) == 1
+                landed_sq = jacobi(landed, n) == 1
                 order8_ok = landed_sq
     return ProofTrace(
         p=n,

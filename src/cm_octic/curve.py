@@ -9,14 +9,16 @@ Points are plain residues: (x, y) mod p, or None for the identity O.  The
 group law is one integer core (_add_int, _scalar_mul_int) that checks
 every result on the curve.  eta, its preimages, the point sampler and the
 order-8 search run on it (_eta_int, eta_preimages, _random_point_int,
-find_point_of_order), and so do the selftest and proof_trace.
+find_point_of_order), and so do the selftest and proof_trace.  The level
+sets are residues too, from roots i and sqrt(2) that their caller passes
+in and eta_level_sets squares back.
 """
 
 from __future__ import annotations
 
 from .decompose import _curve_order, two_squares
 from .errors import InvariantViolation
-from .modular import FieldElement, Prime, _jacobi, _roots_int, canonical_i, canonical_sqrt2, element
+from .modular import Prime, canonical_i, jacobi, sqrt_mod
 
 _SAMPLE_RETRIES = 64
 
@@ -131,9 +133,9 @@ def eta_preimages(Q: tuple[int, int], n: int, i: int) -> frozenset[tuple[int, in
     kept has eta(P) = Q, computed on _add_int.
     """
     x0 = Q[0]
-    if _jacobi(x0, n) == -1:
+    if jacobi(x0, n) == -1:
         return frozenset()
-    roots = _roots_int(1 - x0 * x0, n)
+    roots = sqrt_mod(1 - x0 * x0, n)
     if roots is None:
         raise InvariantViolation(
             f"1 - x0^2 is a non-residue at x0={x0} mod {n} despite x0 being a square"
@@ -141,7 +143,7 @@ def eta_preimages(Q: tuple[int, int], n: int, i: int) -> frozenset[tuple[int, in
     found = set()
     for s in set(roots):
         x = (i * x0 + s) % n
-        ys = _roots_int(x * x * x - x, n)
+        ys = sqrt_mod(x * x * x - x, n)
         if ys is None:
             continue
         for y in set(ys):
@@ -150,28 +152,29 @@ def eta_preimages(Q: tuple[int, int], n: int, i: int) -> frozenset[tuple[int, in
     return frozenset(found)
 
 
-def eta_level_sets(p: Prime) -> tuple[frozenset[FieldElement], ...]:
-    """Candidate x-coordinates of the iterated eta-kernels; requires p = 1 (mod 8).
+def eta_level_sets(n: int, i: int, s: int) -> tuple[tuple[int, ...], ...]:
+    """Candidate x-coordinates of the iterated eta-kernels mod the prime
+    n = 1 (mod 8), from roots i of -1 and s of 2; each level sorted.
 
     Entry k - 1 holds the x-values of points annihilated by eta^k but not
-    eta^(k-1): {0}, {1, -1}, {i, -i}, {1+s, 1-s, -1+s, -1-s} with s^2 = 2.
+    eta^(k-1): {0}, {1, -1}, {i, -i}, {1+s, 1-s, -1+s, -1-s}.  A root that
+    does not square back raises InvariantViolation.
     """
-    if p.value % 8 != 1:
-        raise ValueError(f"level sets need p = 1 (mod 8), got {p.value}")
-    i = canonical_i(p)
-    s = canonical_sqrt2(p)
-    one = element(p, 1)
+    if n % 8 != 1:
+        raise ValueError(f"level sets need p = 1 (mod 8), got {n}")
+    if (i * i + 1) % n or (s * s - 2) % n:
+        raise InvariantViolation(f"({i}, {s}) are not square roots of (-1, 2) mod {n}")
     return (
-        frozenset({element(p, 0)}),
-        frozenset({one, -one}),
-        frozenset({i, -i}),
-        frozenset({one + s, one - s, -one + s, -one - s}),
+        (0,),
+        (1, n - 1),
+        tuple(sorted({i % n, -i % n})),
+        tuple(sorted({(1 + s) % n, (1 - s) % n, (s - 1) % n, (-1 - s) % n})),
     )
 
 
 def curve_order(p: Prime) -> int:
     """#E(F_p) = (a-1)^2 + b^2 from the canonical two-square pair."""
-    return _curve_order(p.value, *two_squares(p))
+    return _curve_order(p.value, *two_squares(p.value, canonical_i(p)))
 
 
 def _random_point_int(seed: int, n: int) -> tuple[int, int]:
@@ -179,7 +182,7 @@ def _random_point_int(seed: int, n: int) -> tuple[int, int]:
     # the smaller root y.  x = 0 always works, so the walk terminates.
     x = seed % n
     while True:
-        ys = _roots_int(x * x * x - x, n)
+        ys = sqrt_mod(x * x * x - x, n)
         if ys is not None:
             return x, ys[0]
         x = (x + 1) % n

@@ -7,9 +7,11 @@ pins the two-square pair down to a unique signed (a, b): a odd, b even and
 positive, a + b = 1 (mod 4).  The c^2 + 8*d^2 representation of a prime is
 unique outright once c, d > 0.
 
-The private integer forms (_two_squares, _eight_decomposition,
-_curve_order) check their results on plain ints; the scan path calls them
-directly, and the public functions add the residue guard and the roots.
+The functions take the prime as a plain int n and its roots from the
+caller, and check their results on plain ints: whatever roots they are
+given, they return the unique pair or raise InvariantViolation.  The
+residue class is guarded where the roots are made: in check_prime and
+proof_trace, or in modular.canonical_i and canonical_sqrt2.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from __future__ import annotations
 from math import isqrt
 
 from .errors import InvariantViolation
-from .modular import Prime, canonical_i, canonical_sqrt2
 
 
 def _cornacchia(n: int, root: int, k: int) -> tuple[int, int]:
@@ -35,8 +36,9 @@ def _cornacchia(n: int, root: int, k: int) -> tuple[int, int]:
     return b, y
 
 
-def _two_squares(n: int, i: int) -> tuple[int, int]:
-    # The canonical (a, b) for the prime n, from a root i of -1 mod n.
+def two_squares(n: int, i: int) -> tuple[int, int]:
+    """The canonical signed (a, b) with a^2 + b^2 = n for the prime n, from a
+    root i of -1 mod n: a odd, b even and positive, a + b = 1 (mod 4)."""
     # Exactly one of x, y is odd for odd n; exactly one sign of the odd
     # member satisfies a + b = 1 (mod 4) once b > 0 is fixed.
     x, y = _cornacchia(n, i, 1)
@@ -50,8 +52,9 @@ def _two_squares(n: int, i: int) -> tuple[int, int]:
     return a, b
 
 
-def _eight_decomposition(n: int, i: int, s: int) -> tuple[int, int]:
-    # The (c, d) for the prime n = 1 (mod 8), from roots i of -1 and s of 2:
+def eight_decomposition(n: int, i: int, s: int) -> tuple[int, int]:
+    """The unique (c, d) with c^2 + 8*d^2 = n and c, d > 0 for the prime
+    n = 1 (mod 8), from roots i of -1 and s of 2 mod n."""
     # (2 i s)^2 = -8 seeds the descent.
     c, d = _cornacchia(n, 2 * i * s % n, 8)
     if c * c + 8 * d * d != n:
@@ -71,18 +74,3 @@ def _curve_order(n: int, a: int, b: int) -> int:
             f"order mismatch for p={n}: (a-1)^2+b^2={order} but p+1-2a={n + 1 - 2 * a}"
         )
     return order
-
-
-def two_squares(p: Prime) -> tuple[int, int]:
-    """The canonical signed (a, b) with a^2 + b^2 = p: a odd, b even and
-    positive, a + b = 1 (mod 4); requires p = 1 (mod 4)."""
-    if p.value % 4 != 1:
-        raise ValueError(f"p = 1 (mod 4) required for a two-square decomposition, got {p.value}")
-    return _two_squares(p.value, canonical_i(p).residue)
-
-
-def eight_decomposition(p: Prime) -> tuple[int, int]:
-    """The unique (c, d) with c^2 + 8*d^2 = p and c, d > 0; requires p = 1 (mod 8)."""
-    if p.value % 8 != 1:
-        raise ValueError(f"p = 1 (mod 8) required for c^2 + 8*d^2, got {p.value}")
-    return _eight_decomposition(p.value, canonical_i(p).residue, canonical_sqrt2(p).residue)

@@ -1,21 +1,22 @@
 """Prime-field arithmetic: primality, quadratic symbols, modular square roots.
 
-All functions use exact integer arithmetic.  Moduli are odd primes below
-2**62; that bound is part of the contract even though Python integers would
-happily go further.
+All functions use exact integer arithmetic on plain residues.  Moduli are
+odd primes below 2**62; that bound is part of the contract even though
+Python integers would happily go further.
 
 For p = 1 (mod 8) the package gets i and sqrt(2) from _i_and_sqrt2: one
 power of the least non-residue z yields both, each squared back before
-use.  The scan and the proof traces take the plain integers; canonical_sqrt2
-wraps its sqrt(2) as a field element for the public wrappers
-(chi_one_plus_sqrt2, eight_decomposition, eta_level_sets).
-canonical_i takes i straight from z^((p-1)/4), the same value for
-p = 1 (mod 8) and the only one defined for p = 5 (mod 8).
-sqrt_mod, its integer form _roots_int and their core _sqrt_residue
-(Tonelli-Shanks) serve every other square root, among them the roots mod q
-of the class-number count and the points of the curve layer.  _sqrt_residue
-looks up a non-residue only when its first guess v^((q+1)/2) is not yet a
-root, which never happens for p = 3 (mod 4).
+use.  canonical_i and canonical_sqrt2 return the same ints for a Prime,
+cached, and guard the residue class; canonical_i takes i straight from
+z^((p-1)/4), the same value for p = 1 (mod 8) and the only one defined for
+p = 5 (mod 8).  sqrt_mod and its core _sqrt_residue (Tonelli-Shanks) serve
+every other square root, among them the roots mod q of the class-number
+count and the points of the curve layer.  _sqrt_residue looks up a
+non-residue only when its first guess v^((q+1)/2) is not yet a root, which
+never happens for p = 3 (mod 4).
+
+FieldElement and element are not on any package path: they are the
+arithmetic of the independent test oracle in tests/conftest.py.
 """
 
 from __future__ import annotations
@@ -152,8 +153,9 @@ def element(p: Prime, value: int) -> FieldElement:
     return FieldElement(value % p.value, p)
 
 
-def _jacobi(a: int, n: int) -> int:
-    # Binary Jacobi algorithm; n odd and positive.
+def jacobi(a: int, n: int) -> int:
+    """The Jacobi symbol (a/n) for odd positive n, by the binary algorithm;
+    for a prime n, +1 for nonzero squares, -1 for non-squares, 0 if n | a."""
     a %= n
     sign = 1
     while a:
@@ -168,11 +170,6 @@ def _jacobi(a: int, n: int) -> int:
     return sign if n == 1 else 0
 
 
-def jacobi(a: int, p: Prime) -> int:
-    """The symbol (a/p): +1 for nonzero squares, -1 for non-squares, 0 if p | a."""
-    return _jacobi(a, p.value)
-
-
 def _nonresidue(n: int) -> int:
     # The least quadratic non-residue mod the odd prime n.  It is prime, and
     # 2 is a non-residue exactly when n = 3 or 5 (mod 8), so past 2 only odd
@@ -180,7 +177,7 @@ def _nonresidue(n: int) -> int:
     if n % 8 in (3, 5):
         return 2
     z = 3
-    while _jacobi(z, n) != -1:
+    while jacobi(z, n) != -1:
         z += 2
     return z
 
@@ -214,19 +211,6 @@ def _sqrt_residue(v: int, n: int) -> int:
     return r
 
 
-def sqrt_mod(a: FieldElement) -> tuple[FieldElement, FieldElement] | None:
-    """Both square roots of a in F_p, smaller residue first.
-
-    Returns None when a is a non-residue; a = 0 yields (0, 0), the doubled
-    single root.
-    """
-    p = a.modulus
-    roots = _roots_int(a.residue, p.value)
-    if roots is None:
-        return None
-    return FieldElement(roots[0], p), FieldElement(roots[1], p)
-
-
 def _smaller_root(r: int, square: int, n: int) -> int:
     # r in [0, n) must square back to `square`; the smaller of r and n - r
     # is the canonical root.
@@ -235,13 +219,16 @@ def _smaller_root(r: int, square: int, n: int) -> int:
     return min(r, n - r)
 
 
-def _roots_int(v: int, n: int) -> tuple[int, int] | None:
-    # Both square roots of v mod the odd prime n, smaller first, or None for
-    # a non-residue; v = 0 gives (0, 0).  The root is squared back.
+def sqrt_mod(v: int, n: int) -> tuple[int, int] | None:
+    """Both square roots of v mod the odd prime n, smaller residue first.
+
+    Returns None when v is a non-residue; v = 0 yields (0, 0), the doubled
+    single root.  The root is squared back before it is returned.
+    """
     v %= n
     if v == 0:
         return 0, 0
-    if _jacobi(v, n) != 1:
+    if jacobi(v, n) != 1:
         return None
     r = _smaller_root(_sqrt_residue(v, n), v, n)
     return r, n - r
@@ -257,20 +244,20 @@ def _i_and_sqrt2(n: int) -> tuple[int, int]:
 
 
 @lru_cache(maxsize=512)
-def canonical_i(p: Prime) -> FieldElement:
-    """The smaller square root of -1 in F_p, +-z^((p-1)/4) for the least
+def canonical_i(p: Prime) -> int:
+    """The smaller square root of -1 mod p, +-z^((p-1)/4) for the least
     non-residue z; requires p = 1 (mod 4).  For p = 1 (mod 8) that is
     zeta^2, the i of _i_and_sqrt2."""
     n = p.value
     if n % 4 != 1:
         raise ValueError(f"-1 is a non-residue mod {n}; need p = 1 (mod 4)")
-    return FieldElement(_smaller_root(pow(_nonresidue(n), (n - 1) // 4, n), -1, n), p)
+    return _smaller_root(pow(_nonresidue(n), (n - 1) // 4, n), -1, n)
 
 
 @lru_cache(maxsize=512)
-def canonical_sqrt2(p: Prime) -> FieldElement:
-    """The smaller square root of 2 in F_p, +-(zeta - zeta^3); requires p = 1 (mod 8)."""
+def canonical_sqrt2(p: Prime) -> int:
+    """The smaller square root of 2 mod p, +-(zeta - zeta^3); requires p = 1 (mod 8)."""
     n = p.value
     if n % 8 != 1:
         raise ValueError(f"no 8th root of unity mod {n}; need p = 1 (mod 8)")
-    return FieldElement(_i_and_sqrt2(n)[1], p)
+    return _i_and_sqrt2(n)[1]

@@ -27,11 +27,11 @@ from __future__ import annotations
 from math import gcd, isqrt
 from typing import Callable
 
-from .criteria import Certificate, check_prime
+from .criteria import Certificate, check_prime, euler_symbol
 from .curve import _add_int, _eta_int, _scalar_mul_int, curve_order, eta_preimages
 from .decompose import eight_decomposition, two_squares
 from .errors import InvariantViolation
-from .modular import Prime, canonical_i, canonical_sqrt2, element, jacobi, sqrt_mod
+from .modular import Prime, canonical_i, canonical_sqrt2, jacobi, sqrt_mod
 
 ETA_PRIMES = (17, 41, 73, 89, 97, 113)
 NAIVE_COUNT_BOUND = 100_000
@@ -127,18 +127,17 @@ def check_symbols_exhaustive() -> str:
     """jacobi, Euler's criterion and sqrt_mod agree with exhaustive squaring
     for every odd prime <= 257."""
     for v in trial_division_primes(258)[1:]:
-        p = Prime(v)
         squares = squares_mod(v)
         for a in range(v):
             expected = 0 if a == 0 else (1 if a in squares else -1)
-            _require(jacobi(a, p) == expected, "jacobi disagrees with squaring", v, a)
-            _require(pow(a, (v - 1) // 2, v) == expected % v, "Euler's criterion disagrees", v, a)
-            roots = sqrt_mod(element(p, a))
+            _require(jacobi(a, v) == expected, "jacobi disagrees with squaring", v, a)
+            _require(euler_symbol(a, v) == expected, "Euler's criterion disagrees", v, a)
+            roots = sqrt_mod(a, v)
             if expected == -1:
                 _require(roots is None, "sqrt_mod rooted a non-residue", v, a)
                 continue
             _require(roots is not None, "sqrt_mod missed a root", v, a)
-            lo, hi = roots[0].residue, roots[1].residue
+            lo, hi = roots
             _require(lo <= hi and lo * lo % v == a and hi == (v - lo) % v,
                      "sqrt_mod roots wrong", v, a, lo, hi)
     return "jacobi/sqrt_mod exhaustive over odd primes <= 257"
@@ -152,10 +151,9 @@ def check_canonical_roots() -> str:
         v = p.value
         i = canonical_i(p)
         s = canonical_sqrt2(p)
-        _require((i * i).residue == v - 1, "canonical_i^2 != -1", v)
-        _require((s * s).residue == 2, "canonical_sqrt2^2 != 2", v)
-        _require(i.residue <= v - i.residue and s.residue <= v - s.residue,
-                 "canonical root is not the smaller one", v)
+        _require(i * i % v == v - 1, "canonical_i^2 != -1", v)
+        _require(s * s % v == 2, "canonical_sqrt2^2 != 2", v)
+        _require(i <= v - i and s <= v - s, "canonical root is not the smaller one", v)
     return f"canonical roots verified for {len(primes)} primes < 3000"
 
 
@@ -169,7 +167,7 @@ def check_eta_suite() -> str:
     """
     for v in ETA_PRIMES:
         p = Prime(v)
-        i = canonical_i(p).residue
+        i = canonical_i(p)
         pts = curve_points_oracle(p)
         squares = squares_mod(v) | {0}
         torsion = (0, 0)
@@ -229,9 +227,10 @@ def check_decompositions() -> str:
     primes = _primes_1_mod_8(20000)
     for p in primes:
         v = p.value
-        a, b = two_squares(p)
+        i = canonical_i(p)
+        a, b = two_squares(v, i)
         _require(a * a + b * b == v, "a^2 + b^2 != p", v)
-        _require(eight_decomposition(p) == eight_decomposition_search(p),
+        _require(eight_decomposition(v, i, canonical_sqrt2(p)) == eight_decomposition_search(p),
                  "descent and search disagree", v)
     return f"decompositions cross-checked for {len(primes)} primes < 20000"
 

@@ -21,7 +21,7 @@ from cm_octic.criteria import (
     chi_one_plus_sqrt2,
     euler_symbol,
 )
-from cm_octic.curve import curve_order, eta_level_sets, find_point_of_order
+from cm_octic.curve import curve_order, find_point_of_order
 from cm_octic.harness import ScanConfig, ScanReport, write_scan_csv
 from cm_octic.modular import (
     FieldElement,
@@ -151,6 +151,12 @@ def field_scalar_mul_oracle(n: int, P: FieldPoint) -> FieldPoint:
     return R
 
 
+def field_sqrt(a: FieldElement) -> tuple[FieldElement, FieldElement] | None:
+    """sqrt_mod's two roots of a as field elements, None for a non-residue."""
+    roots = sqrt_mod(a.residue, a.modulus.value)
+    return None if roots is None else (element(a.modulus, roots[0]), element(a.modulus, roots[1]))
+
+
 def field_eta_oracle(P: FieldPoint) -> FieldPoint:
     """eta(P) = P + [i]P over field_add_oracle, where [i](x, y) = (-x, i*y)."""
     if P is None:
@@ -167,16 +173,16 @@ def field_eta_preimages_oracle(Q: tuple[FieldElement, FieldElement]) -> frozense
     """
     x0 = Q[0]
     p = x0.modulus
-    if jacobi(x0.residue, p) == -1:
+    if jacobi(x0.residue, p.value) == -1:
         return frozenset()
-    roots = sqrt_mod(1 - x0 * x0)
+    roots = field_sqrt(1 - x0 * x0)
     if roots is None:
         raise AssertionError(f"1 - x0^2 is a non-residue at x0={x0.residue} mod {p.value}")
     i = canonical_i(p)
     found: set[FieldPoint] = set()
     for s in set(roots):
         x = x0 * i + s
-        ys = sqrt_mod(x * x * x - x)
+        ys = field_sqrt(x * x * x - x)
         if ys is None:
             continue
         for y in set(ys):
@@ -190,23 +196,25 @@ def field_proof_trace_oracle(p: Prime, seed: int = 0) -> ProofTrace:
     """proof_trace with its fibers and eta-orbit in FieldElement arithmetic.
 
     Independent of the package's trace, which runs on plain residues.  The
+    level-4 x-values are built here from a field-element sqrt(2).  The
     order-8 residues come from the same find_point_of_order, but their point
     is rebuilt with field_point and its exact order judged by
     field_scalar_mul_oracle.
     """
-    chi = chi_one_plus_sqrt2(p)
-    s = canonical_sqrt2(p)
-    chi_conjugate = euler_symbol(1 - s)
-    minus_one = jacobi(-1, p)
+    v = p.value
+    s = element(p, canonical_sqrt2(p))
+    chi = chi_one_plus_sqrt2(v, s.residue)
+    chi_conjugate = euler_symbol((1 - s).residue, v)
+    minus_one = jacobi(-1, v)
     jac_ok = chi * chi_conjugate == minus_one == 1
     n = curve_order(p)
-    level4 = tuple(sorted(x.residue for x in eta_level_sets(p)[3]))
+    level4 = tuple(sorted(x.residue for x in {1 + s, 1 - s, s - 1, -1 - s}))
 
     fibers = []
     preimage_ok = True
     for xr in level4:
         xe = element(p, xr)
-        roots = sqrt_mod(xe * xe * xe - xe)
+        roots = field_sqrt(xe * xe * xe - xe)
         pts: list[tuple[int, int]] = []
         counts: list[int] = []
         if roots is not None:
@@ -215,7 +223,7 @@ def field_proof_trace_oracle(p: Prime, seed: int = 0) -> ProofTrace:
                 pts.append((xr, yr))
                 counts.append(cnt)
                 preimage_ok = preimage_ok and (cnt > 0 if chi == 1 else cnt == 0)
-        fibers.append(LevelFourFiber(x=xr, x_is_square=jacobi(xr, p) == 1,
+        fibers.append(LevelFourFiber(x=xr, x_is_square=jacobi(xr, v) == 1,
                                      points=tuple(pts), preimage_counts=tuple(counts)))
     if chi == 1:
         preimage_ok = preimage_ok and n % 32 == 0
@@ -231,7 +239,7 @@ def field_proof_trace_oracle(p: Prime, seed: int = 0) -> ProofTrace:
         else:
             P = field_point(p, *order8_point)
             if field_scalar_mul_oracle(8, P) is not None or field_scalar_mul_oracle(4, P) is None:
-                raise AssertionError(f"{order8_point} has no exact order 8 mod {p.value}")
+                raise AssertionError(f"{order8_point} has no exact order 8 mod {v}")
             Q1 = field_eta_oracle(P)
             Q2 = field_eta_oracle(Q1)
             x1 = None if Q1 is None else Q1[0].residue
@@ -241,10 +249,10 @@ def field_proof_trace_oracle(p: Prime, seed: int = 0) -> ProofTrace:
             if landed is None:
                 order8_ok = False
             else:
-                landed_sq = jacobi(landed, p) == 1
+                landed_sq = jacobi(landed, v) == 1
                 order8_ok = landed_sq
     return ProofTrace(
-        p=p.value, chi=chi, chi_conjugate=chi_conjugate, minus_one_symbol=minus_one,
+        p=v, chi=chi, chi_conjugate=chi_conjugate, minus_one_symbol=minus_one,
         jac_identity_holds=jac_ok, n=n, n_mod_32=n % 32, level4_x=level4,
         fibers=tuple(fibers), preimage_direction_holds=preimage_ok,
         order8_applicable=applicable, order8_point=order8_point, orbit_x=orbit_x,

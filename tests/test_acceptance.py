@@ -23,7 +23,7 @@ from cm_octic.harness import (
     write_scan_csv,
     write_scan_json,
 )
-from cm_octic.modular import Prime, element, jacobi, sqrt_mod
+from cm_octic.modular import Prime, canonical_sqrt2, jacobi, sqrt_mod
 
 from conftest import (
     box_class_number,
@@ -126,14 +126,15 @@ def test_criterion_6_well_definedness():
     t0 = time.perf_counter()
     checked = 0
     for p in primes_1_mod_8(0, 10**6):
-        lo, hi = sqrt_mod(element(p, 2))
-        s_lo = euler_symbol(lo + 1)
-        s_hi = euler_symbol(hi + 1)
-        assert s_lo == s_hi == chi_one_plus_sqrt2(p), \
-            f"criterion-6: chi depends on the root at {p.value}"
-        assert s_lo * euler_symbol(1 - lo) == 1, \
-            f"criterion-6: conjugate product != +1 at {p.value}"
-        assert jacobi(-1, p) == 1, f"criterion-6: (-1|p) != +1 at {p.value}"
+        v = p.value
+        lo, hi = sqrt_mod(2, v)
+        s_lo = euler_symbol((lo + 1) % v, v)
+        s_hi = euler_symbol((hi + 1) % v, v)
+        assert s_lo == s_hi == chi_one_plus_sqrt2(v, canonical_sqrt2(p)), \
+            f"criterion-6: chi depends on the root at {v}"
+        assert s_lo * euler_symbol((1 - lo) % v, v) == 1, \
+            f"criterion-6: conjugate product != +1 at {v}"
+        assert jacobi(-1, v) == 1, f"criterion-6: (-1|p) != +1 at {v}"
         checked += 1
     elapsed = time.perf_counter() - t0
     print(f"[PASS] criterion-6: chi well defined over both roots for "
@@ -159,7 +160,7 @@ def test_criterion_8_proof_traces():
     t0 = time.perf_counter()
     traced = 0
     for p in primes_1_mod_8(0, 10**4):
-        if chi_one_plus_sqrt2(p) != 1:
+        if chi_one_plus_sqrt2(p.value, canonical_sqrt2(p)) != 1:
             continue
         tr = proof_trace(p)
         assert tr.order8_applicable, f"criterion-8: 32 should divide n at {p.value}"

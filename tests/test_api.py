@@ -5,6 +5,8 @@ survives python -O."""
 import ast
 import importlib
 import re
+import sys
+from collections import Counter
 from pathlib import Path
 
 import cm_octic
@@ -69,3 +71,38 @@ def test_names_the_benchmark_uses_resolve(capsys):
     assert warm == ["check", "41", "--trace", "--seed", "0"]
     assert main(warm) == 0
     assert '"consistent": true' in capsys.readouterr().out
+
+
+def test_every_benchmark_span_is_called(monkeypatch, tmp_path):
+    # A span around a function that no code path calls any more reads 0 for
+    # work that runs.  Each function bench/tracing.py spans is counted where
+    # its install() would wrap it: in every cm_octic module that holds it,
+    # or in those its LAYERS entry names.  A small mix of the commands the
+    # benchmark sends must call each one.
+    package = [mod for name, mod in sys.modules.items()
+               if name == "cm_octic" or name.startswith("cm_octic.")]
+    counts: Counter[str] = Counter()
+
+    def counting(fn, name):
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    layers = bench_constant("tracing.py", "LAYERS")
+    for module, func, only in layers:
+        original = getattr(importlib.import_module(f"cm_octic.{module}"), func)
+        wrapper = counting(original, f"{module}.{func}")
+        targets = package if only is None else [
+            importlib.import_module(f"cm_octic.{m}") for m in only]
+        for mod in targets:
+            if getattr(mod, func, None) is original:
+                monkeypatch.setattr(mod, func, wrapper)
+    two_61 = 1 << 61
+    assert main(["check", "41", "--trace", "--class-number"]) == 0
+    assert main(["scan", "--from", "0", "--to", "2000", "--class-number-cap", "2000",
+                 "--out", str(tmp_path / "low.csv")]) == 0
+    assert main(["scan", "--from", str(two_61), "--to", str(two_61 + 2000),
+                 "--out", str(tmp_path / "high.csv")]) == 0
+    assert [f"{module}.{func}" for module, func, _ in layers
+            if counts[f"{module}.{func}"] == 0] == []

@@ -18,7 +18,7 @@ from cm_octic.criteria import (
 from cm_octic.cli import main
 from cm_octic.errors import InvariantViolation
 from cm_octic.harness import ScanConfig, primes_1_mod_8
-from cm_octic.modular import Prime, canonical_i, canonical_sqrt2, element, jacobi, sqrt_mod
+from cm_octic.modular import Prime, canonical_i, canonical_sqrt2, jacobi, sqrt_mod
 
 from conftest import field_proof_trace_oracle, sprp_prime_bases, streamed_scan
 
@@ -43,16 +43,15 @@ def norm_form_gcd(p: int, r: int, k: int) -> tuple[int, int]:
 
 def tonelli_shanks_certificate(v: int) -> tuple[int, ...]:
     """(a, b, c, d, chi, n) at the prime v = 1 (mod 8), from sqrt_mod's roots."""
-    p = Prime(v)
-    x, y = norm_form_gcd(v, sqrt_mod(element(p, -1))[0].residue, 1)
+    x, y = norm_form_gcd(v, sqrt_mod(-1, v)[0], 1)
     assert x * x + y * y == v
     a, b = (x, y) if x % 2 else (y, x)
     a = a if (a + b) % 4 == 1 else -a
-    c, y = norm_form_gcd(v, sqrt_mod(element(p, -2))[0].residue, 2)
+    c, y = norm_form_gcd(v, sqrt_mod(-2, v)[0], 2)
     assert c * c + 2 * y * y == v and y % 2 == 0
     d = y // 2
     assert c * c + 8 * d * d == v
-    s = sqrt_mod(element(p, 2))[0].residue
+    s = sqrt_mod(2, v)[0]
     e = pow(1 + s, (v - 1) // 2, v)
     assert e in (1, v - 1)
     return a, b, c, d, 1 if e == 1 else -1, (a - 1) ** 2 + b * b
@@ -60,23 +59,27 @@ def tonelli_shanks_certificate(v: int) -> tuple[int, ...]:
 
 class TestEulerSymbol:
     def test_zero(self):
-        assert euler_symbol(element(Prime(17), 0)) == 0
+        assert euler_symbol(0, 17) == 0
 
     def test_matches_jacobi_exhaustively(self):
         for v in (17, 41, 113):
-            p = Prime(v)
             for r in range(v):
-                assert euler_symbol(element(p, r)) == jacobi(r, p)
+                assert euler_symbol(r, v) == jacobi(r, v)
 
 
 class TestChi:
     @pytest.mark.parametrize("v,chi", [(17, -1), (41, 1), (73, -1), (97, -1), (113, 1)])
     def test_examples(self, v, chi):
-        assert chi_one_plus_sqrt2(Prime(v)) == chi
+        s = canonical_sqrt2(Prime(v))
+        assert chi_one_plus_sqrt2(v, s) == chi_one_plus_sqrt2(v, v - s) == chi
+        with pytest.raises(InvariantViolation, match=f"{s + 1} is not a square root of 2"):
+            chi_one_plus_sqrt2(v, s + 1)
 
     def test_rejects_wrong_residue_class(self):
-        with pytest.raises(ValueError):
-            chi_one_plus_sqrt2(Prime(13))
+        # 2 is a non-residue mod 13 = 5 (mod 8), so no s can pass as its root.
+        for s in range(13):
+            with pytest.raises(InvariantViolation, match="not a square root of 2"):
+                chi_one_plus_sqrt2(13, s)
 
 
 class TestFastPathOracle:
@@ -168,18 +171,10 @@ class TestStageFailures:
         ],
     )
     def test_stage_labels(self, name, stage, monkeypatch):
-        # check_prime calls the integer core behind each public function.
-        core = {
-            "two_squares": "_two_squares",
-            "eight_decomposition": "_eight_decomposition",
-            "chi_one_plus_sqrt2": "_chi",
-            "class_number": "class_number",
-        }[name]
-
         def broken(*args, **kwargs):
             raise InvariantViolation("planted")
 
-        monkeypatch.setattr(criteria, core, broken)
+        monkeypatch.setattr(criteria, name, broken)
         err = check_prime(Prime(41), with_class_number=True)
         assert err == ErrorCertificate(p=41, stage=stage, message="planted")
 
@@ -188,7 +183,7 @@ class TestStageFailures:
         [
             (decompose, "_cornacchia", lambda n, r, k: (5, 6) if k == 1 else (3, 2),
              "two_squares", "-5^2 + 6^2 != 41"),
-            (criteria, "_two_squares", lambda n, i: (5, 6), "two_squares",
+            (criteria, "two_squares", lambda n, i: (5, 6), "two_squares",
              "order mismatch for p=41: (a-1)^2+b^2=52 but p+1-2a=32"),
             (decompose, "_cornacchia", lambda n, r, k: (5, 4) if k == 1 else (3, 3),
              "eight_decomposition", "3^2 + 8*3^2 != 41"),

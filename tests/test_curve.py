@@ -23,7 +23,7 @@ from cm_octic.curve import (
     find_point_of_order,
 )
 from cm_octic.errors import InvariantViolation
-from cm_octic.modular import Prime, _roots_int, canonical_i
+from cm_octic.modular import Prime, canonical_i, canonical_sqrt2, sqrt_mod
 
 from conftest import (
     curve_points_oracle,
@@ -35,6 +35,7 @@ from conftest import (
     naive_point_count,
     residues,
     squares_mod,
+    trial_division_primes,
 )
 
 P17 = Prime(17)
@@ -189,7 +190,7 @@ class TestEta:
         assert _eta_int((5, 1), 17, I17) == (4, 14)
 
     def test_is_homomorphism(self):
-        i = canonical_i(Prime(73)).residue
+        i = canonical_i(Prime(73))
         pts = [_random_point_int(s, 73) for s in range(10)]
         for A, B in itertools.combinations(pts, 2):
             assert _eta_int(_add_int(A, B, 73), 73, i) == _add_int(
@@ -198,7 +199,7 @@ class TestEta:
     @pytest.mark.parametrize("v", [41, 113])
     def test_matches_field_oracle(self, v):
         p = Prime(v)
-        i = canonical_i(p).residue
+        i = canonical_i(p)
         for P in curve_points_oracle(p):
             assert _eta_int(P, v, i) == residues(field_eta_oracle(as_field(p, P))), P
 
@@ -210,7 +211,7 @@ class TestEtaPreimages:
     @pytest.mark.parametrize("v", [41, 113])
     def test_matches_field_oracle(self, v):
         p = Prime(v)
-        i = canonical_i(p).residue
+        i = canonical_i(p)
         for Q in curve_points_oracle(p)[1:]:
             expected = {residues(P) for P in field_eta_preimages_oracle(as_field(p, Q))}
             assert eta_preimages(Q, v, i) == expected, Q
@@ -225,9 +226,9 @@ def _candidates_use_minus_i(Q, n, i):
     # eta_preimages with x = -i*x0 +- sqrt(1 - x0^2) as its candidates.
     x0 = Q[0]
     found = set()
-    for s in set(_roots_int(1 - x0 * x0, n) or ()):
+    for s in set(sqrt_mod(1 - x0 * x0, n) or ()):
         x = (-i * x0 + s) % n
-        for y in set(_roots_int(x * x * x - x, n) or ()):
+        for y in set(sqrt_mod(x * x * x - x, n) or ()):
             if curve._eta_int((x, y), n, i) == Q:
                 found.add((x, y))
     return frozenset(found)
@@ -259,14 +260,44 @@ def test_eta_suite_catches_a_broken_integer_core(name, mutant, failure, monkeypa
     assert out.splitlines()[-1].startswith("FAIL check_eta_suite") and failure in out
 
 
+def x_map_level_sets(n: int) -> list[tuple[int, ...]]:
+    """The x in F_n that the x-map of eta, phi(x) = (x^2 - 1)/(2ix), sends to
+    0 in exactly k - 1 steps, for k = 1..4; i is found by search."""
+    i = next(r for r in range(n) if r * r % n == n - 1)
+    phi = [0] + [(x * x - 1) * pow(2 * i * x, -1, n) % n for x in range(1, n)]
+    levels: list[set[int]] = [set(), set(), set(), set()]
+    for x in range(n):
+        y = x
+        for level in levels:
+            if y == 0:
+                level.add(x)
+                break
+            y = phi[y]
+    return [tuple(sorted(level)) for level in levels]
+
+
 class TestLevelSets:
     def test_p17(self):
-        levels = [{e.residue for e in lvl} for lvl in eta_level_sets(P17)]
-        assert levels == [{0}, {1, 16}, {4, 13}, {5, 7, 10, 12}]
+        assert eta_level_sets(17, I17, 6) == ((0,), (1, 16), (4, 13), (5, 7, 10, 12))
+
+    def test_matches_x_map_oracle(self):
+        # Every p = 1 (mod 8) below 2000, with either sign of each root; i + 1
+        # and s + 1 are roots of -1 and 2 only mod 5 and 7.
+        primes = [v for v in trial_division_primes(2000) if v % 8 == 1]
+        assert len(primes) == 68
+        for v in primes:
+            p = Prime(v)
+            i, s = canonical_i(p), canonical_sqrt2(p)
+            expected = x_map_level_sets(v)
+            for i_, s_ in ((i, s), (v - i, v - s)):
+                assert list(eta_level_sets(v, i_, s_)) == expected, v
+            for i_, s_ in ((i + 1, s), (i, s + 1)):
+                with pytest.raises(InvariantViolation, match="not square roots"):
+                    eta_level_sets(v, i_, s_)
 
     def test_rejects_wrong_residue_class(self):
         with pytest.raises(ValueError):
-            eta_level_sets(Prime(13))
+            eta_level_sets(13, 5, 0)  # 13 = 5 (mod 8): 5^2 = -1, but 2 has no root
 
 
 class TestCounting:

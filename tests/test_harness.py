@@ -12,7 +12,7 @@ import sys
 import time
 import tracemalloc
 from functools import cache
-from itertools import islice
+from itertools import islice, zip_longest
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -62,6 +62,18 @@ def traced_scan_peak(hi: int, fmt: str, jobs: int, out: Path) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def first_difference(got: str, want: str) -> tuple[int, str | None, str | None] | None:
+    """None when the two texts are equal, else the first line (from 1, ends
+    kept) where their splitlines lists differ, with both versions.
+
+    Asserting it is None is as strict as ==, and a failure prints one line
+    pair: pytest's own diff of two long documents took 18 s for strings, and
+    over ten minutes for line lists with the CI variable set.
+    """
+    pairs = zip_longest(got.splitlines(keepends=True), want.splitlines(keepends=True))
+    return next(((k, g, w) for k, (g, w) in enumerate(pairs, 1) if g != w), None)
 
 
 def rigged_certificate(**overrides) -> Certificate:
@@ -686,9 +698,9 @@ class TestCliScan:
         assert doc["primes_checked"] == len(expected) + 1
         assert [c["p"] for c in doc["certificates"]] == expected
         # the bytes json.dump(indent=2) writes for the whole document
-        assert outputs[1, "json"] == json.dumps(doc, indent=2) + "\n"
-        assert outputs[1, "csv"] == outputs[2, "csv"]
-        assert outputs[1, "json"] == outputs[2, "json"]
+        assert first_difference(outputs[1, "json"], json.dumps(doc, indent=2) + "\n") is None
+        assert first_difference(outputs[1, "csv"], outputs[2, "csv"]) is None
+        assert first_difference(outputs[1, "json"], outputs[2, "json"]) is None
 
     @pytest.mark.parametrize(
         "fmt, jobs",
@@ -745,8 +757,8 @@ class TestCliScan:
             write_scan_json(ScanConfig(lo=0, hi=hi, jobs=jobs), buf)
             outputs.append(buf.getvalue())
         out = outputs[0]
-        assert out == json.dumps(json.loads(out), indent=2) + "\n"
-        assert outputs[1] == out
+        assert first_difference(out, json.dumps(json.loads(out), indent=2) + "\n") is None
+        assert first_difference(outputs[1], out) is None
         doc = json.loads(out)
         report, certificates = streamed_scan(ScanConfig(lo=0, hi=hi))
         # compared as JSON text, where false is not 0 and true is not 1

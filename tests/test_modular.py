@@ -123,10 +123,9 @@ class TestFieldElement:
 
 class TestJacobi:
     def test_examples(self):
-        p = Prime(17)
-        assert jacobi(2, p) == 1
-        assert jacobi(7, p) == -1
-        assert jacobi(0, p) == 0
+        assert jacobi(2, 17) == 1
+        assert jacobi(7, 17) == -1
+        assert jacobi(0, 17) == 0
 
     def test_exhaustive_against_squares(self):
         # jacobi and Euler's criterion against squaring, every odd prime <= 257;
@@ -135,9 +134,8 @@ class TestJacobi:
         selftest.check_symbols_exhaustive()
 
     def test_reduces_argument(self):
-        p = Prime(17)
-        assert jacobi(2 + 17 * 5, p) == 1
-        assert jacobi(-15, p) == 1  # -15 = 2 (mod 17)
+        assert jacobi(2 + 17 * 5, 17) == 1
+        assert jacobi(-15, 17) == 1  # -15 = 2 (mod 17)
 
     @given(
         st.integers(min_value=-(10**9), max_value=10**9),
@@ -145,20 +143,15 @@ class TestJacobi:
         st.sampled_from(ODD_PRIMES_257),
     )
     def test_multiplicative(self, a, b, v):
-        p = Prime(v)
-        assert jacobi(a * b, p) == jacobi(a, p) * jacobi(b, p)
+        assert jacobi(a * b, v) == jacobi(a, v) * jacobi(b, v)
 
 
 class TestSqrtMod:
     def test_examples(self):
-        p = Prime(17)
-        r = sqrt_mod(element(p, 2))
-        assert (r[0].residue, r[1].residue) == (6, 11)
-        r = sqrt_mod(element(p, -1))
-        assert (r[0].residue, r[1].residue) == (4, 13)
-        zero = sqrt_mod(element(p, 0))
-        assert (zero[0].residue, zero[1].residue) == (0, 0)
-        assert sqrt_mod(element(p, 3)) is None
+        assert sqrt_mod(2, 17) == (6, 11)
+        assert sqrt_mod(-1, 17) == (4, 13)
+        assert sqrt_mod(0, 17) == (0, 0)
+        assert sqrt_mod(3, 17) is None
 
     def test_three_mod_four_takes_the_first_guess(self, monkeypatch):
         # For n = 3 (mod 4) the first Tonelli-Shanks guess v^((q+1)/2) is
@@ -180,14 +173,14 @@ class TestSqrtMod:
 
 class TestCanonicalRoots:
     def test_canonical_i_examples(self):
-        assert canonical_i(Prime(17)).residue == 4
-        assert canonical_i(Prime(41)).residue == 9
-        assert canonical_i(Prime(5)).residue == 2
+        assert canonical_i(Prime(17)) == 4
+        assert canonical_i(Prime(41)) == 9
+        assert canonical_i(Prime(5)) == 2
 
     def test_canonical_sqrt2_examples(self):
-        assert canonical_sqrt2(Prime(17)).residue == 6
-        assert canonical_sqrt2(Prime(41)).residue == 17
-        assert canonical_sqrt2(Prime(97)).residue == 14
+        assert canonical_sqrt2(Prime(17)) == 6
+        assert canonical_sqrt2(Prime(41)) == 17
+        assert canonical_sqrt2(Prime(97)) == 14
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
