@@ -151,7 +151,8 @@ def _cmd_classno(args: argparse.Namespace) -> int:
 
 
 def _cmd_curve_order(args: argparse.Namespace) -> int:
-    print(curve_order(Prime(args.p)))
+    p = Prime(args.p)
+    print(curve_order(p.value, canonical_i(p)))
     return EXIT_OK
 
 

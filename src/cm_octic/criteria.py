@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .classnumber import class_number
-from .curve import _eta_int, eta_level_sets, eta_preimages, find_point_of_order
+from .curve import _eta_int, curve_order, eta_level_sets, eta_preimages, find_point_of_order
 from .decompose import _curve_order, eight_decomposition, two_squares
 from .errors import InvariantViolation
 from .modular import Prime, _i_and_sqrt2, jacobi, sqrt_mod
@@ -194,7 +194,7 @@ def proof_trace(p: Prime, seed: int = 0) -> ProofTrace:
     chi_conjugate = euler_symbol((1 - s) % n, n)
     minus_one = jacobi(-1, n)
     jac_ok = chi * chi_conjugate == minus_one == 1
-    order = _curve_order(n, *two_squares(n, i))
+    order = curve_order(n, i)
     level4 = eta_level_sets(n, i, s)[3]
 
     fibers = []
@@ -228,7 +228,7 @@ def proof_trace(p: Prime, seed: int = 0) -> ProofTrace:
     landed_sq: bool | None = None
     order8_ok = True
     if applicable:
-        order8_point = find_point_of_order(p, seed=seed)
+        order8_point = find_point_of_order(n, order, seed)
         if order8_point is None:
             order8_ok = False  # 32 | n guarantees one; counterexample if missing
         else:

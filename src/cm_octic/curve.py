@@ -11,14 +11,16 @@ every result on the curve.  eta, its preimages, the point sampler and the
 order-8 search run on it (_eta_int, eta_preimages, _random_point_int,
 find_point_of_order), and so do the selftest and proof_trace.  The level
 sets are residues too, from roots i and sqrt(2) that their caller passes
-in and eta_level_sets squares back.
+in and eta_level_sets squares back.  The prime is a plain int n here, its
+root of -1 comes from the caller, and so does #E for the order-8 search:
+proof_trace derives it once with curve_order and passes it on.
 """
 
 from __future__ import annotations
 
 from .decompose import _curve_order, two_squares
 from .errors import InvariantViolation
-from .modular import Prime, canonical_i, jacobi, sqrt_mod
+from .modular import jacobi, sqrt_mod
 
 _SAMPLE_RETRIES = 64
 
@@ -172,9 +174,10 @@ def eta_level_sets(n: int, i: int, s: int) -> tuple[tuple[int, ...], ...]:
     )
 
 
-def curve_order(p: Prime) -> int:
-    """#E(F_p) = (a-1)^2 + b^2 from the canonical two-square pair."""
-    return _curve_order(p.value, *two_squares(p.value, canonical_i(p)))
+def curve_order(n: int, i: int) -> int:
+    """#E(F_n) = (a-1)^2 + b^2 from the canonical two-square pair of the
+    prime n = 1 (mod 4), for a root i of -1 mod n."""
+    return _curve_order(n, *two_squares(n, i))
 
 
 def _random_point_int(seed: int, n: int) -> tuple[int, int]:
@@ -188,41 +191,41 @@ def _random_point_int(seed: int, n: int) -> tuple[int, int]:
         x = (x + 1) % n
 
 
-def find_point_of_order(p: Prime, seed: int = 0) -> tuple[int, int] | None:
-    """Residues (x, y) of a point of exact order 8, or None if the samples find none.
+def find_point_of_order(n: int, order: int, seed: int = 0) -> tuple[int, int] | None:
+    """Residues (x, y) of a point of exact order 8 mod the prime n, or None
+    if the samples find none; order is #E(F_n), from the caller.
 
-    32 | #E(F_p) is required.  For p = 1 (mod 4), E(F_p) is isomorphic to
+    32 | order is required.  For n = 1 (mod 4), E(F_n) is isomorphic to
     Z[i]/(pi - 1), whose 2-part is Z/2^ceil(k/2) x Z/2^floor(k/2) with
-    2^k || n, so a point of order 8 exists exactly when 32 | n.  The group
-    is never cyclic here (the full 2-torsion is rational), so multiplying a
-    sample by n/8 can annihilate too much.  Instead, project a sample into
-    the 2-Sylow subgroup, measure its order 2^t there, and when 2^t >= 8
-    scale it down to exact order 8.  _SAMPLE_RETRIES samples are taken,
-    walking x up from seed; None after them is no proof of absence.
+    2^k || order, so a point of order 8 exists exactly when 32 | order.  The
+    group is never cyclic here (the full 2-torsion is rational), so
+    multiplying a sample by order/8 can annihilate too much.  Instead,
+    project a sample into the 2-Sylow subgroup, measure its order 2^t there,
+    and when 2^t >= 8 scale it down to exact order 8.  _SAMPLE_RETRIES
+    samples are taken, walking x up from seed; None after them is no proof
+    of absence.
     """
-    n = curve_order(p)
-    if n % 32:
-        raise ValueError(f"no point of order 8 unless 32 divides #E(F_p) = {n}")
-    v = (n & -n).bit_length() - 1  # 2^v || n
-    odd_part = n >> v
-    m = p.value
+    if order % 32:
+        raise ValueError(f"no point of order 8 unless 32 divides #E(F_p) = {order}")
+    v = (order & -order).bit_length() - 1  # 2^v || order
+    odd_part = order >> v
     x_seed = seed
     for _ in range(_SAMPLE_RETRIES):
-        P = _random_point_int(x_seed, m)
+        P = _random_point_int(x_seed, n)
         x_seed = P[0] + 1
         # S = odd_part * P lies in the 2-Sylow subgroup, so its doublings
         # reach O within v steps; chain holds S, 2S, 4S, ... before O.
-        chain, R = [], _scalar_mul_int(odd_part, P, m)
+        chain, R = [], _scalar_mul_int(odd_part, P, n)
         while R is not None:
             if len(chain) == v:
-                raise InvariantViolation(f"S is not O after v2(#E) = {v} doublings mod {m}")
+                raise InvariantViolation(f"S is not O after v2(#E) = {v} doublings mod {n}")
             chain.append(R)
-            R = _add_int(R, R, m)
+            R = _add_int(R, R, n)
         if len(chain) >= 3:  # S has order 2^len(chain) >= 8
             T = chain[-3]
-            if _scalar_mul_int(8, T, m) is not None or _scalar_mul_int(4, T, m) is None:
+            if _scalar_mul_int(8, T, n) is not None or _scalar_mul_int(4, T, n) is None:
                 raise InvariantViolation(
-                    f"{2 ** (len(chain) - 3)} * S has no exact order 8 mod {m}, "
+                    f"{2 ** (len(chain) - 3)} * S has no exact order 8 mod {n}, "
                     f"though S has order {2 ** len(chain)}"
                 )
             return T

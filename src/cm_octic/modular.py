@@ -2,21 +2,21 @@
 
 All functions use exact integer arithmetic on plain residues.  Moduli are
 odd primes below 2**62; that bound is part of the contract even though
-Python integers would happily go further.
+Python integers would happily go further.  A Prime is the proof of that
+for the entry points that take one; the field-element arithmetic of the
+test oracle lives with the oracle, in tests/conftest.py.
 
 For p = 1 (mod 8) the package gets i and sqrt(2) from _i_and_sqrt2: one
 power of the least non-residue z yields both, each squared back before
 use.  canonical_i and canonical_sqrt2 return the same ints for a Prime,
 cached, and guard the residue class; canonical_i takes i straight from
 z^((p-1)/4), the same value for p = 1 (mod 8) and the only one defined for
-p = 5 (mod 8).  sqrt_mod and its core _sqrt_residue (Tonelli-Shanks) serve
+p = 5 (mod 8); the selftest requires both to equal _i_and_sqrt2's roots
+below 3000.  sqrt_mod and its core _sqrt_residue (Tonelli-Shanks) serve
 every other square root, among them the roots mod q of the class-number
 count and the points of the curve layer.  _sqrt_residue looks up a
 non-residue only when its first guess v^((q+1)/2) is not yet a root, which
 never happens for p = 3 (mod 4).
-
-FieldElement and element are not on any package path: they are the
-arithmetic of the independent test oracle in tests/conftest.py.
 """
 
 from __future__ import annotations
@@ -90,67 +90,6 @@ class Prime:
         p = object.__new__(cls)
         object.__setattr__(p, "value", value)
         return p
-
-
-@dataclass(frozen=True)
-class FieldElement:
-    """A residue in [0, p) tied to its prime modulus.
-
-    Arithmetic never mixes moduli; doing so is a programming error and
-    raises AssertionError explicitly (so the guard survives python -O),
-    not a recoverable exception.  Plain ints coerce into the field of the
-    other operand.
-    """
-
-    residue: int
-    modulus: Prime
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.residue < self.modulus.value:
-            raise ValueError(
-                f"residue {self.residue} out of range for modulus {self.modulus.value}"
-            )
-
-    def _coerce(self, other: FieldElement | int) -> int:
-        if isinstance(other, FieldElement):
-            if self.modulus != other.modulus:
-                raise AssertionError("operands from different prime fields")
-            return other.residue
-        return other % self.modulus.value
-
-    def __add__(self, other: FieldElement | int) -> FieldElement:
-        return FieldElement((self.residue + self._coerce(other)) % self.modulus.value, self.modulus)
-
-    __radd__ = __add__
-
-    def __sub__(self, other: FieldElement | int) -> FieldElement:
-        return FieldElement((self.residue - self._coerce(other)) % self.modulus.value, self.modulus)
-
-    def __rsub__(self, other: FieldElement | int) -> FieldElement:
-        return FieldElement((self._coerce(other) - self.residue) % self.modulus.value, self.modulus)
-
-    def __mul__(self, other: FieldElement | int) -> FieldElement:
-        return FieldElement(self.residue * self._coerce(other) % self.modulus.value, self.modulus)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> FieldElement:
-        return FieldElement(-self.residue % self.modulus.value, self.modulus)
-
-    def inverse(self) -> FieldElement:
-        return FieldElement(pow(self.residue, -1, self.modulus.value), self.modulus)
-
-    def __truediv__(self, other: FieldElement | int) -> FieldElement:
-        if isinstance(other, int):
-            other = element(self.modulus, other)
-        if self.modulus != other.modulus:
-            raise AssertionError("operands from different prime fields")
-        return self * other.inverse()
-
-
-def element(p: Prime, value: int) -> FieldElement:
-    """Reduce an arbitrary integer into F_p."""
-    return FieldElement(value % p.value, p)
 
 
 def jacobi(a: int, n: int) -> int:

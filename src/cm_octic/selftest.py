@@ -31,7 +31,7 @@ from .criteria import Certificate, check_prime, euler_symbol
 from .curve import _add_int, _eta_int, _scalar_mul_int, curve_order, eta_preimages
 from .decompose import eight_decomposition, two_squares
 from .errors import InvariantViolation
-from .modular import Prime, canonical_i, canonical_sqrt2, jacobi, sqrt_mod
+from .modular import Prime, _i_and_sqrt2, canonical_i, canonical_sqrt2, jacobi, sqrt_mod
 
 ETA_PRIMES = (17, 41, 73, 89, 97, 113)
 NAIVE_COUNT_BOUND = 100_000
@@ -145,7 +145,8 @@ def check_symbols_exhaustive() -> str:
 
 def check_canonical_roots() -> str:
     """canonical_i and canonical_sqrt2 square back to -1 and 2 for every
-    p = 1 (mod 8) < 3000."""
+    p = 1 (mod 8) < 3000, and equal the roots _i_and_sqrt2 gives the scans
+    and traces."""
     primes = _primes_1_mod_8(3000)
     for p in primes:
         v = p.value
@@ -154,6 +155,7 @@ def check_canonical_roots() -> str:
         _require(i * i % v == v - 1, "canonical_i^2 != -1", v)
         _require(s * s % v == 2, "canonical_sqrt2^2 != 2", v)
         _require(i <= v - i and s <= v - s, "canonical root is not the smaller one", v)
+        _require(_i_and_sqrt2(v) == (i, s), "_i_and_sqrt2 != canonical roots", v)
     return f"canonical roots verified for {len(primes)} primes < 3000"
 
 
@@ -171,7 +173,7 @@ def check_eta_suite() -> str:
         pts = curve_points_oracle(p)
         squares = squares_mod(v) | {0}
         torsion = (0, 0)
-        _require(len(pts) == curve_order(p), "point count != curve_order", v)
+        _require(len(pts) == curve_order(v, i), "point count != curve_order", v)
         images = [_eta_int(P, v, i) for P in pts]
         _require({P for P, Q in zip(pts, images) if Q is None} == {None, torsion},
                  "computed kernel wrong", v)
@@ -217,7 +219,8 @@ def check_point_counts() -> str:
     """(a-1)^2 + b^2 equals the naive point count for every p = 1 (mod 8) < 2000."""
     primes = _primes_1_mod_8(2000)
     for p in primes:
-        _require(curve_order(p) == naive_point_count(p), "curve order != naive count", p.value)
+        _require(curve_order(p.value, canonical_i(p)) == naive_point_count(p),
+                 "curve order != naive count", p.value)
     return f"CM order = naive count for {len(primes)} primes < 2000"
 
 

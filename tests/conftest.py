@@ -6,12 +6,15 @@ instead of the package's Miller-Rabin, double loops instead of
 Tonelli-Shanks or Cornacchia, full-box enumeration instead of pruned walks.
 Frozen expected values in the tests were produced by these oracles.  The
 oracles that `cm-octic selftest` also needs live in cm_octic.selftest and
-are re-exported here.
+are re-exported here.  FieldElement, the F_p arithmetic of the curve and
+proof-trace oracles, lives here too: the package runs on plain residues
+and has no use for it.
 """
 
 from __future__ import annotations
 
 import io
+from dataclasses import dataclass
 from math import isqrt
 
 from cm_octic.criteria import (
@@ -23,15 +26,7 @@ from cm_octic.criteria import (
 )
 from cm_octic.curve import curve_order, find_point_of_order
 from cm_octic.harness import ScanConfig, ScanReport, write_scan_csv
-from cm_octic.modular import (
-    FieldElement,
-    Prime,
-    canonical_i,
-    canonical_sqrt2,
-    element,
-    jacobi,
-    sqrt_mod,
-)
+from cm_octic.modular import Prime, canonical_i, canonical_sqrt2, jacobi, sqrt_mod
 from cm_octic.selftest import (  # noqa: F401  (re-exported to the tests)
     box_class_number,
     curve_points_oracle,
@@ -89,6 +84,67 @@ def sprp_prime_bases(n: int) -> bool:
         else:
             return False
     return True
+
+
+@dataclass(frozen=True)
+class FieldElement:
+    """A residue in [0, p) tied to its prime modulus.
+
+    Arithmetic never mixes moduli; doing so is a programming error and
+    raises AssertionError explicitly (so the guard survives python -O),
+    not a recoverable exception.  Plain ints coerce into the field of the
+    other operand.
+    """
+
+    residue: int
+    modulus: Prime
+
+    def __post_init__(self) -> None:
+        if not 0 <= self.residue < self.modulus.value:
+            raise ValueError(
+                f"residue {self.residue} out of range for modulus {self.modulus.value}"
+            )
+
+    def _coerce(self, other: FieldElement | int) -> int:
+        if isinstance(other, FieldElement):
+            if self.modulus != other.modulus:
+                raise AssertionError("operands from different prime fields")
+            return other.residue
+        return other % self.modulus.value
+
+    def __add__(self, other: FieldElement | int) -> FieldElement:
+        return FieldElement((self.residue + self._coerce(other)) % self.modulus.value, self.modulus)
+
+    __radd__ = __add__
+
+    def __sub__(self, other: FieldElement | int) -> FieldElement:
+        return FieldElement((self.residue - self._coerce(other)) % self.modulus.value, self.modulus)
+
+    def __rsub__(self, other: FieldElement | int) -> FieldElement:
+        return FieldElement((self._coerce(other) - self.residue) % self.modulus.value, self.modulus)
+
+    def __mul__(self, other: FieldElement | int) -> FieldElement:
+        return FieldElement(self.residue * self._coerce(other) % self.modulus.value, self.modulus)
+
+    __rmul__ = __mul__
+
+    def __neg__(self) -> FieldElement:
+        return FieldElement(-self.residue % self.modulus.value, self.modulus)
+
+    def inverse(self) -> FieldElement:
+        return FieldElement(pow(self.residue, -1, self.modulus.value), self.modulus)
+
+    def __truediv__(self, other: FieldElement | int) -> FieldElement:
+        if isinstance(other, int):
+            other = element(self.modulus, other)
+        if self.modulus != other.modulus:
+            raise AssertionError("operands from different prime fields")
+        return self * other.inverse()
+
+
+def element(p: Prime, value: int) -> FieldElement:
+    """Reduce an arbitrary integer into F_p."""
+    return FieldElement(value % p.value, p)
 
 
 # A point of E(F_p) in the FieldElement oracle: (x, y), or None for O.
@@ -207,7 +263,7 @@ def field_proof_trace_oracle(p: Prime, seed: int = 0) -> ProofTrace:
     chi_conjugate = euler_symbol((1 - s).residue, v)
     minus_one = jacobi(-1, v)
     jac_ok = chi * chi_conjugate == minus_one == 1
-    n = curve_order(p)
+    n = curve_order(v, canonical_i(p))
     level4 = tuple(sorted(x.residue for x in {1 + s, 1 - s, s - 1, -1 - s}))
 
     fibers = []
@@ -233,7 +289,7 @@ def field_proof_trace_oracle(p: Prime, seed: int = 0) -> ProofTrace:
     landed_sq: bool | None = None
     order8_ok = True
     if applicable:
-        order8_point = find_point_of_order(p, seed=seed)
+        order8_point = find_point_of_order(v, n, seed)
         if order8_point is None:
             order8_ok = False
         else:

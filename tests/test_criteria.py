@@ -2,6 +2,8 @@
 
 import multiprocessing
 import random
+import sys
+from collections import Counter
 from itertools import islice
 
 import pytest
@@ -328,6 +330,32 @@ class TestProofTrace:
         monkeypatch.setattr(curve, "_random_point_int", lambda seed, n: (2, 5))
         assert main(["check", "41", "--trace"]) == 3
         assert "is not on y^2 = x^3 - x over F_41" in capsys.readouterr().err
+
+    def test_curve_order_is_derived_once(self, monkeypatch, capsys):
+        # check --trace at a chi = +1 prime: check_prime's descent gives the
+        # certificate's n, and proof_trace's one curve_order gives the
+        # trace's n and the order-8 search's; nothing else derives #E or i.
+        package = [mod for name, mod in sys.modules.items()
+                   if name == "cm_octic" or name.startswith("cm_octic.")]
+        counts: Counter[str] = Counter()
+
+        def counting(fn, name):
+            def counted(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return counted
+
+        for module, name in ((decompose, "two_squares"), (curve, "curve_order"),
+                             (modular, "canonical_i")):
+            original = getattr(module, name)
+            wrapper = counting(original, name)
+            for mod in package:
+                if getattr(mod, name, None) is original:
+                    monkeypatch.setattr(mod, name, wrapper)
+        assert main(["check", "41", "--trace"]) == 0
+        assert '"chi": 1' in capsys.readouterr().out
+        assert [counts[name] for name in ("two_squares", "curve_order", "canonical_i")] == [
+            2, 1, 0]
 
     def test_applicability_matches_order(self):
         for p in primes_1_mod_8(0, 1000):

@@ -26,7 +26,9 @@ from cm_octic.errors import InvariantViolation
 from cm_octic.modular import Prime, canonical_i, canonical_sqrt2, sqrt_mod
 
 from conftest import (
+    FieldElement,
     curve_points_oracle,
+    element,
     field_add_oracle,
     field_eta_oracle,
     field_eta_preimages_oracle,
@@ -100,13 +102,13 @@ class TestGroupLaw:
 
     def test_lagrange_exhaustive(self):
         for p in (P17, P41):
-            n = curve_order(p)
+            n = curve_order(p.value, canonical_i(p))
             for P in curve_points_oracle(p):
                 assert _scalar_mul_int(n, P, p.value) is None
 
     def test_lagrange_sampled(self):
         p = Prime(97)
-        n = curve_order(p)
+        n = curve_order(97, canonical_i(p))
         for s in range(0, 40, 3):
             assert _scalar_mul_int(n, _random_point_int(s, 97), 97) is None
 
@@ -146,6 +148,40 @@ class TestGroupLaw:
                 assert _scalar_mul_int(k, P, v) == up, (k, P)
                 assert _scalar_mul_int(-k, P, v) == down, (-k, P)
                 up, down = _add_int(up, P, v), _add_int(down, minus_P, v)
+
+
+class TestFieldElement:
+    """The oracle's own F_p arithmetic, which the curve and trace oracles build on."""
+
+    def test_range_check(self):
+        p = Prime(17)
+        FieldElement(0, p)
+        FieldElement(16, p)
+        with pytest.raises(ValueError):
+            FieldElement(17, p)
+        with pytest.raises(ValueError):
+            FieldElement(-1, p)
+
+    def test_arithmetic(self):
+        p = Prime(17)
+        a, b = element(p, 11), element(p, 9)
+        assert (a + b).residue == 3
+        assert (a - b).residue == 2
+        assert (a * b).residue == 99 % 17
+        assert (-a).residue == 6
+        assert (a / b * b) == a
+        assert a.inverse() * a == element(p, 1)
+        assert (2 * a).residue == 5
+        assert (1 - a).residue == 7
+
+    def test_mixed_moduli_is_programming_error(self):
+        a = element(Prime(17), 3)
+        b = element(Prime(41), 3)
+        # An explicit raise, so the guard holds under python -O as well.
+        with pytest.raises(AssertionError, match="different prime fields"):
+            a + b
+        with pytest.raises(AssertionError, match="different prime fields"):
+            a / b
 
 
 # Primes of 20, 40 and 61 bits, all = 1 (mod 8).
@@ -308,7 +344,7 @@ class TestCounting:
         for v in range(5, 500):
             if v % 4 == 1 and all(v % d for d in range(2, v)):
                 p = Prime(v)
-                assert curve_order(p) == naive_point_count(p), v
+                assert curve_order(v, canonical_i(p)) == naive_point_count(p), v
 
     def test_naive_guard(self):
         with pytest.raises(ValueError):
@@ -346,26 +382,29 @@ def has_exact_order_8(p, xy):
 
 
 class TestFindPointOfOrder:
+    # #E comes from the caller; here from the naive point count, not from
+    # the package's curve_order.
     def test_order_eight_exists_at_41(self):
-        xy = find_point_of_order(P41)
+        xy = find_point_of_order(41, naive_point_count(P41))
         assert xy is not None
         assert has_exact_order_8(P41, xy)
 
     def test_needs_32_to_divide_the_order(self):
         # n = 16 at p = 17, so its 2-part Z/4 x Z/4 has no point of order 8
         with pytest.raises(ValueError):
-            find_point_of_order(P17)
+            find_point_of_order(17, 16)
 
     @pytest.mark.parametrize("v", [41, 113])
     def test_every_seed_finds_order_eight(self, v):
         # seeds near p wrap the walk around to x = 0, 1, ...
         p = Prime(v)
+        order = naive_point_count(p)
         for seed in range(v):
-            xy = find_point_of_order(p, seed)
+            xy = find_point_of_order(v, order, seed)
             assert xy is not None and has_exact_order_8(p, xy), seed
 
     def test_finds_order_eight_at_10009(self):
         p = Prime(10009)
-        xy = find_point_of_order(p)
+        xy = find_point_of_order(10009, naive_point_count(p))
         assert xy is not None
         assert has_exact_order_8(p, xy)

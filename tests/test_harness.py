@@ -850,6 +850,9 @@ class TestCliOther:
     def test_curve_order(self, capsys):
         assert main(["curve-order", "73"]) == 0
         assert capsys.readouterr().out.strip() == "80"
+        # p = 5 (mod 8): canonical_i alone supplies i, as no sqrt(2) exists.
+        assert main(["curve-order", "13"]) == 0
+        assert capsys.readouterr().out.strip() == "8"
 
     def test_curve_order_rejects_wrong_class(self):
         assert main(["curve-order", "7"]) == 1
@@ -890,18 +893,22 @@ class TestCliOther:
             "criteria + class numbers verified for 161 primes < 5000")
 
     def test_selftest_catches_a_fault_under_optimize(self):
-        # python -O strips assert statements; the checks must still fail.
+        # python -O strips assert statements; the checks must still fail,
+        # and on the planted fault, not on a call that no longer fits.
         code = (
             "import cm_octic.selftest as s\n"
             "s.CHECKS = (s.check_point_counts,)\n"
             "clean = s.run_all()\n"
             "real = s.curve_order\n"
-            "s.curve_order = lambda p: real(p) + 8\n"
+            "s.curve_order = lambda n, i: real(n, i) + 8\n"
             "print(__debug__, clean, s.run_all())\n"
         )
         done = subprocess.run([sys.executable, "-O", "-c", code], env=package_env(),
                               capture_output=True, text=True, check=True)
-        assert done.stdout.splitlines()[-1].split() == ["False", "True", "False"]
+        lines = done.stdout.splitlines()
+        assert lines[-1].split() == ["False", "True", "False"]
+        assert lines[-2] == ("FAIL check_point_counts: AssertionError: "
+                             "curve order != naive count at 17")
 
 
 class TestSeedResolution:

@@ -6,15 +6,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cm_octic import modular, selftest
+from cm_octic import criteria, modular, selftest
 from cm_octic.modular import (
-    FieldElement,
     Prime,
     _nonresidue,
     _sqrt_residue,
     canonical_i,
     canonical_sqrt2,
-    element,
     is_prime,
     jacobi,
     sqrt_mod,
@@ -92,35 +90,6 @@ class TestPrime:
             Prime(2**62 + 57)  # prime-sized but over the modulus bound
 
 
-class TestFieldElement:
-    def test_range_check(self):
-        p = Prime(17)
-        FieldElement(0, p)
-        FieldElement(16, p)
-        with pytest.raises(ValueError):
-            FieldElement(17, p)
-        with pytest.raises(ValueError):
-            FieldElement(-1, p)
-
-    def test_arithmetic(self):
-        p = Prime(17)
-        a, b = element(p, 11), element(p, 9)
-        assert (a + b).residue == 3
-        assert (a - b).residue == 2
-        assert (a * b).residue == 99 % 17
-        assert (-a).residue == 6
-        assert (a / b * b) == a
-        assert a.inverse() * a == element(p, 1)
-        assert (2 * a).residue == 5
-        assert (1 - a).residue == 7
-
-    def test_mixed_moduli_is_programming_error(self):
-        a = element(Prime(17), 3)
-        b = element(Prime(41), 3)
-        with pytest.raises(AssertionError):
-            a + b
-
-
 class TestJacobi:
     def test_examples(self):
         assert jacobi(2, 17) == 1
@@ -193,6 +162,26 @@ class TestCanonicalRoots:
     def test_roots_square_back(self):
         # Every p = 1 (mod 8) below 3000, through the check selftest runs.
         selftest.check_canonical_roots()
+
+    def test_selftest_checks_the_scan_roots(self, monkeypatch, capsys):
+        # n - i is still a root of -1, and either root gives the same
+        # descents, so only the comparison with canonical_i sees that
+        # _i_and_sqrt2, which scans and traces run, stopped returning the
+        # smaller one.
+        real = modular._i_and_sqrt2
+
+        def larger_i(n):
+            i, s = real(n)
+            return n - i, s
+
+        for mod in (modular, criteria, selftest):
+            assert mod._i_and_sqrt2 is real
+            monkeypatch.setattr(mod, "_i_and_sqrt2", larger_i)
+        assert not selftest.run_all()
+        fails = [line for line in capsys.readouterr().out.splitlines()
+                 if line.startswith("FAIL")]
+        assert fails == ["FAIL check_canonical_roots: AssertionError: "
+                         "_i_and_sqrt2 != canonical roots at 17"]
 
     def test_nonresidue_is_least(self):
         # Both canonical roots are powers of _nonresidue(n); it must be the
