@@ -11,7 +11,8 @@ Each certificate independently evaluates:
 
 A proof trace additionally walks the structural argument behind the curve
 criterion: preimages under eta of the rational points with x = +-1 +- sqrt(2),
-and the eta-orbit of a point of order 8 when 32 | n.
+whose y need no square root and whose eta-fibers are taken once per x, and
+the eta-orbit of a point of order 8 when 32 | n.
 """
 
 from __future__ import annotations
@@ -19,10 +20,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .classnumber import class_number
-from .curve import _eta_int, curve_order, eta_level_sets, eta_preimages, find_point_of_order
+from .curve import (_eta_int, _level4_roots, curve_order, eta_level_sets, eta_preimages,
+                    find_point_of_order)
 from .decompose import _curve_order, eight_decomposition, two_squares
 from .errors import InvariantViolation
-from .modular import Prime, _i_and_sqrt2, jacobi, sqrt_mod
+from .modular import Prime, _i_and_sqrt2, jacobi
 
 
 def euler_symbol(u: int, n: int) -> int:
@@ -184,7 +186,8 @@ def proof_trace(p: Prime, seed: int = 0) -> ProofTrace:
 
     Never raises on a mathematical inconsistency: a trace that breaks is
     returned with consistent=False so callers can surface it as a
-    counterexample.
+    counterexample.  A broken group law, such as an eta(P) outside the
+    fiber it was taken for, raises InvariantViolation.
     """
     n = p.value
     if n % 8 != 1:
@@ -200,26 +203,16 @@ def proof_trace(p: Prime, seed: int = 0) -> ProofTrace:
     fibers = []
     preimage_ok = True
     for xr in level4:
-        roots = sqrt_mod(xr * xr * xr - xr, n)
-        pts: list[tuple[int, int]] = []
-        counts: list[int] = []
-        if roots is not None:
-            for yr in sorted(set(roots)):
-                cnt = len(eta_preimages((xr, yr), n, i))
-                pts.append((xr, yr))
-                counts.append(cnt)
-                if chi == 1:
-                    preimage_ok = preimage_ok and cnt > 0
-                else:
-                    preimage_ok = preimage_ok and cnt == 0
-        fibers.append(
-            LevelFourFiber(
-                x=xr,
-                x_is_square=jacobi(xr, n) == 1,
-                points=tuple(pts),
-                preimage_counts=tuple(counts),
-            )
-        )
+        pts = tuple((xr, yr) for yr in _level4_roots(xr, n, i))
+        counts = [0, 0]
+        for P in eta_preimages(xr, n, i):
+            Q = _eta_int(P, n, i)
+            if Q not in pts:
+                raise InvariantViolation(f"eta{P} = {Q} is not above x = {xr} mod {n}")
+            counts[pts.index(Q)] += 1
+        preimage_ok = preimage_ok and all((cnt > 0) == (chi == 1) for cnt in counts)
+        fibers.append(LevelFourFiber(x=xr, x_is_square=jacobi(xr, n) == 1, points=pts,
+                                     preimage_counts=tuple(counts)))
     if chi == 1:
         preimage_ok = preimage_ok and order % 32 == 0
 

@@ -9,7 +9,10 @@ Points are plain residues: (x, y) mod p, or None for the identity O.  The
 group law is one integer core (_add_int, _scalar_mul_int) that checks
 every result on the curve.  eta, its preimages, the point sampler and the
 order-8 search run on it (_eta_int, eta_preimages, _random_point_int,
-find_point_of_order), and so do the selftest and proof_trace.  The level
+find_point_of_order), and so do the selftest and proof_trace.  The
+preimages come per x, both fibers above it at once; the level-4 points come
+without a square root (_level4_roots); the search decides most samples by
+2-descent on x alone (_descent_rejects) and projects only the rest.  The level
 sets are residues too, from roots i and sqrt(2) that their caller passes
 in and eta_level_sets squares back.  The prime is a plain int n here, its
 root of -1 comes from the caller, and so does #E for the order-8 search:
@@ -123,18 +126,18 @@ def _eta_int(P: _Affine, n: int, i: int) -> _Affine:
     return _add_int(P, (-P[0] % n, i * P[1] % n), n)
 
 
-def eta_preimages(Q: tuple[int, int], n: int, i: int) -> frozenset[tuple[int, int]]:
-    """All P with eta(P) = Q for an affine Q on residues mod n; i is a root of -1.
+def eta_preimages(x0: int, n: int, i: int) -> frozenset[tuple[int, int]]:
+    """All P with x(eta(P)) = x0, for the x0 of an affine point mod n; i is a
+    root of -1.
 
-    The set is nonempty exactly when x0 = x(Q) is a square mod n (0
-    included), and then it holds two points differing by (0,0); the fiber
-    over O is {O, (0,0)}.  For a square x0 the candidate x solve
-    x^2 - 2i*x0*x - 1 = 0, i.e. x = i*x0 +- sqrt(1 - x0^2), and 1 - x0^2
-    must be a square: a non-residue raises InvariantViolation.  Every root
-    taken is squared back, so each candidate is on the curve, and each one
-    kept has eta(P) = Q, computed on _add_int.
+    The x-map of eta is x -> (x^2 - 1)/(2ix), so the P lie above the roots of
+    x^2 - 2i*x0*x - 1 = 0, i.e. x = i*x0 +- sqrt(1 - x0^2).  The set is
+    nonempty exactly when x0 is a square mod n (0 included), and then it is
+    the union of the fibers over (x0, y0) and (x0, -y0), two points each,
+    differing by (0,0); the caller sorts the P into them by eta(P).  A
+    non-residue 1 - x0^2 under a square x0 raises InvariantViolation.  Every
+    root taken is squared back, so each P is on the curve.
     """
-    x0 = Q[0]
     if jacobi(x0, n) == -1:
         return frozenset()
     roots = sqrt_mod(1 - x0 * x0, n)
@@ -145,13 +148,19 @@ def eta_preimages(Q: tuple[int, int], n: int, i: int) -> frozenset[tuple[int, in
     found = set()
     for s in set(roots):
         x = (i * x0 + s) % n
-        ys = sqrt_mod(x * x * x - x, n)
-        if ys is None:
-            continue
-        for y in set(ys):
-            if _eta_int((x, y), n, i) == Q:
-                found.add((x, y))
+        found.update((x, y) for y in set(sqrt_mod(x * x * x - x, n) or ()))
     return frozenset(found)
+
+
+def _level4_roots(x: int, n: int, i: int) -> tuple[int, int]:
+    """Both y above a level-4 x = +-1 +- sqrt(2) mod n, smaller first, with no
+    square root taken: x^3 - x is (x + 1)^2 when (x - 1)^2 = 2, and
+    (i(x - 1))^2 when (x + 1)^2 = 2.  A y off the curve raises InvariantViolation.
+    """
+    y = (x + 1 if (x - 1) * (x - 1) % n == 2 else i * (x - 1)) % n
+    if (y * y - x * x * x + x) % n:
+        raise InvariantViolation(f"({x}, {y}) is not on y^2 = x^3 - x over F_{n}")
+    return min(y, n - y), max(y, n - y)
 
 
 def eta_level_sets(n: int, i: int, s: int) -> tuple[tuple[int, ...], ...]:
@@ -180,15 +189,34 @@ def curve_order(n: int, i: int) -> int:
     return _curve_order(n, *two_squares(n, i))
 
 
-def _random_point_int(seed: int, n: int) -> tuple[int, int]:
-    # Walk x = seed, seed+1, ... mod n until x^3 - x is a square, then take
-    # the smaller root y.  x = 0 always works, so the walk terminates.
+def _sample_x(seed: int, n: int) -> int:
+    # Walk x = seed, seed+1, ... mod n until x^3 - x is a square; x = 0 ends it.
     x = seed % n
-    while True:
-        ys = sqrt_mod(x * x * x - x, n)
-        if ys is not None:
-            return x, ys[0]
+    while jacobi(x * x * x - x, n) == -1:
         x = (x + 1) % n
+    return x
+
+
+def _random_point_int(seed: int, n: int) -> tuple[int, int]:
+    # The first x of the walk from seed, with the smaller root y.
+    x = _sample_x(seed, n)
+    return x, sqrt_mod(x * x * x - x, n)[0]
+
+
+def _descent_rejects(x: int, v: int, n: int) -> bool:
+    """Whether the 2-part of a sample above x has order < 8, decided from x
+    alone when 2^v || #E(F_n) with v = 5 or 6; False, undecided, for v >= 7.
+
+    The 2-part is Z[i]/(1+i)^v; order < 8 means killed by 4 = -(1+i)^4.  At
+    v = 5 those points are eta(E), the x that are squares (0 included).  At
+    v = 6 they are 2E: by 2-descent, x, x - 1 and x + 1 all squares (Knapp,
+    Elliptic Curves, Thm 4.2; Silverman, AEC X.1).
+    """
+    if v == 5:
+        return jacobi(x, n) != -1
+    if v == 6:
+        return -1 not in (jacobi(x - 1, n), jacobi(x, n), jacobi(x + 1, n))
+    return False
 
 
 def find_point_of_order(n: int, order: int, seed: int = 0) -> tuple[int, int] | None:
@@ -201,9 +229,10 @@ def find_point_of_order(n: int, order: int, seed: int = 0) -> tuple[int, int] | 
     group is never cyclic here (the full 2-torsion is rational), so
     multiplying a sample by order/8 can annihilate too much.  Instead,
     project a sample into the 2-Sylow subgroup, measure its order 2^t there,
-    and when 2^t >= 8 scale it down to exact order 8.  _SAMPLE_RETRIES
-    samples are taken, walking x up from seed; None after them is no proof
-    of absence.
+    and when 2^t >= 8 scale it down to exact order 8.  For 2^5 or 2^6 || order
+    _descent_rejects decides each sample from x alone, and only the sample
+    that succeeds is projected.  _SAMPLE_RETRIES samples are taken, walking
+    x up from seed; None after them is no proof of absence.
     """
     if order % 32:
         raise ValueError(f"no point of order 8 unless 32 divides #E(F_p) = {order}")
@@ -211,8 +240,11 @@ def find_point_of_order(n: int, order: int, seed: int = 0) -> tuple[int, int] | 
     odd_part = order >> v
     x_seed = seed
     for _ in range(_SAMPLE_RETRIES):
-        P = _random_point_int(x_seed, n)
-        x_seed = P[0] + 1
+        x = _sample_x(x_seed, n)
+        x_seed = x + 1
+        if _descent_rejects(x, v, n):
+            continue
+        P = _random_point_int(x, n)
         # S = odd_part * P lies in the 2-Sylow subgroup, so its doublings
         # reach O within v steps; chain holds S, 2S, 4S, ... before O.
         chain, R = [], _scalar_mul_int(odd_part, P, n)

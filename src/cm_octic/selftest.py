@@ -196,21 +196,21 @@ def check_eta_suite() -> str:
                          == _add_int(images[j], images[k], v),
                          "eta not additive", v, pts[j], pts[k])
         # Preimage criterion, fiber sizes, and the fiber partition.  The
-        # fiber over O is the kernel checked above.
-        _require(eta_preimages(torsion, v, i) == {(1, 0), (v - 1, 0)},
-                 "fiber over (0,0) wrong", v)
+        # fiber over O is the kernel checked above; eta_preimages(x0) is the
+        # union of the fibers over the points above x0.
+        _require(eta_preimages(0, v, i) == {(1, 0), (v - 1, 0)}, "fiber over (0,0) wrong", v)
         total = 2
-        for Q in pts[1:]:
-            pre = eta_preimages(Q, v, i)
+        for x0 in sorted({Q[0] for Q in pts[1:]}):
+            pre = eta_preimages(x0, v, i)
             total += len(pre)
-            for P in pre:
-                _require(_eta_int(P, v, i) == Q, "preimage does not map back", v, Q)
-            _require((len(pre) > 0) == (Q[0] in squares),
-                     "square preimage criterion fails", v, Q)
-            _require(len(pre) in (0, 2), "fiber size not 0 or 2", v, Q)
-            if len(pre) == 2:
-                A, B = pre
-                _require(_add_int(A, torsion, v) == B, "fiber not a kernel coset", v, Q)
+            _require((len(pre) > 0) == (x0 in squares), "square preimage criterion fails", v, x0)
+            fibers = [{P for P in pre if _eta_int(P, v, i) == Q} for Q in pts[1:] if Q[0] == x0]
+            _require(sum(map(len, fibers)) == len(pre), "preimage does not map back", v, x0)
+            for fiber in fibers:
+                _require(len(fiber) in (0, 2), "fiber size not 0 or 2", v, x0)
+                if len(fiber) == 2:
+                    A, B = fiber
+                    _require(_add_int(A, torsion, v) == B, "fiber not a kernel coset", v, x0)
         _require(total == len(pts), "fibers do not partition E(F_p)", v)
     return f"1+i suite on p in {ETA_PRIMES}, additivity on all pairs for p <= 41"
 

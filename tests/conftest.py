@@ -8,7 +8,9 @@ Frozen expected values in the tests were produced by these oracles.  The
 oracles that `cm-octic selftest` also needs live in cm_octic.selftest and
 are re-exported here.  FieldElement, the F_p arithmetic of the curve and
 proof-trace oracles, lives here too: the package runs on plain residues
-and has no use for it.
+and has no use for it.  So does order8_walk_oracle, the order-8 search
+that projects every sample, against which the package's search, which
+rejects most samples by 2-descent, is compared.
 """
 
 from __future__ import annotations
@@ -24,7 +26,13 @@ from cm_octic.criteria import (
     chi_one_plus_sqrt2,
     euler_symbol,
 )
-from cm_octic.curve import curve_order, find_point_of_order
+from cm_octic.curve import (
+    _SAMPLE_RETRIES,
+    _add_int,
+    _random_point_int,
+    _scalar_mul_int,
+    curve_order,
+)
 from cm_octic.harness import ScanConfig, ScanReport, write_scan_csv
 from cm_octic.modular import Prime, canonical_i, canonical_sqrt2, jacobi, sqrt_mod
 from cm_octic.selftest import (  # noqa: F401  (re-exported to the tests)
@@ -248,14 +256,35 @@ def field_eta_preimages_oracle(Q: tuple[FieldElement, FieldElement]) -> frozense
     return frozenset(found)
 
 
+def order8_walk_oracle(n: int, order: int, seed: int = 0) -> tuple[int, int] | None:
+    """find_point_of_order with every sample projected into the 2-Sylow subgroup.
+
+    The same x-walk and the same number of samples, but each sample's order
+    there is measured by doubling, never judged from its x; the package's
+    sampler must return what this returns, None included.
+    """
+    v = (order & -order).bit_length() - 1
+    x_seed = seed
+    for _ in range(_SAMPLE_RETRIES):
+        P = _random_point_int(x_seed, n)
+        x_seed = P[0] + 1
+        chain, R = [], _scalar_mul_int(order >> v, P, n)
+        while R is not None:
+            chain.append(R)
+            R = _add_int(R, R, n)
+        if len(chain) >= 3:
+            return chain[-3]
+    return None
+
+
 def field_proof_trace_oracle(p: Prime, seed: int = 0) -> ProofTrace:
     """proof_trace with its fibers and eta-orbit in FieldElement arithmetic.
 
     Independent of the package's trace, which runs on plain residues.  The
-    level-4 x-values are built here from a field-element sqrt(2).  The
-    order-8 residues come from the same find_point_of_order, but their point
-    is rebuilt with field_point and its exact order judged by
-    field_scalar_mul_oracle.
+    level-4 x-values are built here from a field-element sqrt(2), and their
+    points from field_sqrt.  The order-8 residues come from
+    order8_walk_oracle, and their point is rebuilt with field_point and its
+    exact order judged by field_scalar_mul_oracle.
     """
     v = p.value
     s = element(p, canonical_sqrt2(p))
@@ -289,7 +318,7 @@ def field_proof_trace_oracle(p: Prime, seed: int = 0) -> ProofTrace:
     landed_sq: bool | None = None
     order8_ok = True
     if applicable:
-        order8_point = find_point_of_order(v, n, seed)
+        order8_point = order8_walk_oracle(v, n, seed)
         if order8_point is None:
             order8_ok = False
         else:

@@ -326,10 +326,36 @@ class TestProofTrace:
     def test_off_curve_sum_is_an_invariant_violation(self, monkeypatch, capsys):
         # A sample off the curve can only come from a bug; the first sum
         # built from it breaks the group law's check, and the CLI reports
-        # an invariant violation, not a usage error.
-        monkeypatch.setattr(curve, "_random_point_int", lambda seed, n: (2, 5))
+        # an invariant violation, not a usage error.  At 2^5 || #E = 32 the
+        # sampler projects only samples whose x is a non-square, as 3 is mod 41.
+        monkeypatch.setattr(curve, "_random_point_int", lambda seed, n: (3, 5))
         assert main(["check", "41", "--trace"]) == 3
         assert "is not on y^2 = x^3 - x over F_41" in capsys.readouterr().err
+
+    def test_eta_image_outside_the_fiber_is_an_invariant_violation(self, monkeypatch, capsys):
+        # eta computed with -i is 1 - i, whose x-map sends the preimages of x0
+        # to -x0: a broken group law, which the CLI must not report as a
+        # usage error, as a ValueError from a list lookup would be.
+        real = criteria._eta_int
+        monkeypatch.setattr(criteria, "_eta_int", lambda P, n, i: real(P, n, n - i))
+        assert main(["check", "41", "--trace"]) == 3
+        assert "is not above x = " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("v", [912165368213634649, 4518101904374809])
+    def test_order8_search_projects_one_sample(self, v, monkeypatch):
+        # The two primes whose seed-0 walk rejects the most samples; 2^5 || #E
+        # at both, so the descent rejects them from x alone.  The one sample
+        # projected costs one scalar multiplication, and its order check two.
+        calls = []
+        real = curve._scalar_mul_int
+
+        def counted(k, P, n):
+            calls.append(k)
+            return real(k, P, n)
+
+        monkeypatch.setattr(curve, "_scalar_mul_int", counted)
+        assert proof_trace(Prime(v)).consistent
+        assert len(calls) == 3
 
     def test_curve_order_is_derived_once(self, monkeypatch, capsys):
         # check --trace at a chi = +1 prime: check_prime's descent gives the

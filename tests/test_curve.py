@@ -15,6 +15,7 @@ from cm_octic import curve, selftest
 from cm_octic.curve import (
     _add_int,
     _eta_int,
+    _level4_roots,
     _random_point_int,
     _scalar_mul_int,
     curve_order,
@@ -23,7 +24,7 @@ from cm_octic.curve import (
     find_point_of_order,
 )
 from cm_octic.errors import InvariantViolation
-from cm_octic.modular import Prime, canonical_i, canonical_sqrt2, sqrt_mod
+from cm_octic.modular import Prime, _i_and_sqrt2, canonical_i, canonical_sqrt2, jacobi, sqrt_mod
 
 from conftest import (
     FieldElement,
@@ -35,7 +36,9 @@ from conftest import (
     field_point,
     field_scalar_mul_oracle,
     naive_point_count,
+    order8_walk_oracle,
     residues,
+    sprp_prime_bases,
     squares_mod,
     trial_division_primes,
 )
@@ -242,15 +245,18 @@ class TestEta:
 
 class TestEtaPreimages:
     def test_nonsquare_x_has_empty_fiber(self):
-        assert eta_preimages((5, 1), 17, I17) == frozenset()
+        assert eta_preimages(5, 17, I17) == frozenset()
 
     @pytest.mark.parametrize("v", [41, 113])
     def test_matches_field_oracle(self, v):
+        # eta_preimages(x0) is the union of the oracle's fibers over +-Q.
         p = Prime(v)
         i = canonical_i(p)
-        for Q in curve_points_oracle(p)[1:]:
-            expected = {residues(P) for P in field_eta_preimages_oracle(as_field(p, Q))}
-            assert eta_preimages(Q, v, i) == expected, Q
+        points = curve_points_oracle(p)[1:]
+        for x0 in {Q[0] for Q in points}:
+            expected = {residues(P) for Q in points if Q[0] == x0
+                        for P in field_eta_preimages_oracle(as_field(p, Q))}
+            assert eta_preimages(x0, v, i) == expected, x0
 
 
 def _i_keeps_x(P, n, i):
@@ -258,15 +264,15 @@ def _i_keeps_x(P, n, i):
     return None if P is None else curve._add_int(P, (P[0], i * P[1] % n), n)
 
 
-def _candidates_use_minus_i(Q, n, i):
-    # eta_preimages with x = -i*x0 +- sqrt(1 - x0^2) as its candidates.
-    x0 = Q[0]
+def _candidates_use_minus_i(x0, n, i):
+    # eta_preimages with x = -i*x0 +- sqrt(1 - x0^2) as its candidates:
+    # eta sends the points above them to -x0, not x0.
+    if jacobi(x0, n) == -1:
+        return frozenset()
     found = set()
-    for s in set(sqrt_mod(1 - x0 * x0, n) or ()):
+    for s in set(sqrt_mod(1 - x0 * x0, n)):
         x = (-i * x0 + s) % n
-        for y in set(sqrt_mod(x * x * x - x, n) or ()):
-            if curve._eta_int((x, y), n, i) == Q:
-                found.add((x, y))
+        found.update((x, y) for y in set(sqrt_mod(x * x * x - x, n) or ()))
     return frozenset(found)
 
 
@@ -283,7 +289,7 @@ def _tangent_at_two_torsion(P, Q, n):
 
 @pytest.mark.parametrize("name, mutant, failure", [
     ("_eta_int", _i_keeps_x, "computed kernel wrong"),
-    ("eta_preimages", _candidates_use_minus_i, "square preimage criterion fails"),
+    ("eta_preimages", _candidates_use_minus_i, "preimage does not map back"),
     ("_add_int", _tangent_at_two_torsion, "ValueError"),
 ], ids=["i-keeps-x", "preimages-minus-i", "doubling-misses-o"])
 def test_eta_suite_catches_a_broken_integer_core(name, mutant, failure, monkeypatch, capsys):
@@ -334,6 +340,34 @@ class TestLevelSets:
     def test_rejects_wrong_residue_class(self):
         with pytest.raises(ValueError):
             eta_level_sets(13, 5, 0)  # 13 = 5 (mod 8): 5^2 = -1, but 2 has no root
+
+
+def seeded_primes(count: int, bits: int, seed: int) -> list[int]:
+    """count primes = 1 (mod 8) of the given bit size, from random.Random(seed)."""
+    rng = random.Random(seed)
+    out: list[int] = []
+    while len(out) < count:
+        q = rng.randrange(1 << (bits - 1), 1 << bits) >> 3 << 3 | 1
+        if q >> (bits - 1) and sprp_prime_bases(q):
+            out.append(q)
+    return out
+
+
+class TestLevelFourPoints:
+    @pytest.mark.parametrize("values", [
+        pytest.param([v for v in trial_division_primes(10**4) if v % 8 == 1], id="below-10^4"),
+        pytest.param(seeded_primes(40, 61, 4), id="seeded-61-bit"),
+    ])
+    def test_explicit_roots_match_sqrt_mod(self, values):
+        for v in values:
+            i, s = _i_and_sqrt2(v)
+            for x in eta_level_sets(v, i, s)[3]:
+                assert _level4_roots(x, v, i) == sqrt_mod(x * x * x - x, v), (v, x)
+
+    def test_off_level_x_is_an_invariant_violation(self):
+        # x = 2 is not +-1 +- sqrt(2) mod 41, so neither explicit y is on the curve.
+        with pytest.raises(InvariantViolation, match="is not on y\\^2 = x\\^3 - x over F_41"):
+            _level4_roots(2, 41, canonical_i(P41))
 
 
 class TestCounting:
@@ -408,3 +442,68 @@ class TestFindPointOfOrder:
         xy = find_point_of_order(10009, naive_point_count(p))
         assert xy is not None
         assert has_exact_order_8(p, xy)
+
+
+def primes_by_valuation(sizes, seed: int) -> dict[str, list[int]]:
+    """One prime = 1 (mod 8) of each bit size with 2^5, 2^6 and 2^(>=7) || #E,
+    drawn from random.Random(seed)."""
+    rng = random.Random(seed)
+    classes: dict[str, list[int]] = {"v5": [], "v6": [], "v7+": []}
+    for bits in sizes:
+        missing = set(classes)
+        while missing:
+            q = rng.randrange(1 << (bits - 1), 1 << bits) >> 3 << 3 | 1
+            if not (q >> (bits - 1) and sprp_prime_bases(q)):
+                continue
+            order = curve_order(q, sqrt_mod(-1, q)[0])
+            v = (order & -order).bit_length() - 1  # 2^v || #E
+            key = "v5" if v == 5 else "v6" if v == 6 else "v7+" if v >= 7 else None
+            if key in missing:
+                classes[key].append(q)
+                missing.remove(key)
+    return classes
+
+
+def sampler_mismatches(values, seeds=range(4)) -> list[tuple]:
+    """(p, seed, package, oracle) wherever find_point_of_order disagrees with
+    the full-projection walk in conftest."""
+    out = []
+    for v in values:
+        order = curve_order(v, canonical_i(Prime(v)))
+        for seed in seeds:
+            got, want = find_point_of_order(v, order, seed), order8_walk_oracle(v, order, seed)
+            if got != want:
+                out.append((v, seed, got, want))
+    return out
+
+
+# Every p = 1 (mod 8) below 2 * 10^4 with 32 | #E.
+SMALL_SEARCHED = [v for v in trial_division_primes(20000)
+                  if v % 8 == 1 and curve_order(v, canonical_i(Prime(v))) % 32 == 0]
+# 2476681 and 528423887209 are the seed-0 misses, both with 2^5 || #E.
+SEEDED_SEARCHED = primes_by_valuation((20, 27, 34, 41, 48, 55, 61), 27)
+SEEDED_SEARCHED["v5"] += [2476681, 528423887209]
+
+
+class TestSamplerDescent:
+    """find_point_of_order decides samples at 2^5 and 2^6 || #E from x alone;
+    it must choose as the walk that projects every sample does."""
+
+    def test_small_primes(self):
+        assert len(SMALL_SEARCHED) > 250
+        assert sampler_mismatches(SMALL_SEARCHED) == []
+
+    @pytest.mark.parametrize("key", ["v5", "v6", "v7+"])
+    def test_seeded_primes(self, key):
+        assert sampler_mismatches(SEEDED_SEARCHED[key]) == []
+
+    @pytest.mark.parametrize("v", [2476681, 528423887209])
+    def test_pinned_misses_still_miss(self, v):
+        assert find_point_of_order(v, curve_order(v, canonical_i(Prime(v))), 0) is None
+
+    def test_a_flipped_v5_rule_is_caught(self, monkeypatch):
+        # Rejecting the non-square x at 2^5 || #E instead of the square ones.
+        real = curve._descent_rejects
+        monkeypatch.setattr(curve, "_descent_rejects",
+                            lambda x, v, n: jacobi(x, n) == -1 if v == 5 else real(x, v, n))
+        assert sampler_mismatches(SMALL_SEARCHED[:20], seeds=[0]) != []

@@ -360,6 +360,11 @@ PINNED_TRACES = (
      "976fd050dcee1748d3f90b10bb32f08eb84af564611fcd0c4e39f03a54b16a36"),
     ("2^61-chi-plus", ["check", "2305843009213694257", "--trace"], 0,
      "59b5dd2b3c4d08f6cd03fcd9092c4ac2b2d62c323f50a1feee7eb09b31c2cf14"),
+    # the two primes where the seed-0 order-8 search rejects the most samples
+    ("most-rejects-912165368213634649", ["check", "912165368213634649", "--trace"], 0,
+     "a431037143421d76e3b92a52e25dfd5fd1c32d7a480d0b6e5623d563003f4ae5"),
+    ("most-rejects-4518101904374809", ["check", "4518101904374809", "--trace"], 0,
+     "c59b06502a3a6ba7a928e21edb6648f683f07d29012ab25cdfb2214e632c04cc"),
     # the two primes where the seed-0 order-8 search finds nothing
     ("miss-2476681", ["check", "2476681", "--trace"], 2,
      "6f0353c1137bd5f2afb4c43ccab505352642f9df8d3bcc9d103c61ccd463850b"),
