@@ -81,22 +81,37 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _json(value: object, pad: str = "\n") -> str:
+    """json.dumps(value, indent=2) without json's pure-Python encoder; pad is the newline and
+    indent of value.  Keys need no escaping; leaves besides ints, bools and None use json.dumps."""
+    if value is None or value is True or value is False:
+        return "null" if value is None else "true" if value else "false"
+    inner = pad + "  "
+    if isinstance(value, dict):
+        items = [f'"{k}": {int.__repr__(v) if type(v) is int else _json(v, inner)}'
+                 for k, v in value.items()]
+        return "{" + inner + ("," + inner).join(items) + pad + "}" if items else "{}"
+    if isinstance(value, (list, tuple)):
+        items = [int.__repr__(v) if type(v) is int else _json(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + pad + "]" if items else "[]"
+    return int.__repr__(value) if isinstance(value, int) else json.dumps(value)
+
+
 def _cmd_check(args: argparse.Namespace) -> int:
-    p = Prime(args.p)
-    cert = check_prime(p, with_class_number=args.class_number)
+    cert = check_prime(Prime(args.p), with_class_number=args.class_number)
     # Shallow copies of the fields: every value is an int, a bool, None or
     # a tuple of them, so a deep copy would change no byte.
     doc = dict(vars(cert))
     if not isinstance(cert, Certificate):
-        print(json.dumps(doc, indent=2))
+        print(_json(doc))
         return EXIT_INVARIANT
     status = EXIT_OK if cert.all_hold else EXIT_COUNTEREXAMPLE
     if args.trace:
-        trace = proof_trace(p, seed=args.seed)
+        trace = proof_trace(cert, seed=args.seed)
         doc["trace"] = {**vars(trace), "fibers": [vars(f) for f in trace.fibers]}
         if not trace.consistent:
             status = EXIT_COUNTEREXAMPLE
-    print(json.dumps(doc, indent=2))
+    print(_json(doc))
     return status
 
 
@@ -141,7 +156,7 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
     doc: dict = {"p": n, "a": a, "b": b}
     if n % 8 == 1:
         doc["c"], doc["d"] = eight_decomposition(n, i, canonical_sqrt2(p))
-    print(json.dumps(doc, indent=2))
+    print(_json(doc))
     return EXIT_OK
 
 
@@ -157,9 +172,12 @@ def _cmd_curve_order(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    # proof_trace at seed 0 as prose: the characters, #E, the eta-preimage
-    # counts above x = +-1 +- sqrt2 and the eta-orbit of a point of order 8.
-    tr = proof_trace(Prime(args.p))
+    # proof_trace of check_prime's certificate, at seed 0, as prose: the characters,
+    # #E, the eta-preimage counts above x = +-1 +- sqrt2 and the order-8 eta-orbit.
+    cert = check_prime(Prime(args.p))
+    if not isinstance(cert, Certificate):
+        raise InvariantViolation(cert.message)
+    tr = proof_trace(cert)
     print(f"p = {tr.p}:  chi(1+sqrt2) = {tr.chi:+d}, conjugate symbol = "
           f"{tr.chi_conjugate:+d}, product = {tr.chi * tr.chi_conjugate:+d} "
           f"(must be +1)")

@@ -11,8 +11,9 @@ Each certificate independently evaluates:
 
 A proof trace additionally walks the structural argument behind the curve
 criterion: preimages under eta of the rational points with x = +-1 +- sqrt(2),
-whose y need no square root and whose eta-fibers are taken once per x, and
-the eta-orbit of a point of order 8 when 32 | n.
+whose y need no square root and whose eta-fibers are taken once per square x,
+and the eta-orbit of a point of order 8 when 32 | n.  It reads chi and the
+roots i and sqrt(2) off the certificate check_prime made.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .curve import (_eta_int, _level4_roots, curve_order, eta_level_sets, eta_pr
                     find_point_of_order)
 from .decompose import _curve_order, eight_decomposition, two_squares
 from .errors import InvariantViolation
-from .modular import Prime, _i_and_sqrt2, jacobi
+from .modular import Prime, _i_and_sqrt2, _smaller_root, jacobi
 
 
 def euler_symbol(u: int, n: int) -> int:
@@ -181,37 +182,42 @@ class ProofTrace:
     consistent: bool
 
 
-def proof_trace(p: Prime, seed: int = 0) -> ProofTrace:
-    """Trace both directions of the curve criterion at p.
+def proof_trace(cert: Certificate, seed: int = 0) -> ProofTrace:
+    """Trace both directions of the curve criterion for a Certificate from
+    check_prime, with its chi and the roots i = a/b and sqrt(2) = i*c/(2d).
 
     Never raises on a mathematical inconsistency: a trace that breaks is
     returned with consistent=False so callers can surface it as a
     counterexample.  A broken group law, such as an eta(P) outside the
-    fiber it was taken for, raises InvariantViolation.
+    fiber it was taken for, raises InvariantViolation, and so does a
+    certificate whose (a, b, c, d) do not decompose p or whose n is not #E.
     """
-    n = p.value
-    if n % 8 != 1:
-        raise ValueError(f"proof_trace expects p = 1 (mod 8), got {n}")
-    i, s = _i_and_sqrt2(n)
-    chi = chi_one_plus_sqrt2(n, s)
+    n, chi = cert.p, cert.chi
+    if cert.a ** 2 + cert.b ** 2 != n or cert.c ** 2 + 8 * cert.d ** 2 != n:
+        raise InvariantViolation(f"the certificate's (a, b, c, d) do not decompose p={n}")
+    i = _smaller_root(cert.a * pow(cert.b, -1, n) % n, -1, n)
+    s = _smaller_root(i * cert.c * pow(2 * cert.d, -1, n) % n, 2, n)
     chi_conjugate = euler_symbol((1 - s) % n, n)
     minus_one = jacobi(-1, n)
     jac_ok = chi * chi_conjugate == minus_one == 1
     order = curve_order(n, i)
+    if order != cert.n:
+        raise InvariantViolation(f"#E(F_p) = {order} but the certificate says {cert.n} at p={n}")
     level4 = eta_level_sets(n, i, s)[3]
 
     fibers = []
     preimage_ok = True
     for xr in level4:
         pts = tuple((xr, yr) for yr in _level4_roots(xr, n, i))
+        square = jacobi(xr, n) == 1
         counts = [0, 0]
-        for P in eta_preimages(xr, n, i):
+        for P in eta_preimages(xr, n, i) if square else ():
             Q = _eta_int(P, n, i)
             if Q not in pts:
                 raise InvariantViolation(f"eta{P} = {Q} is not above x = {xr} mod {n}")
             counts[pts.index(Q)] += 1
         preimage_ok = preimage_ok and all((cnt > 0) == (chi == 1) for cnt in counts)
-        fibers.append(LevelFourFiber(x=xr, x_is_square=jacobi(xr, n) == 1, points=pts,
+        fibers.append(LevelFourFiber(x=xr, x_is_square=square, points=pts,
                                      preimage_counts=tuple(counts)))
     if chi == 1:
         preimage_ok = preimage_ok and order % 32 == 0
@@ -234,7 +240,7 @@ def proof_trace(p: Prime, seed: int = 0) -> ProofTrace:
             if landed is None:
                 order8_ok = False
             else:
-                landed_sq = jacobi(landed, n) == 1
+                landed_sq = fibers[level4.index(landed)].x_is_square
                 order8_ok = landed_sq
     return ProofTrace(
         p=n,

@@ -162,7 +162,7 @@ def test_criterion_8_proof_traces():
     for p in primes_1_mod_8(0, 10**4):
         if chi_one_plus_sqrt2(p.value, canonical_sqrt2(p)) != 1:
             continue
-        tr = proof_trace(p)
+        tr = proof_trace(check_prime(p))
         assert tr.order8_applicable, f"criterion-8: 32 should divide n at {p.value}"
         assert tr.order8_point is not None, f"criterion-8: no order-8 point at {p.value}"
         assert tr.orbit_landed_x is not None and tr.orbit_landed_x in tr.level4_x, \

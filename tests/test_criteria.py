@@ -1,5 +1,7 @@
 """Certificates and proof traces for the character criteria."""
 
+import dataclasses
+import json
 import multiprocessing
 import random
 import sys
@@ -276,7 +278,7 @@ def seeded_trace_primes(count: int, seed: int) -> list[int]:
 
 class TestProofTrace:
     def test_chi_minus_one_trace(self):
-        tr = proof_trace(Prime(17))
+        tr = proof_trace(check_prime(Prime(17)))
         assert tr.chi == -1
         assert tr.jac_identity_holds
         assert (tr.n, tr.n_mod_32) == (16, 16)
@@ -291,7 +293,7 @@ class TestProofTrace:
         assert tr.consistent
 
     def test_chi_plus_one_trace(self):
-        tr = proof_trace(Prime(41))
+        tr = proof_trace(check_prime(Prime(41)))
         assert tr.chi == 1
         assert (tr.n, tr.n_mod_32) == (32, 0)
         assert tr.level4_x == (16, 18, 23, 25)
@@ -306,12 +308,14 @@ class TestProofTrace:
         assert tr.consistent
 
     def test_rejects_wrong_residue_class(self):
-        with pytest.raises(ValueError):
-            proof_trace(Prime(29))
+        # A trace needs a certificate, and check_prime makes none off 1 (mod 8).
+        with pytest.raises(ValueError, match="check_prime expects p = 1"):
+            check_prime(Prime(29))
 
     def test_seed_determinism(self):
-        assert proof_trace(Prime(41), seed=3) == proof_trace(Prime(41), seed=3)
-        assert proof_trace(Prime(113), seed=9).consistent
+        cert = check_prime(Prime(41))
+        assert proof_trace(cert, seed=3) == proof_trace(cert, seed=3)
+        assert proof_trace(check_prime(Prime(113)), seed=9).consistent
 
     def test_failed_order_check_is_an_invariant_violation(self, monkeypatch, capsys):
         # The scaled sample has order 8 by construction; if the check on it
@@ -354,7 +358,7 @@ class TestProofTrace:
             return real(k, P, n)
 
         monkeypatch.setattr(curve, "_scalar_mul_int", counted)
-        assert proof_trace(Prime(v)).consistent
+        assert proof_trace(check_prime(Prime(v))).consistent
         assert len(calls) == 3
 
     def test_curve_order_is_derived_once(self, monkeypatch, capsys):
@@ -383,9 +387,81 @@ class TestProofTrace:
         assert [counts[name] for name in ("two_squares", "curve_order", "canonical_i")] == [
             2, 1, 0]
 
+    @pytest.mark.parametrize("p, level4", [(17, (5, 7, 10, 12)), (41, (16, 18, 23, 25))])
+    def test_root_work_is_done_once(self, p, level4, monkeypatch, capsys):
+        # check --trace derives i, sqrt(2) and chi once, in check_prime; the
+        # trace reads them off the certificate.  It takes one Jacobi symbol
+        # per level-4 x, and eta_preimages its own one only above a square
+        # x, so 4 at chi = -1 (p = 17) and 8 at chi = +1 (p = 41).  The
+        # document is written without json.dumps.
+        package = [mod for name, mod in sys.modules.items()
+                   if name == "cm_octic" or name.startswith("cm_octic.")]
+        counts: Counter[str] = Counter()
+
+        def counting(fn, name, counted_if=lambda *args, **kwargs: True):
+            def counted(*args, **kwargs):
+                counts[name] += counted_if(*args)
+                return fn(*args, **kwargs)
+            return counted
+
+        for module, name, counted_if in (
+            (modular, "_i_and_sqrt2", lambda n: True),
+            (criteria, "chi_one_plus_sqrt2", lambda n, s: True),
+            (modular, "jacobi", lambda a, n: a % n in level4),  # on a level-4 x only
+        ):
+            original = getattr(module, name)
+            wrapper = counting(original, name, counted_if)
+            for mod in package:
+                if getattr(mod, name, None) is original:
+                    monkeypatch.setattr(mod, name, wrapper)
+        monkeypatch.setattr(json, "dumps", counting(json.dumps, "json.dumps"))
+        assert main(["check", str(p), "--trace"]) == 0
+        assert json.loads(capsys.readouterr().out)["trace"]["level4_x"] == list(level4)
+        assert counts == {"_i_and_sqrt2": 1, "chi_one_plus_sqrt2": 1,
+                          "jacobi": 4 if p == 17 else 8}
+
+    @pytest.mark.parametrize("forge", ["d+1", "b=0", "foreign", "curve_order"])
+    def test_a_certificate_the_trace_cannot_reproduce_is_an_invariant_violation(
+            self, forge, monkeypatch, capsys):
+        # A trace takes its roots and chi from the certificate, so a
+        # certificate that is not check_prime's for its p must never yield
+        # a trace: not with d off by one, not with a b that has no inverse
+        # mod p, not with another prime's (a, b, c, d), and not when #E from
+        # the trace's own curve_order disagrees with its n.
+        import cm_octic.cli as cli_mod
+
+        cert = check_prime(Prime(41))
+        if forge == "d+1":
+            cert = dataclasses.replace(cert, d=cert.d + 1)
+        elif forge == "b=0":
+            cert = dataclasses.replace(cert, b=0, n=(cert.a - 1) ** 2)
+        elif forge == "foreign":
+            cert = dataclasses.replace(check_prime(Prime(73)), p=41)
+        else:
+            real = criteria.curve_order
+            monkeypatch.setattr(criteria, "curve_order", lambda n, i: real(n, i) + 8)
+        with pytest.raises(InvariantViolation):
+            proof_trace(cert)
+        monkeypatch.setattr(cli_mod, "check_prime", lambda p, **kw: cert)
+        for argv in (["check", "41", "--trace"], ["trace", "41"]):
+            assert main(argv) == 3
+            out, err = capsys.readouterr()
+            assert out == "" and "internal invariant violated" in err
+
+    def test_trace_of_a_failed_certificate_is_an_invariant_violation(self, monkeypatch, capsys):
+        import cm_octic.cli as cli_mod
+
+        monkeypatch.setattr(cli_mod, "check_prime",
+                            lambda p, **kw: ErrorCertificate(p=41, stage="chi", message="boom"))
+        assert main(["trace", "41"]) == 3
+        assert capsys.readouterr() == ("", "cm-octic: internal invariant violated: boom\n")
+        monkeypatch.undo()
+        assert main(["trace", "13"]) == 1
+        assert "check_prime expects p = 1 (mod 8), got 13" in capsys.readouterr().err
+
     def test_applicability_matches_order(self):
         for p in primes_1_mod_8(0, 1000):
-            tr = proof_trace(p)
+            tr = proof_trace(check_prime(p))
             assert tr.order8_applicable == (tr.n % 32 == 0)
             assert tr.minus_one_symbol == 1
             assert tr.consistent, p.value
@@ -393,7 +469,7 @@ class TestProofTrace:
     def test_level4_character_is_uniform(self):
         # (1+s)(1-s) = -1 and (-1 | p) = +1 force one character across all four
         for p in primes_1_mod_8(0, 3000):
-            tr = proof_trace(p)
+            tr = proof_trace(check_prime(p))
             assert all(f.x_is_square == (tr.chi == 1) for f in tr.fibers)
 
 
@@ -411,4 +487,4 @@ class TestProofTraceOracle:
     def test_matches_field_oracle(self, values):
         for v in values:
             p = Prime(v)
-            assert proof_trace(p) == field_proof_trace_oracle(p), v
+            assert proof_trace(check_prime(p)) == field_proof_trace_oracle(p), v

@@ -17,9 +17,12 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cm_octic
 from cm_octic import harness, selftest
+from cm_octic.cli import _json as cli_json
 from cm_octic.cli import main
 from cm_octic.criteria import Certificate, ErrorCertificate
 from cm_octic.errors import InvariantViolation
@@ -494,6 +497,46 @@ class TestCliTrace:
         assert done.returncode == 3, done.stderr
         assert "S is not O after v2(#E) = 5 doublings mod 41" in done.stderr
         assert "Traceback" not in done.stderr
+
+
+# JSON values as check and decompose print them, and more: big and negative
+# ints, strings that need escaping, empty and nested containers.
+_JSON_KEYS = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,10}", fullmatch=True)
+_JSON_LEAVES = st.one_of(
+    st.integers(),
+    st.integers(min_value=2**63, max_value=2**80),
+    st.integers(min_value=-(2**80), max_value=-(2**63)),
+    st.booleans(),
+    st.none(),
+    st.text(st.one_of(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\u00e9\u2028\U0001f600'),
+                      st.characters()), max_size=12),
+)
+_JSON_VALUES = st.recursive(
+    _JSON_LEAVES,
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.tuples(inner, inner),
+                            st.just(()), st.dictionaries(_JSON_KEYS, inner, max_size=4)),
+    max_leaves=24,
+)
+
+
+class TestJsonWriter:
+    @settings(deadline=None)
+    @given(_JSON_VALUES)
+    def test_matches_json_dumps(self, value):
+        assert cli_json(value) == json.dumps(value, indent=2)
+
+    @pytest.mark.parametrize("argv", [["check", "41"], ["check", "41", "--trace"]])
+    def test_planted_fault_prints_the_error_certificate(self, argv, monkeypatch, capsys):
+        # Roots that are not roots make check_prime return an ErrorCertificate,
+        # with or without --trace; its strings are the writer's only leaves
+        # that go through json.dumps.
+        from cm_octic import criteria
+
+        monkeypatch.setattr(criteria, "_i_and_sqrt2", lambda n: (2, 3))
+        cert = criteria.check_prime(Prime(41))
+        assert isinstance(cert, ErrorCertificate)
+        assert main(argv) == 3
+        assert capsys.readouterr().out == json.dumps(vars(cert), indent=2) + "\n"
 
 
 # (id, argv, sha256 of stdout) of each scan whose bytes are pinned.
