@@ -14,6 +14,8 @@ criterion: preimages under eta of the rational points with x = +-1 +- sqrt(2),
 whose y need no square root and whose eta-fibers are taken once per square x,
 and the eta-orbit of a point of order 8 when 32 | n.  It reads chi and the
 roots i and sqrt(2) off the certificate check_prime made.
+_certificate_fields makes the fields; check_prime builds a Certificate of
+them, a scan its CSV row, and a Certificate only for a counterexample.
 """
 
 from __future__ import annotations
@@ -79,14 +81,23 @@ class Certificate:
     corollary_holds: bool
 
     def __post_init__(self) -> None:
-        if self.n != (self.a - 1) ** 2 + self.b * self.b:
-            raise InvariantViolation(f"n != (a-1)^2 + b^2 at p={self.p}")
-        if self.n % 8:
-            raise InvariantViolation(f"#E(F_p) = {self.n} is not divisible by 8 at p={self.p}")
+        _order_guard(self.p, self.a, self.b, self.n)
 
     @property
     def all_hold(self) -> bool:
-        return self.thm2_holds and self.corollary_holds and self.thm1_holds is not False
+        return _all_hold(self.thm2_holds, self.thm1_holds, self.corollary_holds)
+
+
+def _order_guard(p: int, a: int, b: int, n: int) -> None:
+    # The certificate's own check of #E(F_p) = n, whoever computed it.
+    if n != (a - 1) ** 2 + b * b:
+        raise InvariantViolation(f"n != (a-1)^2 + b^2 at p={p}")
+    if n % 8:
+        raise InvariantViolation(f"#E(F_p) = {n} is not divisible by 8 at p={p}")
+
+
+def _all_hold(thm2_holds: bool, thm1_holds: bool | None, corollary_holds: bool) -> bool:
+    return thm2_holds and corollary_holds and thm1_holds is not False
 
 
 @dataclass(frozen=True)
@@ -98,15 +109,11 @@ class ErrorCertificate:
     message: str
 
 
-def check_prime(p: Prime, with_class_number: bool = False) -> Certificate | ErrorCertificate:
-    """Evaluate every criterion at p, each side computed independently."""
+def _certificate_fields(p: Prime, with_class_number: bool) -> tuple | ErrorCertificate:
+    """Certificate's fields at p = 1 (mod 8), in order, as plain values; or
+    the ErrorCertificate of the stage that raised InvariantViolation."""
     n = p.value
-    if n % 8 != 1:
-        raise ValueError(f"check_prime expects p = 1 (mod 8), got {n}")
-    h: int | None = None
-    # Plain integers throughout; the integer forms check their own results,
-    # and the Certificate its own.  Every invariant failure becomes this
-    # prime's ErrorCertificate, labelled with the stage that raised it.
+    # The integer forms check their own results, and _order_guard the Certificate's.
     stage = "roots"
     try:
         i, s = _i_and_sqrt2(n)
@@ -117,28 +124,25 @@ def check_prime(p: Prime, with_class_number: bool = False) -> Certificate | Erro
         c, d = eight_decomposition(n, i, s)
         stage = "chi"
         chi = chi_one_plus_sqrt2(n, s)
-        if with_class_number:
-            stage = "class_number"
-            h = class_number(p)
+        stage = "class_number"
+        h = class_number(p) if with_class_number else None
         stage = "certificate"
-        n_mod_32 = order % 32
-        d_even = d % 2 == 0
-        return Certificate(
-            p=n,
-            a=a,
-            b=b,
-            c=c,
-            d=d,
-            chi=chi,
-            n=order,
-            n_mod_32=n_mod_32,
-            h=h,
-            thm2_holds=(chi == 1) == (n_mod_32 == 0),
-            thm1_holds=None if h is None else (chi == 1) == d_even == (h % 8 == 0),
-            corollary_holds=(n_mod_32 == 0) == d_even,
-        )
+        _order_guard(n, a, b, order)
     except InvariantViolation as exc:
         return ErrorCertificate(p=n, stage=stage, message=str(exc))
+    n_mod_32 = order % 32
+    d_even = d % 2 == 0
+    return (n, a, b, c, d, chi, order, n_mod_32, h, (chi == 1) == (n_mod_32 == 0),
+            None if h is None else (chi == 1) == d_even == (h % 8 == 0),
+            (n_mod_32 == 0) == d_even)
+
+
+def check_prime(p: Prime, with_class_number: bool = False) -> Certificate | ErrorCertificate:
+    """Evaluate every criterion at p, each side computed independently."""
+    if p.value % 8 != 1:
+        raise ValueError(f"check_prime expects p = 1 (mod 8), got {p.value}")
+    fields = _certificate_fields(p, with_class_number)
+    return fields if isinstance(fields, ErrorCertificate) else Certificate(*fields)
 
 
 @dataclass(frozen=True)

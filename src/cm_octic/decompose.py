@@ -10,8 +10,9 @@ unique outright once c, d > 0.
 The functions take the prime as a plain int n and its roots from the
 caller, and check their results on plain ints: whatever roots they are
 given, they return the unique pair or raise InvariantViolation.  The
-residue class is guarded where the roots are made: in check_prime and
-proof_trace, or in modular.canonical_i and canonical_sqrt2.
+residue class is guarded by the callers that make the roots: check_prime,
+the scan's prime stream, which yields only p = 1 (mod 8), and
+modular.canonical_i and canonical_sqrt2.
 """
 
 from __future__ import annotations

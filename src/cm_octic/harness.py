@@ -5,7 +5,9 @@ by one worker.  Scans are deterministic: given the same configuration the
 emitted CSV/JSON bytes are identical regardless of worker count, because
 the per-prime work is pure and results are joined in segment order.
 Each segment comes back as its CSV text and its totals, and is written as
-soon as it arrives, so no scan holds every certificate at once.
+soon as it arrives, so no scan holds every certificate at once.  Its rows
+are formatted from criteria's tuples of certificate fields, and only a
+counterexample becomes a Certificate.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from math import isqrt
 from typing import Callable, Iterator, TextIO
 
 from .classnumber import DEFAULT_CAP
-from .criteria import Certificate, ErrorCertificate, check_prime
+from .criteria import Certificate, ErrorCertificate, _all_hold, _certificate_fields
 from .modular import MODULUS_BOUND, Prime, is_prime
 
 # Candidates step by 8 from one segment start to the next, so _SEGMENT must
@@ -41,6 +43,8 @@ _COLUMNS = CSV_HEADER.split(",")
 _ITEM = "    {{\n%s\n    }}" % ",\n".join(
     f'      "{f.name}": {{{_COLUMNS.index(f.name.removesuffix("_holds"))}}}'
     for f in fields(Certificate))
+# A CSV row: %+d writes chi as +1 or -1, %d a verdict as 1 or 0.
+_ROW = "%d,%d,%d,%d,%d,%+d,%d,%d,%d,%s,%d,%d"
 _VERDICT = {"1": "true", "0": "false", "": "null"}
 _JSON_TEXT = [{"chi": {"+1": "1"}, "h": {"": "null"}, "thm1": _VERDICT, "thm2": _VERDICT,
                "corollary": _VERDICT}.get(column, {}) for column in _COLUMNS]
@@ -150,19 +154,20 @@ def _check_segment(segment: tuple[int, int, int]) -> tuple[str, ScanReport]:
     part = ScanReport()
     aggregate = part.aggregate
     for p in primes_1_mod_8(lo, hi):
-        cert = check_prime(p, with_class_number=p.value <= cap)
-        part.primes_checked += 1
-        if isinstance(cert, ErrorCertificate):
-            part.errors.append(cert)
+        values = _certificate_fields(p, p.value <= cap)
+        if isinstance(values, ErrorCertificate):
+            part.errors.append(values)
             continue
-        rows.append(certificate_csv_row(cert))
-        aggregate["chi_plus_1" if cert.chi == 1 else "chi_minus_1"] += 1
-        aggregate["d_odd" if cert.d % 2 else "d_even"] += 1
-        if cert.h is not None:
-            part.h_mod_8[cert.chi, cert.h % 8] += 1
-        if not cert.all_hold:
-            part.counterexamples.append(cert)
-    return "".join(f"{row}\n" for row in rows), part
+        rows.append(certificate_csv_row(values))
+        _, _, _, _, d, chi, _, _, h, thm2_holds, thm1_holds, corollary_holds = values
+        aggregate["chi_plus_1" if chi == 1 else "chi_minus_1"] += 1
+        aggregate["d_odd" if d % 2 else "d_even"] += 1
+        if h is not None:
+            part.h_mod_8[chi, h % 8] += 1
+        if not _all_hold(thm2_holds, thm1_holds, corollary_holds):
+            part.counterexamples.append(Certificate(*values))
+    part.primes_checked = len(rows) + len(part.errors)
+    return "\n".join([*rows, ""]), part
 
 
 def _in_order(pool, segments: Iterator[tuple[int, int, int]],
@@ -208,15 +213,11 @@ def scan(config: ScanConfig, write: Callable[[str], object]) -> ScanReport:
     return report
 
 
-def certificate_csv_row(cert: Certificate) -> str:
-    chi = "+1" if cert.chi == 1 else "-1"
-    h = "" if cert.h is None else str(cert.h)
-    h_mod_8 = "" if cert.h is None else str(cert.h % 8)
-    thm1 = "" if cert.thm1_holds is None else str(int(cert.thm1_holds))
-    return (
-        f"{cert.p},{cert.a},{cert.b},{cert.c},{cert.d},{chi},{cert.n},{cert.n_mod_32},"
-        f"{cert.d % 2},{h},{h_mod_8},{thm1},{int(cert.thm2_holds)},{int(cert.corollary_holds)}"
-    )
+def certificate_csv_row(values: tuple) -> str:
+    """The CSV row of one certificate, from its field values in Certificate's order."""
+    p, a, b, c, d, chi, n, n_mod_32, h, thm2_holds, thm1_holds, corollary_holds = values
+    h_columns = ",," if h is None else "%d,%d,%d" % (h, h % 8, thm1_holds)
+    return _ROW % (p, a, b, c, d, chi, n, n_mod_32, d % 2, h_columns, thm2_holds, corollary_holds)
 
 
 def write_scan_csv(config: ScanConfig, out: TextIO) -> ScanReport:

@@ -16,7 +16,8 @@ below 3000.  sqrt_mod and its core _sqrt_residue (Tonelli-Shanks) serve
 every other square root, among them the roots mod q of the class-number
 count and the points of the curve layer.  _sqrt_residue looks up a
 non-residue only when its first guess v^((q+1)/2) is not yet a root, which
-never happens for p = 3 (mod 4).
+never happens for p = 3 (mod 4).  _nonresidue finds the least non-residue
+of p = 1 (mod 8) by reciprocity, from the non-residues mod odd primes <= 127.
 """
 
 from __future__ import annotations
@@ -109,13 +110,25 @@ def jacobi(a: int, n: int) -> int:
     return sign if n == 1 else 0
 
 
+# (z, marks) for each odd prime z <= 127: marks[r] = 1 when r is a non-residue mod z.
+_NONRESIDUES = tuple((z, bytes(r not in squares for r in range(z)))
+                     for z in range(3, 128, 2) if is_prime(z)
+                     for squares in [{x * x % z for x in range(z)}])
+
+
 def _nonresidue(n: int) -> int:
     # The least quadratic non-residue mod the odd prime n.  It is prime, and
-    # 2 is a non-residue exactly when n = 3 or 5 (mod 8), so past 2 only odd
-    # z are tried.
+    # 2 is one exactly when n = 3 or 5 (mod 8).  For n = 1 (mod 8), (z | n) =
+    # (n mod z | z) for odd primes z; past the table, and for n = 7 (mod 8),
+    # the Jacobi symbol of each odd z decides.
     if n % 8 in (3, 5):
         return 2
     z = 3
+    if n % 8 == 1:
+        for z, marks in _NONRESIDUES:
+            if marks[n % z]:
+                return z
+        z += 2  # the first odd z past the table
     while jacobi(z, n) != -1:
         z += 2
     return z

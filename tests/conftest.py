@@ -8,9 +8,11 @@ Frozen expected values in the tests were produced by these oracles.  The
 oracles that `cm-octic selftest` also needs live in cm_octic.selftest and
 are re-exported here.  FieldElement, the F_p arithmetic of the curve and
 proof-trace oracles, lives here too: the package runs on plain residues
-and has no use for it.  So does order8_walk_oracle, the order-8 search
-that projects every sample, against which the package's search, which
-rejects most samples by 2-descent, is compared.
+and has no use for it.  So does nonresidue_by_jacobi, the search for the
+least non-residue that the package's reciprocity table replaced, and so
+does order8_walk_oracle, the order-8 search that projects every sample,
+against which the package's search, which rejects most samples by
+2-descent, is compared.
 """
 
 from __future__ import annotations
@@ -44,6 +46,18 @@ from cm_octic.selftest import (  # noqa: F401  (re-exported to the tests)
     squares_mod,
     trial_division_primes,
 )
+
+
+def nonresidue_by_jacobi(n: int) -> int:
+    """The least quadratic non-residue mod the odd prime n, by the Jacobi
+    symbol of 2 and then of each odd z in turn: the loop the package's
+    reciprocity table replaces for n = 1 (mod 8)."""
+    if n % 8 in (3, 5):
+        return 2
+    z = 3
+    while jacobi(z, n) != -1:
+        z += 2
+    return z
 
 
 def brute_two_squares(p: int) -> tuple[int, int]:

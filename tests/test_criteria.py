@@ -103,6 +103,30 @@ class TestFastPathOracle:
             got = (cert.a, cert.b, cert.c, cert.d, cert.chi, cert.n)
             assert got == tonelli_shanks_certificate(v), v
             assert cert.n_mod_32 == cert.n % 32 and cert.thm2_holds and cert.corollary_holds
+        # The scan formats its rows from the same core without calling
+        # check_prime; its rows must match the other side too.
+        report, certificates = streamed_scan(ScanConfig(lo=lo, hi=primes[-1] + 1))
+        assert [c.p for c in certificates] == primes and not report.errors
+        for cert in certificates:
+            got = (cert.a, cert.b, cert.c, cert.d, cert.chi, cert.n)
+            assert got == tonelli_shanks_certificate(cert.p), cert.p
+            assert cert.n_mod_32 == cert.n % 32 and cert.thm2_holds and cert.corollary_holds
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize(
+        "lo, hi, cap",
+        [(92682**2 - 40000, 92682**2 + 40000, 0), (0, 2 * 10**4, 2 * 10**4)],
+        ids=["presieve-bound", "class-numbers"],
+    )
+    def test_scan_rows_are_check_prime_certificates(self, lo, hi, cap, jobs):
+        # Below 92682^2 the stream's sieve proves each prime, above it
+        # Miller-Rabin does; the second window carries class numbers.
+        report, certificates = streamed_scan(ScanConfig(lo=lo, hi=hi, class_number_cap=cap,
+                                                        jobs=jobs))
+        primes = [p.value for p in primes_1_mod_8(lo, hi)]
+        assert len(primes) > 500 and not report.errors and not report.counterexamples
+        assert certificates == [check_prime(Prime(v), with_class_number=v <= cap)
+                                for v in primes]
 
 
 class TestCertificate:
@@ -259,6 +283,38 @@ class TestStageFailures:
         out, err = capsys.readouterr()
         assert [row.split(",")[0] for row in out.splitlines()[1:]] == ["17", "73", "89", "97"]
         assert f"invariant violation at p=41 [certificate]: {message}" in err
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("plant", ["order", "pair-and-order"])
+    def test_order_not_divisible_by_8_keeps_the_other_rows(self, plant, jobs, monkeypatch,
+                                                           capsys):
+        # At p = 10009, in a middle segment of [0, 20000), the order loses
+        # 8 | n: off by 4, or as (a-1)^2 + b^2 of a pair whose b is off by
+        # one, which passes the first of the certificate guard's checks and
+        # not the second.  The scan never builds a Certificate for that
+        # prime, so the core's own guard must catch it.
+        real_order, real_pair = decompose._curve_order, decompose.two_squares
+
+        def pair(n, i):
+            a, b = real_pair(n, i)
+            return a, b + (n == 10009)
+
+        if plant == "order":
+            monkeypatch.setattr(criteria, "_curve_order",
+                                lambda n, a, b: real_order(n, a, b) + 4 * (n == 10009))
+            message = "n != (a-1)^2 + b^2 at p=10009"
+        else:
+            monkeypatch.setattr(criteria, "two_squares", pair)
+            monkeypatch.setattr(criteria, "_curve_order", lambda n, a, b: (a - 1) ** 2 + b * b)
+            message = "#E(F_p) = 10217 is not divisible by 8 at p=10009"
+        monkeypatch.setattr(harness, "multiprocessing", multiprocessing.get_context("fork"))
+        assert check_prime(Prime(10009)) == ErrorCertificate(p=10009, stage="certificate",
+                                                             message=message)
+        assert main(["scan", "--from", "0", "--to", "20000", "--jobs", str(jobs)]) == 3
+        out, err = capsys.readouterr()
+        assert err == f"invariant violation at p=10009 [certificate]: {message}\n"
+        expected = [p.value for p in primes_1_mod_8(0, 20000) if p.value != 10009]
+        assert [int(row.split(",")[0]) for row in out.splitlines()[1:]] == expected
 
 
 def seeded_trace_primes(count: int, seed: int) -> list[int]:

@@ -24,7 +24,7 @@ import cm_octic
 from cm_octic import harness, selftest
 from cm_octic.cli import _json as cli_json
 from cm_octic.cli import main
-from cm_octic.criteria import Certificate, ErrorCertificate
+from cm_octic.criteria import Certificate, ErrorCertificate, _certificate_fields
 from cm_octic.errors import InvariantViolation
 from cm_octic.harness import (
     CSV_HEADER,
@@ -79,13 +79,15 @@ def first_difference(got: str, want: str) -> tuple[int, str | None, str | None] 
     return next(((k, g, w) for k, (g, w) in enumerate(pairs, 1) if g != w), None)
 
 
-def rigged_certificate(**overrides) -> Certificate:
+def rigged_fields(**overrides) -> tuple:
+    # The certificate fields of p = 17, in Certificate's order, as
+    # criteria._certificate_fields returns them, with some replaced.
     fields = dict(
         p=17, a=1, b=4, c=3, d=1, chi=-1, n=16, n_mod_32=16,
         h=None, thm2_holds=True, thm1_holds=None, corollary_holds=True,
     )
     fields.update(overrides)
-    return Certificate(**fields)
+    return tuple(fields.values())
 
 
 class TestPrimeStream:
@@ -306,9 +308,14 @@ class TestSerialization:
     def test_csv_golden_rows(self):
         with_h = streamed_scan(ScanConfig(lo=0, hi=42, class_number_cap=100))[1]
         without = streamed_scan(ScanConfig(lo=0, hi=42))[1]
-        assert certificate_csv_row(with_h[0]) == "17,1,4,3,1,-1,16,16,1,4,4,1,1,1"
-        assert certificate_csv_row(with_h[1]) == "41,5,4,3,2,+1,32,0,0,8,0,1,1,1"
-        assert certificate_csv_row(without[0]) == "17,1,4,3,1,-1,16,16,1,,,,1,1"
+        rows = [certificate_csv_row(dataclasses.astuple(c)) for c in (*with_h[:2], without[0])]
+        assert rows == ["17,1,4,3,1,-1,16,16,1,4,4,1,1,1", "41,5,4,3,2,+1,32,0,0,8,0,1,1,1",
+                        "17,1,4,3,1,-1,16,16,1,,,,1,1"]
+        # the scan formats the core's tuples, which are the Certificate's fields
+        assert certificate_csv_row(_certificate_fields(Prime(41), True)) == (
+            "41,5,4,3,2,+1,32,0,0,8,0,1,1,1")
+        assert certificate_csv_row(rigged_fields(h=12, thm1_holds=False, thm2_holds=False)) == (
+            "17,1,4,3,1,-1,16,16,1,12,4,0,0,1")
 
     def test_csv_layout(self):
         buf = io.StringIO()
@@ -339,7 +346,7 @@ class TestSerialization:
     def test_dict_key_order(self):
         # check and the JSON counterexamples serialize through vars, and scan
         # --format json items take their keys from fields(Certificate)
-        cert = rigged_certificate()
+        cert = Certificate(*rigged_fields())
         assert list(vars(cert)) == [
             "p", "a", "b", "c", "d", "chi", "n", "n_mod_32",
             "h", "thm2_holds", "thm1_holds", "corollary_holds",
@@ -435,7 +442,7 @@ class TestCliCheck:
 
         monkeypatch.setattr(
             cli_mod, "check_prime",
-            lambda p, **kw: rigged_certificate(thm2_holds=False),
+            lambda p, **kw: Certificate(*rigged_fields(thm2_holds=False)),
         )
         assert main(["check", "17"]) == 2
         doc = json.loads(capsys.readouterr().out)
@@ -609,8 +616,8 @@ class TestCliScan:
         import cm_octic.harness as harness_mod
 
         monkeypatch.setattr(
-            harness_mod, "check_prime",
-            lambda p, **kw: rigged_certificate(thm2_holds=False),
+            harness_mod, "_certificate_fields",
+            lambda p, with_class_number: rigged_fields(thm2_holds=False),
         )
         assert main(["scan", "--from", "0", "--to", "20"]) == 2
         captured = capsys.readouterr()
@@ -621,8 +628,8 @@ class TestCliScan:
         import cm_octic.harness as harness_mod
 
         monkeypatch.setattr(
-            harness_mod, "check_prime",
-            lambda p, **kw: ErrorCertificate(p=17, stage="chi", message="boom"),
+            harness_mod, "_certificate_fields",
+            lambda p, with_class_number: ErrorCertificate(p=17, stage="chi", message="boom"),
         )
         assert main(["scan", "--from", "0", "--to", "20"]) == 3
         assert "invariant violation at p=17" in capsys.readouterr().err
@@ -630,14 +637,14 @@ class TestCliScan:
     def test_invariant_exit_keeps_certified_rows(self, tmp_path, capsys, monkeypatch):
         import cm_octic.harness as harness_mod
 
-        real_check = harness_mod.check_prime
+        real_fields = harness_mod._certificate_fields
 
-        def fail_at_41(p, **kw):
+        def fail_at_41(p, with_class_number):
             if p.value == 41:
                 return ErrorCertificate(p=41, stage="chi", message="boom")
-            return real_check(p, **kw)
+            return real_fields(p, with_class_number)
 
-        monkeypatch.setattr(harness_mod, "check_prime", fail_at_41)
+        monkeypatch.setattr(harness_mod, "_certificate_fields", fail_at_41)
         target = tmp_path / "scan.csv"
         assert main(["scan", "--from", "0", "--to", "100", "--out", str(target)]) == 3
         lines = target.read_text().splitlines()
@@ -719,14 +726,14 @@ class TestCliScan:
         # [0, 20000) is 4 segments at jobs=1 and 8 at jobs=2, and p = 10009
         # lies in a middle one of each.  The rows on both sides of it are
         # written, in order, and the bytes do not depend on the job count.
-        real_check = harness.check_prime
+        real_fields = harness._certificate_fields
 
-        def fail_at_10009(p, **kw):
+        def fail_at_10009(p, with_class_number):
             if p.value == 10009:
                 return ErrorCertificate(p=10009, stage="chi", message="planted")
-            return real_check(p, **kw)
+            return real_fields(p, with_class_number)
 
-        monkeypatch.setattr(harness, "check_prime", fail_at_10009)
+        monkeypatch.setattr(harness, "_certificate_fields", fail_at_10009)
         # Forked workers inherit the patch whatever the platform's default.
         monkeypatch.setattr(harness, "multiprocessing", multiprocessing.get_context("fork"))
         expected = [p.value for p in primes_1_mod_8(0, 20000) if p.value != 10009]
@@ -795,8 +802,8 @@ class TestCliScan:
         if segment:
             monkeypatch.setattr(harness, "_SEGMENT", segment)
         if rigged:
-            monkeypatch.setattr(
-                harness, "check_prime", lambda p, **kw: rigged_certificate(p=p.value, **rigged))
+            monkeypatch.setattr(harness, "_certificate_fields",
+                                lambda p, with_class_number: rigged_fields(p=p.value, **rigged))
         # Forked workers inherit the patches whatever the platform's default.
         monkeypatch.setattr(harness, "multiprocessing", multiprocessing.get_context("fork"))
         outputs = []
@@ -815,7 +822,8 @@ class TestCliScan:
         assert doc["counterexamples"] == (doc["certificates"] if rigged else [])
         assert doc["primes_checked"] == report.primes_checked == len(certificates)
         if segment:  # the spooled rows fill more than four segments
-            assert sum(len(certificate_csv_row(c)) + 1 for c in certificates) > 4 * segment
+            assert sum(len(certificate_csv_row(dataclasses.astuple(c))) + 1
+                       for c in certificates) > 4 * segment
         else:
             assert len(certificates) == (5 if rigged else 0)
 

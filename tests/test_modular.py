@@ -18,7 +18,7 @@ from cm_octic.modular import (
     sqrt_mod,
 )
 
-from conftest import sprp_prime_bases, squares_mod, trial_division_primes
+from conftest import nonresidue_by_jacobi, sprp_prime_bases, squares_mod, trial_division_primes
 
 ODD_PRIMES_257 = [p for p in trial_division_primes(258) if p > 2]
 
@@ -189,3 +189,36 @@ class TestCanonicalRoots:
         for n in trial_division_primes(2000)[1:]:
             squares = squares_mod(n)
             assert _nonresidue(n) == min(z for z in range(2, n) if z not in squares), n
+
+
+def nonresidue_cases() -> list[int]:
+    # Every prime = 1 (mod 4) below 10^5, and 300 seeded primes = 1 (mod 8)
+    # up to 2^62.
+    cases = [n for n in trial_division_primes(10**5) if n % 4 == 1]
+    rng = random.Random(30)
+    wide: set[int] = set()
+    while len(wide) < 300:
+        n = rng.randrange(1 << 62) >> 3 << 3 | 1
+        if sprp_prime_bases(n):
+            wide.add(n)
+    return cases + sorted(wide)
+
+
+class TestNonresidue:
+    def test_table_marks_the_nonresidues(self):
+        # One entry per odd prime up to 127, in order, marking exactly the
+        # nonzero residues that are not squares.
+        zs = [z for z, _ in modular._NONRESIDUES]
+        assert zs == [q for q in trial_division_primes(128) if q > 2]
+        for z, marks in modular._NONRESIDUES:
+            assert {r for r in range(z) if marks[r]} == set(range(1, z)) - squares_mod(z), z
+
+    @pytest.mark.parametrize("table", ["full", "first-entry"])
+    def test_matches_the_jacobi_loop(self, table, monkeypatch):
+        # Down to its first entry the table leaves nearly every case to the
+        # Jacobi loop that follows it.
+        if table == "first-entry":
+            monkeypatch.setattr(modular, "_NONRESIDUES", modular._NONRESIDUES[:1])
+        for n in nonresidue_cases():
+            assert _nonresidue(n) == nonresidue_by_jacobi(n), n
+
