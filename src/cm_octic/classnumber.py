@@ -18,7 +18,8 @@ The count takes about sqrt(p) steps, nearly all of them in C-level slices:
   otherwise.  Euler's criterion finds the inert q <= sqrt(4p/3), each of
   which clears its multiples from an `alive` bytearray in one slice
   assignment, and the part of h below sqrt(p) is the sum of weight over
-  the a <= sqrt(p) still alive.
+  the a <= sqrt(p) still alive.  The same powers prove p prime: an odd
+  composite has a prime factor q <= sqrt(p), where (-p | q) = 0.
 - In the band sqrt(p) < a <= sqrt(4p/3) the roots themselves are built
   by CRT from one root of -p mod each prime, lifted to prime powers, and
   a root beta in (-a/2, a/2] counts when c > a, that is beta^2 + p > a^2.
@@ -43,7 +44,7 @@ from itertools import compress
 from math import isqrt
 
 from .errors import InvariantViolation
-from .modular import Prime, _sqrt_residue
+from .modular import _sqrt_residue
 
 DEFAULT_CAP = 10_000_000_000
 
@@ -107,28 +108,32 @@ def _roots_mod(a: int, n: int, spf: list[int], prime_roots: dict[int, int]) -> l
     return betas
 
 
-def class_number(p: Prime) -> int:
-    """h(-4p) for p = 1 (mod 8), by counting reduced forms in about sqrt(p) steps.
+def class_number(n: int) -> int:
+    """h(-4n) for the prime n = 1 (mod 8), by counting reduced forms in about sqrt(n) steps.
 
-    p may be at most DEFAULT_CAP: above it the sqrt(4p/3)-entry factor
-    table would not fit in time or memory.
+    n may be at most DEFAULT_CAP: above it the sqrt(4n/3)-entry factor
+    table would not fit in time or memory.  A composite n raises ValueError.
     """
-    if p.value % 8 != 1:
-        raise ValueError(f"class_number expects p = 1 (mod 8), got {p.value}")
-    if p.value > DEFAULT_CAP:
-        raise ValueError(f"p = {p.value} exceeds the class-number limit {DEFAULT_CAP}")
-    n = p.value
+    if n % 8 != 1:
+        raise ValueError(f"class_number expects p = 1 (mod 8), got {n}")
+    if n > DEFAULT_CAP:
+        raise ValueError(f"p = {n} exceeds the class-number limit {DEFAULT_CAP}")
+    if n < 17:  # 17 is the least prime = 1 (mod 8)
+        raise ValueError(f"modulus must be prime, got {n}")
     sqrt_n, top = isqrt(n), isqrt(4 * n // 3)
     spf, weight, primes = _tables_to(top)
     # alive[a] = 0 once an odd prime of a is inert: -n is a non-residue mod q,
-    # (-n)^((q-1)/2) = -1 by Euler's criterion.  No q <= top divides n.  The
+    # (-n)^((q-1)/2) = -1 by Euler's criterion; 0 there means q | n.  The
     # zeros come as a bytearray slice, which a bytearray takes without the
     # copy it makes of a bytes value.
     alive, zero = bytearray(b"\1") * (top + 1), bytearray(top + 1)
     for q in primes:
         if q > top:
             break
-        if pow(-n % q, q >> 1, q) != 1:
+        e = pow(-n % q, q >> 1, q)
+        if e != 1:
+            if not e:
+                raise ValueError(f"modulus must be prime, got {n}")
             alive[q::q] = zero[q::q]
     h = sum(compress(weight[1 : sqrt_n + 1], alive[1 : sqrt_n + 1]))
     prime_roots: dict[int, int] = {}

@@ -98,7 +98,7 @@ def _json(value: object, pad: str = "\n") -> str:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    cert = check_prime(Prime(args.p), with_class_number=args.class_number)
+    cert = check_prime(args.p, with_class_number=args.class_number)
     # Shallow copies of the fields: every value is an int, a bool, None or
     # a tuple of them, so a deep copy would change no byte.
     doc = dict(vars(cert))
@@ -150,31 +150,31 @@ def _cmd_scan(args: argparse.Namespace) -> int:
 
 
 def _cmd_decompose(args: argparse.Namespace) -> int:
-    p = Prime(args.p)
-    n, i = p.value, canonical_i(p)
+    n = Prime(args.p).value
+    i = canonical_i(n)
     a, b = two_squares(n, i)
     doc: dict = {"p": n, "a": a, "b": b}
     if n % 8 == 1:
-        doc["c"], doc["d"] = eight_decomposition(n, i, canonical_sqrt2(p))
+        doc["c"], doc["d"] = eight_decomposition(n, i, canonical_sqrt2(n))
     print(_json(doc))
     return EXIT_OK
 
 
 def _cmd_classno(args: argparse.Namespace) -> int:
-    print(class_number(Prime(args.p)))
+    print(class_number(args.p))
     return EXIT_OK
 
 
 def _cmd_curve_order(args: argparse.Namespace) -> int:
-    p = Prime(args.p)
-    print(curve_order(p.value, canonical_i(p)))
+    n = Prime(args.p).value
+    print(curve_order(n, canonical_i(n)))
     return EXIT_OK
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
     # proof_trace of check_prime's certificate, at seed 0, as prose: the characters,
     # #E, the eta-preimage counts above x = +-1 +- sqrt2 and the order-8 eta-orbit.
-    cert = check_prime(Prime(args.p))
+    cert = check_prime(args.p)
     if not isinstance(cert, Certificate):
         raise InvariantViolation(cert.message)
     tr = proof_trace(cert)

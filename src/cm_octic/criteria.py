@@ -13,9 +13,10 @@ A proof trace additionally walks the structural argument behind the curve
 criterion: preimages under eta of the rational points with x = +-1 +- sqrt(2),
 whose y need no square root and whose eta-fibers are taken once per square x,
 and the eta-orbit of a point of order 8 when 32 | n.  It reads chi and the
-roots i and sqrt(2) off the certificate check_prime made.
-_certificate_fields makes the fields; check_prime builds a Certificate of
-them, a scan its CSV row, and a Certificate only for a counterexample.
+roots i and sqrt(2) off the certificate check_prime made.  check_prime
+proves p prime, and _certificate_fields, which trusts it, makes the fields:
+check_prime builds a Certificate of them, a scan (whose stream proves its
+primes) its CSV row, and a Certificate only for a counterexample.
 """
 
 from __future__ import annotations
@@ -109,10 +110,9 @@ class ErrorCertificate:
     message: str
 
 
-def _certificate_fields(p: Prime, with_class_number: bool) -> tuple | ErrorCertificate:
-    """Certificate's fields at p = 1 (mod 8), in order, as plain values; or
-    the ErrorCertificate of the stage that raised InvariantViolation."""
-    n = p.value
+def _certificate_fields(n: int, with_class_number: bool) -> tuple | ErrorCertificate:
+    """Certificate's fields at the prime n = 1 (mod 8), in order, as plain
+    values; or the ErrorCertificate of the stage that raised InvariantViolation."""
     # The integer forms check their own results, and _order_guard the Certificate's.
     stage = "roots"
     try:
@@ -125,7 +125,7 @@ def _certificate_fields(p: Prime, with_class_number: bool) -> tuple | ErrorCerti
         stage = "chi"
         chi = chi_one_plus_sqrt2(n, s)
         stage = "class_number"
-        h = class_number(p) if with_class_number else None
+        h = class_number(n) if with_class_number else None
         stage = "certificate"
         _order_guard(n, a, b, order)
     except InvariantViolation as exc:
@@ -137,10 +137,12 @@ def _certificate_fields(p: Prime, with_class_number: bool) -> tuple | ErrorCerti
             (n_mod_32 == 0) == d_even)
 
 
-def check_prime(p: Prime, with_class_number: bool = False) -> Certificate | ErrorCertificate:
-    """Evaluate every criterion at p, each side computed independently."""
-    if p.value % 8 != 1:
-        raise ValueError(f"check_prime expects p = 1 (mod 8), got {p.value}")
+def check_prime(p: int, with_class_number: bool = False) -> Certificate | ErrorCertificate:
+    """Evaluate every criterion at p, each side computed independently.
+    p is proven prime here, once: anything else raises ValueError."""
+    Prime(p)
+    if p % 8 != 1:
+        raise ValueError(f"check_prime expects p = 1 (mod 8), got {p}")
     fields = _certificate_fields(p, with_class_number)
     return fields if isinstance(fields, ErrorCertificate) else Certificate(*fields)
 

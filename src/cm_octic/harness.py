@@ -26,7 +26,7 @@ from typing import Callable, Iterator, TextIO
 
 from .classnumber import DEFAULT_CAP
 from .criteria import Certificate, ErrorCertificate, _all_hold, _certificate_fields
-from .modular import MODULUS_BOUND, Prime, is_prime
+from .modular import MODULUS_BOUND, is_prime
 
 # Candidates step by 8 from one segment start to the next, so _SEGMENT must
 # stay a multiple of 8.
@@ -119,14 +119,13 @@ def _presieve_primes() -> tuple[array, array]:
     return _odd_primes(_PRESIEVE)
 
 
-def primes_1_mod_8(lo: int, hi: int) -> Iterator[Prime]:
+def primes_1_mod_8(lo: int, hi: int) -> Iterator[int]:
     """Stream the primes p = 1 (mod 8) in [lo, hi), in increasing order."""
     if not 0 <= lo < hi <= MODULUS_BOUND:
         raise ValueError(f"need 0 <= lo < hi <= 2**62, got [{lo}, {hi})")
     # The candidates = 1 (mod 8) lose the multiples of each odd prime
     # q <= min(sqrt(hi - 1), _PRESIEVE - 1), other than q itself.  Below
     # _PRESIEVE^2 that proves each survivor prime; above it, is_prime does.
-    # Either way each value is wrapped without a second proof.
     root = isqrt(hi - 1)
     proven = root < _PRESIEVE
     qs, minus_inv8 = _odd_primes(root + 1) if proven else _presieve_primes()
@@ -141,9 +140,8 @@ def primes_1_mod_8(lo: int, hi: int) -> Iterator[Prime]:
                 if seg_lo + 8 * k == q:
                     k += q
                 alive[k::q] = bytes(len(range(k, m, q)))
-        for q in compress(candidates, alive):
-            if proven or is_prime(q):
-                yield Prime._proven(q)
+        survivors = compress(candidates, alive)
+        yield from survivors if proven else filter(is_prime, survivors)
 
 
 def _check_segment(segment: tuple[int, int, int]) -> tuple[str, ScanReport]:
@@ -154,7 +152,7 @@ def _check_segment(segment: tuple[int, int, int]) -> tuple[str, ScanReport]:
     part = ScanReport()
     aggregate = part.aggregate
     for p in primes_1_mod_8(lo, hi):
-        values = _certificate_fields(p, p.value <= cap)
+        values = _certificate_fields(p, p <= cap)
         if isinstance(values, ErrorCertificate):
             part.errors.append(values)
             continue

@@ -2,14 +2,14 @@
 
 All functions use exact integer arithmetic on plain residues.  Moduli are
 odd primes below 2**62; that bound is part of the contract even though
-Python integers would happily go further.  A Prime is the proof of that
-for the entry points that take one; the field-element arithmetic of the
-test oracle lives with the oracle, in tests/conftest.py.
+Python integers would happily go further.  A Prime is the proof of that,
+made once where a value enters; the field-element arithmetic of the test
+oracle lives with the oracle, in tests/conftest.py.
 
 For p = 1 (mod 8) the package gets i and sqrt(2) from _i_and_sqrt2: one
 power of the least non-residue z yields both, each squared back before
-use.  canonical_i and canonical_sqrt2 return the same ints for a Prime,
-cached, and guard the residue class; canonical_i takes i straight from
+use.  canonical_i and canonical_sqrt2 return the same ints, cached, and
+guard the residue class; canonical_i takes i straight from
 z^((p-1)/4), the same value for p = 1 (mod 8) and the only one defined for
 p = 5 (mod 8); the selftest requires both to equal _i_and_sqrt2's roots
 below 3000.  sqrt_mod and its core _sqrt_residue (Tonelli-Shanks) serve
@@ -72,8 +72,9 @@ class Prime:
     """An odd prime modulus in (2, 2**62).
 
     Construction runs the deterministic primality test; an instance is
-    therefore a proof of primality.  Most of the package additionally wants
-    p = 1 (mod 8), and each such function raises ValueError otherwise.
+    therefore a proof of primality, made where a value enters the package.
+    Most of the package additionally wants p = 1 (mod 8), and each such
+    function raises ValueError otherwise.
     """
 
     value: int
@@ -83,14 +84,6 @@ class Prime:
             raise ValueError(f"modulus must lie in (2, 2**62), got {self.value}")
         if not is_prime(self.value):
             raise ValueError(f"modulus must be prime, got {self.value}")
-
-    @classmethod
-    def _proven(cls, value: int) -> Prime:
-        # For a value its caller has already proven prime in (2, 2**62):
-        # skips the range check and the second Miller-Rabin run.
-        p = object.__new__(cls)
-        object.__setattr__(p, "value", value)
-        return p
 
 
 def jacobi(a: int, n: int) -> int:
@@ -195,21 +188,20 @@ def _i_and_sqrt2(n: int) -> tuple[int, int]:
     return _smaller_root(i, -1, n), _smaller_root((zeta - i * zeta) % n, 2, n)
 
 
+# bench/run.py's clear_root_caches empties both caches, so they stay cached under these names.
 @lru_cache(maxsize=512)
-def canonical_i(p: Prime) -> int:
-    """The smaller square root of -1 mod p, +-z^((p-1)/4) for the least
-    non-residue z; requires p = 1 (mod 4).  For p = 1 (mod 8) that is
+def canonical_i(n: int) -> int:
+    """The smaller square root of -1 mod the prime n, +-z^((n-1)/4) for the
+    least non-residue z; requires n = 1 (mod 4).  For n = 1 (mod 8) that is
     zeta^2, the i of _i_and_sqrt2."""
-    n = p.value
     if n % 4 != 1:
         raise ValueError(f"-1 is a non-residue mod {n}; need p = 1 (mod 4)")
     return _smaller_root(pow(_nonresidue(n), (n - 1) // 4, n), -1, n)
 
 
 @lru_cache(maxsize=512)
-def canonical_sqrt2(p: Prime) -> int:
-    """The smaller square root of 2 mod p, +-(zeta - zeta^3); requires p = 1 (mod 8)."""
-    n = p.value
+def canonical_sqrt2(n: int) -> int:
+    """The smaller square root of 2 mod the prime n, +-(zeta - zeta^3); requires n = 1 (mod 8)."""
     if n % 8 != 1:
         raise ValueError(f"no 8th root of unity mod {n}; need p = 1 (mod 8)")
     return _i_and_sqrt2(n)[1]

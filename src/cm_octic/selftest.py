@@ -31,7 +31,7 @@ from .criteria import Certificate, check_prime, euler_symbol
 from .curve import _add_int, _eta_int, _scalar_mul_int, curve_order, eta_preimages
 from .decompose import eight_decomposition, two_squares
 from .errors import InvariantViolation
-from .modular import Prime, _i_and_sqrt2, canonical_i, canonical_sqrt2, jacobi, sqrt_mod
+from .modular import _i_and_sqrt2, canonical_i, canonical_sqrt2, jacobi, sqrt_mod
 
 ETA_PRIMES = (17, 41, 73, 89, 97, 113)
 NAIVE_COUNT_BOUND = 100_000
@@ -42,9 +42,9 @@ def trial_division_primes(limit: int) -> list[int]:
     return [n for n in range(2, limit) if all(n % d for d in range(2, isqrt(n) + 1))]
 
 
-def _primes_1_mod_8(limit: int) -> list[Prime]:
+def _primes_1_mod_8(limit: int) -> list[int]:
     # By trial division: a broken prime stream cannot empty the checks.
-    return [Prime(v) for v in trial_division_primes(limit) if v % 8 == 1]
+    return [v for v in trial_division_primes(limit) if v % 8 == 1]
 
 
 def squares_mod(p: int) -> set[int]:
@@ -52,10 +52,9 @@ def squares_mod(p: int) -> set[int]:
     return {x * x % p for x in range(1, p)}
 
 
-def curve_points_oracle(p: Prime) -> list[tuple[int, int] | None]:
-    """Every point of y^2 = x^3 - x over F_p by a double loop: None for the
+def curve_points_oracle(v: int) -> list[tuple[int, int] | None]:
+    """Every point of y^2 = x^3 - x over F_v by a double loop: None for the
     identity first, then the residue pairs (x, y)."""
-    v = p.value
     pts: list[tuple[int, int] | None] = [None]
     for x in range(v):
         rhs = (x * x * x - x) % v
@@ -71,9 +70,8 @@ def first_principles_chi(v: int) -> int:
     return 1 if pow(1 + r, (v - 1) // 2, v) == 1 else -1
 
 
-def naive_point_count(p: Prime) -> int:
-    """#E(F_p) by direct point counting; guarded to p < 10^5."""
-    n = p.value
+def naive_point_count(n: int) -> int:
+    """#E(F_n) by direct point counting; guarded to n < 10^5."""
     if n >= NAIVE_COUNT_BOUND:
         raise ValueError(f"naive counting is capped at p < {NAIVE_COUNT_BOUND}")
     # roots[r] counts the y with y^2 = r, so x carries roots[x^3 - x] points.
@@ -83,11 +81,10 @@ def naive_point_count(p: Prime) -> int:
     return 1 + sum(roots[(x * x * x - x) % n] for x in range(n))  # 1 for the identity
 
 
-def eight_decomposition_search(p: Prime) -> tuple[int, int]:
-    """(c, d) with c^2 + 8*d^2 = p by a bounded search over d <= sqrt(p/8)."""
-    if p.value % 8 != 1:
-        raise ValueError(f"p = 1 (mod 8) required for c^2 + 8*d^2, got {p.value}")
-    n = p.value
+def eight_decomposition_search(n: int) -> tuple[int, int]:
+    """(c, d) with c^2 + 8*d^2 = n by a bounded search over d <= sqrt(n/8)."""
+    if n % 8 != 1:
+        raise ValueError(f"p = 1 (mod 8) required for c^2 + 8*d^2, got {n}")
     for d in range(1, isqrt(n // 8) + 1):
         c2 = n - 8 * d * d
         c = isqrt(c2)
@@ -148,10 +145,9 @@ def check_canonical_roots() -> str:
     p = 1 (mod 8) < 3000, and equal the roots _i_and_sqrt2 gives the scans
     and traces."""
     primes = _primes_1_mod_8(3000)
-    for p in primes:
-        v = p.value
-        i = canonical_i(p)
-        s = canonical_sqrt2(p)
+    for v in primes:
+        i = canonical_i(v)
+        s = canonical_sqrt2(v)
         _require(i * i % v == v - 1, "canonical_i^2 != -1", v)
         _require(s * s % v == 2, "canonical_sqrt2^2 != 2", v)
         _require(i <= v - i and s <= v - s, "canonical root is not the smaller one", v)
@@ -168,9 +164,8 @@ def check_eta_suite() -> str:
     the larger primes.
     """
     for v in ETA_PRIMES:
-        p = Prime(v)
-        i = canonical_i(p)
-        pts = curve_points_oracle(p)
+        i = canonical_i(v)
+        pts = curve_points_oracle(v)
         squares = squares_mod(v) | {0}
         torsion = (0, 0)
         _require(len(pts) == curve_order(v, i), "point count != curve_order", v)
@@ -218,9 +213,9 @@ def check_eta_suite() -> str:
 def check_point_counts() -> str:
     """(a-1)^2 + b^2 equals the naive point count for every p = 1 (mod 8) < 2000."""
     primes = _primes_1_mod_8(2000)
-    for p in primes:
-        _require(curve_order(p.value, canonical_i(p)) == naive_point_count(p),
-                 "curve order != naive count", p.value)
+    for v in primes:
+        _require(curve_order(v, canonical_i(v)) == naive_point_count(v),
+                 "curve order != naive count", v)
     return f"CM order = naive count for {len(primes)} primes < 2000"
 
 
@@ -228,12 +223,11 @@ def check_decompositions() -> str:
     """Cornacchia output matches brute-force search and normalization rules
     for every p = 1 (mod 8) < 20000."""
     primes = _primes_1_mod_8(20000)
-    for p in primes:
-        v = p.value
-        i = canonical_i(p)
+    for v in primes:
+        i = canonical_i(v)
         a, b = two_squares(v, i)
         _require(a * a + b * b == v, "a^2 + b^2 != p", v)
-        _require(eight_decomposition(v, i, canonical_sqrt2(p)) == eight_decomposition_search(p),
+        _require(eight_decomposition(v, i, canonical_sqrt2(v)) == eight_decomposition_search(v),
                  "descent and search disagree", v)
     return f"decompositions cross-checked for {len(primes)} primes < 20000"
 
@@ -242,13 +236,12 @@ def check_criteria_small() -> str:
     """All three criteria hold, with class numbers, for p < 5000; chi, n and
     h match their first-principles values."""
     primes = _primes_1_mod_8(5000)
-    for p in primes:
-        v = p.value
-        cert = check_prime(p, with_class_number=True)
+    for v in primes:
+        cert = check_prime(v, with_class_number=True)
         _require(isinstance(cert, Certificate), "stage failure", v, cert)
         _require(cert.all_hold and cert.thm1_holds is True, "criteria fail", v)
         _require(cert.chi == first_principles_chi(v), "chi != first-principles chi", v)
-        _require(cert.n == naive_point_count(p), "n != naive count", v)
+        _require(cert.n == naive_point_count(v), "n != naive count", v)
         _require(cert.h == box_class_number(v), "h != box count", v, cert.h)
         _require(cert.h % 2 == 0, "h(-4p) odd", v)  # genus parity
     return f"criteria + class numbers verified for {len(primes)} primes < 5000"

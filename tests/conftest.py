@@ -36,7 +36,7 @@ from cm_octic.curve import (
     curve_order,
 )
 from cm_octic.harness import ScanConfig, ScanReport, write_scan_csv
-from cm_octic.modular import Prime, canonical_i, canonical_sqrt2, jacobi, sqrt_mod
+from cm_octic.modular import canonical_i, canonical_sqrt2, jacobi, sqrt_mod
 from cm_octic.selftest import (  # noqa: F401  (re-exported to the tests)
     box_class_number,
     curve_points_oracle,
@@ -119,12 +119,12 @@ class FieldElement:
     """
 
     residue: int
-    modulus: Prime
+    modulus: int
 
     def __post_init__(self) -> None:
-        if not 0 <= self.residue < self.modulus.value:
+        if not 0 <= self.residue < self.modulus:
             raise ValueError(
-                f"residue {self.residue} out of range for modulus {self.modulus.value}"
+                f"residue {self.residue} out of range for modulus {self.modulus}"
             )
 
     def _coerce(self, other: FieldElement | int) -> int:
@@ -132,29 +132,29 @@ class FieldElement:
             if self.modulus != other.modulus:
                 raise AssertionError("operands from different prime fields")
             return other.residue
-        return other % self.modulus.value
+        return other % self.modulus
 
     def __add__(self, other: FieldElement | int) -> FieldElement:
-        return FieldElement((self.residue + self._coerce(other)) % self.modulus.value, self.modulus)
+        return FieldElement((self.residue + self._coerce(other)) % self.modulus, self.modulus)
 
     __radd__ = __add__
 
     def __sub__(self, other: FieldElement | int) -> FieldElement:
-        return FieldElement((self.residue - self._coerce(other)) % self.modulus.value, self.modulus)
+        return FieldElement((self.residue - self._coerce(other)) % self.modulus, self.modulus)
 
     def __rsub__(self, other: FieldElement | int) -> FieldElement:
-        return FieldElement((self._coerce(other) - self.residue) % self.modulus.value, self.modulus)
+        return FieldElement((self._coerce(other) - self.residue) % self.modulus, self.modulus)
 
     def __mul__(self, other: FieldElement | int) -> FieldElement:
-        return FieldElement(self.residue * self._coerce(other) % self.modulus.value, self.modulus)
+        return FieldElement(self.residue * self._coerce(other) % self.modulus, self.modulus)
 
     __rmul__ = __mul__
 
     def __neg__(self) -> FieldElement:
-        return FieldElement(-self.residue % self.modulus.value, self.modulus)
+        return FieldElement(-self.residue % self.modulus, self.modulus)
 
     def inverse(self) -> FieldElement:
-        return FieldElement(pow(self.residue, -1, self.modulus.value), self.modulus)
+        return FieldElement(pow(self.residue, -1, self.modulus), self.modulus)
 
     def __truediv__(self, other: FieldElement | int) -> FieldElement:
         if isinstance(other, int):
@@ -164,9 +164,9 @@ class FieldElement:
         return self * other.inverse()
 
 
-def element(p: Prime, value: int) -> FieldElement:
+def element(p: int, value: int) -> FieldElement:
     """Reduce an arbitrary integer into F_p."""
-    return FieldElement(value % p.value, p)
+    return FieldElement(value % p, p)
 
 
 # A point of E(F_p) in the FieldElement oracle: (x, y), or None for O.
@@ -177,12 +177,12 @@ def field_affine(x: FieldElement, y: FieldElement) -> tuple[FieldElement, FieldE
     """The affine point (x, y), checked on y^2 = x^3 - x."""
     if y * y != x * x * x - x:
         raise ValueError(
-            f"({x.residue}, {y.residue}) is not on y^2 = x^3 - x over F_{x.modulus.value}"
+            f"({x.residue}, {y.residue}) is not on y^2 = x^3 - x over F_{x.modulus}"
         )
     return x, y
 
 
-def field_point(p: Prime, x: int, y: int) -> tuple[FieldElement, FieldElement]:
+def field_point(p: int, x: int, y: int) -> tuple[FieldElement, FieldElement]:
     """The affine point (x mod p, y mod p), checked on the curve."""
     return field_affine(element(p, x), element(p, y))
 
@@ -231,7 +231,7 @@ def field_scalar_mul_oracle(n: int, P: FieldPoint) -> FieldPoint:
 
 def field_sqrt(a: FieldElement) -> tuple[FieldElement, FieldElement] | None:
     """sqrt_mod's two roots of a as field elements, None for a non-residue."""
-    roots = sqrt_mod(a.residue, a.modulus.value)
+    roots = sqrt_mod(a.residue, a.modulus)
     return None if roots is None else (element(a.modulus, roots[0]), element(a.modulus, roots[1]))
 
 
@@ -251,11 +251,11 @@ def field_eta_preimages_oracle(Q: tuple[FieldElement, FieldElement]) -> frozense
     """
     x0 = Q[0]
     p = x0.modulus
-    if jacobi(x0.residue, p.value) == -1:
+    if jacobi(x0.residue, p) == -1:
         return frozenset()
     roots = field_sqrt(1 - x0 * x0)
     if roots is None:
-        raise AssertionError(f"1 - x0^2 is a non-residue at x0={x0.residue} mod {p.value}")
+        raise AssertionError(f"1 - x0^2 is a non-residue at x0={x0.residue} mod {p}")
     i = canonical_i(p)
     found: set[FieldPoint] = set()
     for s in set(roots):
@@ -291,7 +291,7 @@ def order8_walk_oracle(n: int, order: int, seed: int = 0) -> tuple[int, int] | N
     return None
 
 
-def field_proof_trace_oracle(p: Prime, seed: int = 0) -> ProofTrace:
+def field_proof_trace_oracle(v: int, seed: int = 0) -> ProofTrace:
     """proof_trace with its fibers and eta-orbit in FieldElement arithmetic.
 
     Independent of the package's trace, which runs on plain residues.  The
@@ -300,25 +300,24 @@ def field_proof_trace_oracle(p: Prime, seed: int = 0) -> ProofTrace:
     order8_walk_oracle, and their point is rebuilt with field_point and its
     exact order judged by field_scalar_mul_oracle.
     """
-    v = p.value
-    s = element(p, canonical_sqrt2(p))
+    s = element(v, canonical_sqrt2(v))
     chi = chi_one_plus_sqrt2(v, s.residue)
     chi_conjugate = euler_symbol((1 - s).residue, v)
     minus_one = jacobi(-1, v)
     jac_ok = chi * chi_conjugate == minus_one == 1
-    n = curve_order(v, canonical_i(p))
+    n = curve_order(v, canonical_i(v))
     level4 = tuple(sorted(x.residue for x in {1 + s, 1 - s, s - 1, -1 - s}))
 
     fibers = []
     preimage_ok = True
     for xr in level4:
-        xe = element(p, xr)
+        xe = element(v, xr)
         roots = field_sqrt(xe * xe * xe - xe)
         pts: list[tuple[int, int]] = []
         counts: list[int] = []
         if roots is not None:
             for yr in sorted({roots[0].residue, roots[1].residue}):
-                cnt = len(field_eta_preimages_oracle(field_affine(xe, element(p, yr))))
+                cnt = len(field_eta_preimages_oracle(field_affine(xe, element(v, yr))))
                 pts.append((xr, yr))
                 counts.append(cnt)
                 preimage_ok = preimage_ok and (cnt > 0 if chi == 1 else cnt == 0)
@@ -336,7 +335,7 @@ def field_proof_trace_oracle(p: Prime, seed: int = 0) -> ProofTrace:
         if order8_point is None:
             order8_ok = False
         else:
-            P = field_point(p, *order8_point)
+            P = field_point(v, *order8_point)
             if field_scalar_mul_oracle(8, P) is not None or field_scalar_mul_oracle(4, P) is None:
                 raise AssertionError(f"{order8_point} has no exact order 8 mod {v}")
             Q1 = field_eta_oracle(P)

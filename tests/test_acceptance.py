@@ -23,7 +23,7 @@ from cm_octic.harness import (
     write_scan_csv,
     write_scan_json,
 )
-from cm_octic.modular import Prime, canonical_sqrt2, jacobi, sqrt_mod
+from cm_octic.modular import canonical_sqrt2, jacobi, sqrt_mod
 
 from conftest import (
     box_class_number,
@@ -62,11 +62,11 @@ def test_criterion_1_golden_certificates():
     for v, (ab, cd, chi, n, h) in goldens.items():
         # re-derive every golden from brute-force oracles before comparing
         assert brute_two_squares(v) == ab, f"criterion-1 oracle mismatch at {v}"
-        assert eight_decomposition_search(Prime(v)) == cd, f"criterion-1 oracle mismatch at {v}"
+        assert eight_decomposition_search(v) == cd, f"criterion-1 oracle mismatch at {v}"
         assert first_principles_chi(v) == chi, f"criterion-1 oracle mismatch at {v}"
         if h is not None:
             assert box_class_number(v) == h, f"criterion-1 oracle mismatch at {v}"
-        cert = check_prime(Prime(v), with_class_number=h is not None)
+        cert = check_prime(v, with_class_number=h is not None)
         assert isinstance(cert, Certificate), f"criterion-1: stage failure at {v}"
         assert (cert.a, cert.b) == ab, f"criterion-1: two-square mismatch at {v}"
         assert (cert.c, cert.d) == cd, f"criterion-1: eight-decomposition mismatch at {v}"
@@ -125,12 +125,11 @@ def test_criterion_5_class_number_scan():
 def test_criterion_6_well_definedness():
     t0 = time.perf_counter()
     checked = 0
-    for p in primes_1_mod_8(0, 10**6):
-        v = p.value
+    for v in primes_1_mod_8(0, 10**6):
         lo, hi = sqrt_mod(2, v)
         s_lo = euler_symbol((lo + 1) % v, v)
         s_hi = euler_symbol((hi + 1) % v, v)
-        assert s_lo == s_hi == chi_one_plus_sqrt2(v, canonical_sqrt2(p)), \
+        assert s_lo == s_hi == chi_one_plus_sqrt2(v, canonical_sqrt2(v)), \
             f"criterion-6: chi depends on the root at {v}"
         assert s_lo * euler_symbol((1 - lo) % v, v) == 1, \
             f"criterion-6: conjugate product != +1 at {v}"
@@ -160,18 +159,18 @@ def test_criterion_8_proof_traces():
     t0 = time.perf_counter()
     traced = 0
     for p in primes_1_mod_8(0, 10**4):
-        if chi_one_plus_sqrt2(p.value, canonical_sqrt2(p)) != 1:
+        if chi_one_plus_sqrt2(p, canonical_sqrt2(p)) != 1:
             continue
         tr = proof_trace(check_prime(p))
-        assert tr.order8_applicable, f"criterion-8: 32 should divide n at {p.value}"
-        assert tr.order8_point is not None, f"criterion-8: no order-8 point at {p.value}"
+        assert tr.order8_applicable, f"criterion-8: 32 should divide n at {p}"
+        assert tr.order8_point is not None, f"criterion-8: no order-8 point at {p}"
         assert tr.orbit_landed_x is not None and tr.orbit_landed_x in tr.level4_x, \
-            f"criterion-8: orbit missed the level-4 set at {p.value}"
+            f"criterion-8: orbit missed the level-4 set at {p}"
         assert tr.orbit_landed_is_square is True, \
-            f"criterion-8: landed x not a square at {p.value}"
+            f"criterion-8: landed x not a square at {p}"
         assert tr.preimage_direction_holds and tr.order8_direction_holds, \
-            f"criterion-8: direction check failed at {p.value}"
-        assert tr.consistent, f"criterion-8: inconsistent trace at {p.value}"
+            f"criterion-8: direction check failed at {p}"
+        assert tr.consistent, f"criterion-8: inconsistent trace at {p}"
         traced += 1
     elapsed = time.perf_counter() - t0
     print(f"[PASS] criterion-8: proof trace consistent for all {traced} "

@@ -22,7 +22,7 @@ from cm_octic.criteria import (
 from cm_octic.cli import main
 from cm_octic.errors import InvariantViolation
 from cm_octic.harness import ScanConfig, primes_1_mod_8
-from cm_octic.modular import Prime, canonical_i, canonical_sqrt2, jacobi, sqrt_mod
+from cm_octic.modular import canonical_i, canonical_sqrt2, jacobi, sqrt_mod
 
 from conftest import field_proof_trace_oracle, sprp_prime_bases, streamed_scan
 
@@ -74,7 +74,7 @@ class TestEulerSymbol:
 class TestChi:
     @pytest.mark.parametrize("v,chi", [(17, -1), (41, 1), (73, -1), (97, -1), (113, 1)])
     def test_examples(self, v, chi):
-        s = canonical_sqrt2(Prime(v))
+        s = canonical_sqrt2(v)
         assert chi_one_plus_sqrt2(v, s) == chi_one_plus_sqrt2(v, v - s) == chi
         with pytest.raises(InvariantViolation, match=f"{s + 1} is not a square root of 2"):
             chi_one_plus_sqrt2(v, s + 1)
@@ -95,10 +95,10 @@ class TestFastPathOracle:
     def test_matches_tonelli_shanks_side(self, lo, hi, count):
         # check_prime's roots come from one power of a non-residue and its
         # descents are Cornacchia's; the other side uses neither.
-        primes = [p.value for p in islice(primes_1_mod_8(lo, hi), count)]
+        primes = list(islice(primes_1_mod_8(lo, hi), count))
         assert len(primes) >= 100
         for v in primes:
-            cert = check_prime(Prime(v))
+            cert = check_prime(v)
             assert isinstance(cert, Certificate), v
             got = (cert.a, cert.b, cert.c, cert.d, cert.chi, cert.n)
             assert got == tonelli_shanks_certificate(v), v
@@ -123,9 +123,9 @@ class TestFastPathOracle:
         # Miller-Rabin does; the second window carries class numbers.
         report, certificates = streamed_scan(ScanConfig(lo=lo, hi=hi, class_number_cap=cap,
                                                         jobs=jobs))
-        primes = [p.value for p in primes_1_mod_8(lo, hi)]
+        primes = list(primes_1_mod_8(lo, hi))
         assert len(primes) > 500 and not report.errors and not report.counterexamples
-        assert certificates == [check_prime(Prime(v), with_class_number=v <= cap)
+        assert certificates == [check_prime(v, with_class_number=v <= cap)
                                 for v in primes]
 
 
@@ -140,7 +140,7 @@ class TestCertificate:
         ],
     )
     def test_golden_certificates(self, v, a, b, c, d, chi, n, h):
-        cert = check_prime(Prime(v), with_class_number=True)
+        cert = check_prime(v, with_class_number=True)
         assert isinstance(cert, Certificate)
         assert (cert.a, cert.b, cert.c, cert.d) == (a, b, c, d)
         assert (cert.chi, cert.n, cert.n_mod_32, cert.h) == (chi, n, n % 32, h)
@@ -148,13 +148,21 @@ class TestCertificate:
         assert cert.all_hold
 
     def test_without_class_number(self):
-        cert = check_prime(Prime(41))
+        cert = check_prime(41)
         assert cert.h is None and cert.thm1_holds is None
         assert cert.all_hold
 
     def test_rejects_wrong_residue_class(self):
         with pytest.raises(ValueError):
-            check_prime(Prime(13))
+            check_prime(13)
+
+    @pytest.mark.parametrize("p", [697, 41041, 99991**2, 9, 1, 0, -7, 2**62 + 1, 2**62 + 57])
+    def test_proves_its_argument(self, p):
+        # check_prime proves p itself: a composite, 41041 = 7*11*13*41 among
+        # them, or a p outside (2, 2**62) is a ValueError and never reaches
+        # the roots stage as an ErrorCertificate.
+        with pytest.raises(ValueError):
+            check_prime(p)
 
     def test_post_init_guards(self):
         good = dict(
@@ -203,7 +211,7 @@ class TestStageFailures:
             raise InvariantViolation("planted")
 
         monkeypatch.setattr(criteria, name, broken)
-        err = check_prime(Prime(41), with_class_number=True)
+        err = check_prime(41, with_class_number=True)
         assert err == ErrorCertificate(p=41, stage=stage, message="planted")
 
     @pytest.mark.parametrize(
@@ -224,7 +232,7 @@ class TestStageFailures:
         # Each planted fault is one that only the integer form's own check
         # can catch on the scan path.
         monkeypatch.setattr(module, name, fake, raising=False)
-        err = check_prime(Prime(41))
+        err = check_prime(41)
         assert err == ErrorCertificate(p=41, stage=stage, message=message)
 
     def test_root_that_fails_to_square_back(self, monkeypatch, capsys):
@@ -235,7 +243,7 @@ class TestStageFailures:
         canonical_i.cache_clear()
         canonical_sqrt2.cache_clear()
         try:
-            err = check_prime(Prime(41))
+            err = check_prime(41)
             assert isinstance(err, ErrorCertificate) and err.stage == "roots"
             assert err.message == "the root 1 of -1 mod 41 does not square back"
             report, certificates = streamed_scan(ScanConfig(lo=0, hi=100))
@@ -256,7 +264,7 @@ class TestStageFailures:
             return real((r + 1) % n if (square, n) == (2, 41) else r, square, n)
 
         monkeypatch.setattr(modular, "_smaller_root", corrupt)
-        err = check_prime(Prime(41))
+        err = check_prime(41)
         assert err == ErrorCertificate(
             p=41, stage="roots",
             message="the root 25 of 2 mod 41 does not square back")
@@ -277,8 +285,8 @@ class TestStageFailures:
         # Forked workers inherit the patch whatever the platform's default.
         monkeypatch.setattr(harness, "multiprocessing", multiprocessing.get_context("fork"))
         message = "n != (a-1)^2 + b^2 at p=41"
-        assert check_prime(Prime(41)) == ErrorCertificate(p=41, stage="certificate",
-                                                           message=message)
+        assert check_prime(41) == ErrorCertificate(p=41, stage="certificate",
+                                                   message=message)
         assert main(["scan", "--from", "0", "--to", "100", "--jobs", str(jobs)]) == 3
         out, err = capsys.readouterr()
         assert [row.split(",")[0] for row in out.splitlines()[1:]] == ["17", "73", "89", "97"]
@@ -308,12 +316,12 @@ class TestStageFailures:
             monkeypatch.setattr(criteria, "_curve_order", lambda n, a, b: (a - 1) ** 2 + b * b)
             message = "#E(F_p) = 10217 is not divisible by 8 at p=10009"
         monkeypatch.setattr(harness, "multiprocessing", multiprocessing.get_context("fork"))
-        assert check_prime(Prime(10009)) == ErrorCertificate(p=10009, stage="certificate",
-                                                             message=message)
+        assert check_prime(10009) == ErrorCertificate(p=10009, stage="certificate",
+                                                      message=message)
         assert main(["scan", "--from", "0", "--to", "20000", "--jobs", str(jobs)]) == 3
         out, err = capsys.readouterr()
         assert err == f"invariant violation at p=10009 [certificate]: {message}\n"
-        expected = [p.value for p in primes_1_mod_8(0, 20000) if p.value != 10009]
+        expected = [p for p in primes_1_mod_8(0, 20000) if p != 10009]
         assert [int(row.split(",")[0]) for row in out.splitlines()[1:]] == expected
 
 
@@ -334,7 +342,7 @@ def seeded_trace_primes(count: int, seed: int) -> list[int]:
 
 class TestProofTrace:
     def test_chi_minus_one_trace(self):
-        tr = proof_trace(check_prime(Prime(17)))
+        tr = proof_trace(check_prime(17))
         assert tr.chi == -1
         assert tr.jac_identity_holds
         assert (tr.n, tr.n_mod_32) == (16, 16)
@@ -349,7 +357,7 @@ class TestProofTrace:
         assert tr.consistent
 
     def test_chi_plus_one_trace(self):
-        tr = proof_trace(check_prime(Prime(41)))
+        tr = proof_trace(check_prime(41))
         assert tr.chi == 1
         assert (tr.n, tr.n_mod_32) == (32, 0)
         assert tr.level4_x == (16, 18, 23, 25)
@@ -366,12 +374,12 @@ class TestProofTrace:
     def test_rejects_wrong_residue_class(self):
         # A trace needs a certificate, and check_prime makes none off 1 (mod 8).
         with pytest.raises(ValueError, match="check_prime expects p = 1"):
-            check_prime(Prime(29))
+            check_prime(29)
 
     def test_seed_determinism(self):
-        cert = check_prime(Prime(41))
+        cert = check_prime(41)
         assert proof_trace(cert, seed=3) == proof_trace(cert, seed=3)
-        assert proof_trace(check_prime(Prime(113)), seed=9).consistent
+        assert proof_trace(check_prime(113), seed=9).consistent
 
     def test_failed_order_check_is_an_invariant_violation(self, monkeypatch, capsys):
         # The scaled sample has order 8 by construction; if the check on it
@@ -414,7 +422,7 @@ class TestProofTrace:
             return real(k, P, n)
 
         monkeypatch.setattr(curve, "_scalar_mul_int", counted)
-        assert proof_trace(check_prime(Prime(v))).consistent
+        assert proof_trace(check_prime(v)).consistent
         assert len(calls) == 3
 
     def test_curve_order_is_derived_once(self, monkeypatch, capsys):
@@ -486,13 +494,13 @@ class TestProofTrace:
         # the trace's own curve_order disagrees with its n.
         import cm_octic.cli as cli_mod
 
-        cert = check_prime(Prime(41))
+        cert = check_prime(41)
         if forge == "d+1":
             cert = dataclasses.replace(cert, d=cert.d + 1)
         elif forge == "b=0":
             cert = dataclasses.replace(cert, b=0, n=(cert.a - 1) ** 2)
         elif forge == "foreign":
-            cert = dataclasses.replace(check_prime(Prime(73)), p=41)
+            cert = dataclasses.replace(check_prime(73), p=41)
         else:
             real = criteria.curve_order
             monkeypatch.setattr(criteria, "curve_order", lambda n, i: real(n, i) + 8)
@@ -520,7 +528,7 @@ class TestProofTrace:
             tr = proof_trace(check_prime(p))
             assert tr.order8_applicable == (tr.n % 32 == 0)
             assert tr.minus_one_symbol == 1
-            assert tr.consistent, p.value
+            assert tr.consistent, p
 
     def test_level4_character_is_uniform(self):
         # (1+s)(1-s) = -1 and (-1 | p) = +1 force one character across all four
@@ -535,12 +543,11 @@ class TestProofTraceOracle:
     @pytest.mark.parametrize(
         "values",
         [
-            pytest.param([p.value for p in primes_1_mod_8(0, 10**4)], id="below-10^4"),
+            pytest.param(list(primes_1_mod_8(0, 10**4)), id="below-10^4"),
             pytest.param(seeded_trace_primes(20, 18), id="seeded-to-2^62"),
             pytest.param([2476681, 528423887209], id="sampler-misses"),
         ],
     )
     def test_matches_field_oracle(self, values):
         for v in values:
-            p = Prime(v)
-            assert proof_trace(check_prime(p)) == field_proof_trace_oracle(p), v
+            assert proof_trace(check_prime(v)) == field_proof_trace_oracle(v), v

@@ -24,7 +24,7 @@ from cm_octic.curve import (
     find_point_of_order,
 )
 from cm_octic.errors import InvariantViolation
-from cm_octic.modular import Prime, _i_and_sqrt2, canonical_i, canonical_sqrt2, jacobi, sqrt_mod
+from cm_octic.modular import _i_and_sqrt2, canonical_i, canonical_sqrt2, jacobi, sqrt_mod
 
 from conftest import (
     FieldElement,
@@ -43,9 +43,7 @@ from conftest import (
     trial_division_primes,
 )
 
-P17 = Prime(17)
-P41 = Prime(41)
-I17 = 4  # canonical_i(P17)
+I17 = 4  # canonical_i(17)
 
 
 def negate(P, n):
@@ -63,17 +61,17 @@ def oracle_sum(p, A, B):
 
 class TestConstruction:
     def test_on_curve_accepted(self):
-        assert residues(field_point(P17, 5, 1)) == (5, 1)
+        assert residues(field_point(17, 5, 1)) == (5, 1)
         assert _add_int((5, 1), None, 17) == (5, 1)
 
     def test_off_curve_rejected(self):
         # The oracle's own curve check.
         with pytest.raises(ValueError):
-            field_point(P17, 2, 5)
+            field_point(17, 2, 5)
 
     def test_mixed_fields_rejected(self):
         with pytest.raises(AssertionError):
-            field_add_oracle(field_point(P17, 1, 0), field_point(P41, 1, 0))
+            field_add_oracle(field_point(17, 1, 0), field_point(41, 1, 0))
 
     def test_identity(self):
         # None is O for every integer core.
@@ -104,14 +102,13 @@ class TestGroupLaw:
                 assert _add_int(_add_int(A, B, v), C, v) == _add_int(A, _add_int(B, C, v), v)
 
     def test_lagrange_exhaustive(self):
-        for p in (P17, P41):
-            n = curve_order(p.value, canonical_i(p))
+        for p in (17, 41):
+            n = curve_order(p, canonical_i(p))
             for P in curve_points_oracle(p):
-                assert _scalar_mul_int(n, P, p.value) is None
+                assert _scalar_mul_int(n, P, p) is None
 
     def test_lagrange_sampled(self):
-        p = Prime(97)
-        n = curve_order(97, canonical_i(p))
+        n = curve_order(97, canonical_i(97))
         for s in range(0, 40, 3):
             assert _scalar_mul_int(n, _random_point_int(s, 97), 97) is None
 
@@ -144,7 +141,7 @@ class TestGroupLaw:
     def test_jacobian_scalar_mul_exhaustive(self, v):
         # Every point and every k in (-3p, 3p) against repeated _add_int:
         # the accumulator meets +-P, O and the 2-torsion along the way.
-        for P in curve_points_oracle(Prime(v)):
+        for P in curve_points_oracle(v):
             minus_P = negate(P, v)
             up = down = None
             for k in range(3 * v):
@@ -157,7 +154,7 @@ class TestFieldElement:
     """The oracle's own F_p arithmetic, which the curve and trace oracles build on."""
 
     def test_range_check(self):
-        p = Prime(17)
+        p = 17
         FieldElement(0, p)
         FieldElement(16, p)
         with pytest.raises(ValueError):
@@ -166,7 +163,7 @@ class TestFieldElement:
             FieldElement(-1, p)
 
     def test_arithmetic(self):
-        p = Prime(17)
+        p = 17
         a, b = element(p, 11), element(p, 9)
         assert (a + b).residue == 3
         assert (a - b).residue == 2
@@ -178,8 +175,8 @@ class TestFieldElement:
         assert (1 - a).residue == 7
 
     def test_mixed_moduli_is_programming_error(self):
-        a = element(Prime(17), 3)
-        b = element(Prime(41), 3)
+        a = element(17, 3)
+        b = element(41, 3)
         # An explicit raise, so the guard holds under python -O as well.
         with pytest.raises(AssertionError, match="different prime fields"):
             a + b
@@ -196,29 +193,26 @@ class TestGroupLawOracle:
 
     @pytest.mark.parametrize("v", [17, 41])
     def test_every_ordered_pair(self, v):
-        p = Prime(v)
-        pts = curve_points_oracle(p)
+        pts = curve_points_oracle(v)
         for A, B in itertools.product(pts, repeat=2):
-            assert _add_int(A, B, v) == oracle_sum(p, A, B), (A, B)
+            assert _add_int(A, B, v) == oracle_sum(v, A, B), (A, B)
 
     @pytest.mark.parametrize("v", ORACLE_PRIMES)
     def test_seeded_pairs(self, v):
-        p = Prime(v)
         rng = random.Random(v)
         sampled = [_random_point_int(rng.randrange(v), v) for _ in range(12)]
         # the diagonal gives the doublings, the negations P + (-P)
         pts = sampled + [negate(A, v) for A in sampled] + [(0, 0), (1, 0), (v - 1, 0)]
         for A, B in itertools.product(pts, repeat=2):
-            assert _add_int(A, B, v) == oracle_sum(p, A, B), (A, B)
+            assert _add_int(A, B, v) == oracle_sum(v, A, B), (A, B)
 
     @pytest.mark.parametrize("v", ORACLE_PRIMES)
     def test_scalar_mul(self, v):
-        p = Prime(v)
         rng = random.Random(v)
         for _ in range(8):
             P = _random_point_int(rng.randrange(v), v)
             k = rng.randrange(-(1 << 61), 1 << 61)
-            expected = residues(field_scalar_mul_oracle(k, as_field(p, P)))
+            expected = residues(field_scalar_mul_oracle(k, as_field(v, P)))
             assert _scalar_mul_int(k, P, v) == expected, (k, P)
 
 
@@ -229,7 +223,7 @@ class TestEta:
         assert _eta_int((5, 1), 17, I17) == (4, 14)
 
     def test_is_homomorphism(self):
-        i = canonical_i(Prime(73))
+        i = canonical_i(73)
         pts = [_random_point_int(s, 73) for s in range(10)]
         for A, B in itertools.combinations(pts, 2):
             assert _eta_int(_add_int(A, B, 73), 73, i) == _add_int(
@@ -237,10 +231,9 @@ class TestEta:
 
     @pytest.mark.parametrize("v", [41, 113])
     def test_matches_field_oracle(self, v):
-        p = Prime(v)
-        i = canonical_i(p)
-        for P in curve_points_oracle(p):
-            assert _eta_int(P, v, i) == residues(field_eta_oracle(as_field(p, P))), P
+        i = canonical_i(v)
+        for P in curve_points_oracle(v):
+            assert _eta_int(P, v, i) == residues(field_eta_oracle(as_field(v, P))), P
 
 
 class TestEtaPreimages:
@@ -250,12 +243,11 @@ class TestEtaPreimages:
     @pytest.mark.parametrize("v", [41, 113])
     def test_matches_field_oracle(self, v):
         # eta_preimages(x0) is the union of the oracle's fibers over +-Q.
-        p = Prime(v)
-        i = canonical_i(p)
-        points = curve_points_oracle(p)[1:]
+        i = canonical_i(v)
+        points = curve_points_oracle(v)[1:]
         for x0 in {Q[0] for Q in points}:
             expected = {residues(P) for Q in points if Q[0] == x0
-                        for P in field_eta_preimages_oracle(as_field(p, Q))}
+                        for P in field_eta_preimages_oracle(as_field(v, Q))}
             assert eta_preimages(x0, v, i) == expected, x0
 
 
@@ -328,8 +320,7 @@ class TestLevelSets:
         primes = [v for v in trial_division_primes(2000) if v % 8 == 1]
         assert len(primes) == 68
         for v in primes:
-            p = Prime(v)
-            i, s = canonical_i(p), canonical_sqrt2(p)
+            i, s = canonical_i(v), canonical_sqrt2(v)
             expected = x_map_level_sets(v)
             for i_, s_ in ((i, s), (v - i, v - s)):
                 assert list(eta_level_sets(v, i_, s_)) == expected, v
@@ -367,22 +358,21 @@ class TestLevelFourPoints:
     def test_off_level_x_is_an_invariant_violation(self):
         # x = 2 is not +-1 +- sqrt(2) mod 41, so neither explicit y is on the curve.
         with pytest.raises(InvariantViolation, match="is not on y\\^2 = x\\^3 - x over F_41"):
-            _level4_roots(2, 41, canonical_i(P41))
+            _level4_roots(2, 41, canonical_i(41))
 
 
 class TestCounting:
     def test_naive_example(self):
-        assert naive_point_count(Prime(13)) == 8
+        assert naive_point_count(13) == 8
 
     def test_order_matches_naive_count(self):
         for v in range(5, 500):
             if v % 4 == 1 and all(v % d for d in range(2, v)):
-                p = Prime(v)
-                assert curve_order(v, canonical_i(p)) == naive_point_count(p), v
+                assert curve_order(v, canonical_i(v)) == naive_point_count(v), v
 
     def test_naive_guard(self):
         with pytest.raises(ValueError):
-            naive_point_count(Prime(131071))
+            naive_point_count(131071)
 
 
 class TestSampling:
@@ -419,9 +409,9 @@ class TestFindPointOfOrder:
     # #E comes from the caller; here from the naive point count, not from
     # the package's curve_order.
     def test_order_eight_exists_at_41(self):
-        xy = find_point_of_order(41, naive_point_count(P41))
+        xy = find_point_of_order(41, naive_point_count(41))
         assert xy is not None
-        assert has_exact_order_8(P41, xy)
+        assert has_exact_order_8(41, xy)
 
     def test_needs_32_to_divide_the_order(self):
         # n = 16 at p = 17, so its 2-part Z/4 x Z/4 has no point of order 8
@@ -431,14 +421,13 @@ class TestFindPointOfOrder:
     @pytest.mark.parametrize("v", [41, 113])
     def test_every_seed_finds_order_eight(self, v):
         # seeds near p wrap the walk around to x = 0, 1, ...
-        p = Prime(v)
-        order = naive_point_count(p)
+        order = naive_point_count(v)
         for seed in range(v):
             xy = find_point_of_order(v, order, seed)
-            assert xy is not None and has_exact_order_8(p, xy), seed
+            assert xy is not None and has_exact_order_8(v, xy), seed
 
     def test_finds_order_eight_at_10009(self):
-        p = Prime(10009)
+        p = 10009
         xy = find_point_of_order(10009, naive_point_count(p))
         assert xy is not None
         assert has_exact_order_8(p, xy)
@@ -469,7 +458,7 @@ def sampler_mismatches(values, seeds=range(4)) -> list[tuple]:
     the full-projection walk in conftest."""
     out = []
     for v in values:
-        order = curve_order(v, canonical_i(Prime(v)))
+        order = curve_order(v, canonical_i(v))
         for seed in seeds:
             got, want = find_point_of_order(v, order, seed), order8_walk_oracle(v, order, seed)
             if got != want:
@@ -479,7 +468,7 @@ def sampler_mismatches(values, seeds=range(4)) -> list[tuple]:
 
 # Every p = 1 (mod 8) below 2 * 10^4 with 32 | #E.
 SMALL_SEARCHED = [v for v in trial_division_primes(20000)
-                  if v % 8 == 1 and curve_order(v, canonical_i(Prime(v))) % 32 == 0]
+                  if v % 8 == 1 and curve_order(v, canonical_i(v)) % 32 == 0]
 # 2476681 and 528423887209 are the seed-0 misses, both with 2^5 || #E.
 SEEDED_SEARCHED = primes_by_valuation((20, 27, 34, 41, 48, 55, 61), 27)
 SEEDED_SEARCHED["v5"] += [2476681, 528423887209]
@@ -499,7 +488,7 @@ class TestSamplerDescent:
 
     @pytest.mark.parametrize("v", [2476681, 528423887209])
     def test_pinned_misses_still_miss(self, v):
-        assert find_point_of_order(v, curve_order(v, canonical_i(Prime(v))), 0) is None
+        assert find_point_of_order(v, curve_order(v, canonical_i(v)), 0) is None
 
     def test_a_flipped_v5_rule_is_caught(self, monkeypatch):
         # Rejecting the non-square x at 2^5 || #E instead of the square ones.

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import multiprocessing
+import multiprocessing.pool
 import os
 import re
 import subprocess
@@ -67,6 +68,40 @@ def traced_scan_peak(hi: int, fmt: str, jobs: int, out: Path) -> int:
         tracemalloc.stop()
 
 
+def write_when_the_window_is_full(monkeypatch) -> list[int]:
+    # At jobs > 1 the parent holds the results of the segments handed out
+    # and not yet written, at most 2 * workers of them; how many have come
+    # back when its peak is taken depends on how the workers are scheduled.
+    # Here each write first waits for every segment handed out, so a scan
+    # peaks with its window full whatever the scheduling.  Returns the list
+    # of segments outstanding at each write.
+    fork = multiprocessing.get_context("fork")
+    handed: list[multiprocessing.pool.AsyncResult] = []
+    outstanding: list[int] = []
+
+    class HandingPool(multiprocessing.pool.Pool):
+        def apply_async(self, *args, **kwargs):
+            handed.append(super().apply_async(*args, **kwargs))
+            return handed[-1]
+
+    real_scan = harness.scan
+
+    def scan_with_full_windows(config, write):
+        def write_full(text):
+            outstanding.append(len(handed))
+            for result in handed:
+                result.wait(60)
+                assert result.ready(), "a segment did not come back within 60 s"
+            del handed[0]  # the segment being written; held no longer than by the scan
+            write(text)
+        return real_scan(config, write_full)
+
+    monkeypatch.setattr(harness, "multiprocessing",
+                        SimpleNamespace(Pool=lambda n: HandingPool(n, context=fork)))
+    monkeypatch.setattr(harness, "scan", scan_with_full_windows)
+    return outstanding
+
+
 def first_difference(got: str, want: str) -> tuple[int, str | None, str | None] | None:
     """None when the two texts are equal, else the first line (from 1, ends
     kept) where their splitlines lists differ, with both versions.
@@ -92,13 +127,13 @@ def rigged_fields(**overrides) -> tuple:
 
 class TestPrimeStream:
     def test_small_windows(self):
-        assert [p.value for p in primes_1_mod_8(0, 100)] == [17, 41, 73, 89, 97]
+        assert list(primes_1_mod_8(0, 100)) == [17, 41, 73, 89, 97]
         assert list(primes_1_mod_8(0, 17)) == []
-        assert [p.value for p in primes_1_mod_8(100, 140)] == [113, 137]
+        assert list(primes_1_mod_8(100, 140)) == [113, 137]
 
     def test_matches_trial_division(self):
         expected = [q for q in trial_division_primes(3 * 10**4) if q % 8 == 1]
-        assert [p.value for p in primes_1_mod_8(0, 3 * 10**4)] == expected
+        assert list(primes_1_mod_8(0, 3 * 10**4)) == expected
 
     def test_matches_trial_division_across_presieve_bound(self):
         # [PRESIEVE^2 - 10^4, PRESIEVE^2) is proven by the pre-sieve alone;
@@ -108,7 +143,7 @@ class TestPrimeStream:
         for lo, hi in ((PRESIEVE**2 - 10**4, PRESIEVE**2), (PRESIEVE**2, PRESIEVE**2 + 10**4)):
             expected = [q for q in range(lo + (1 - lo) % 8, hi, 8)
                         if all(q % r for r in presieve_primes())]
-            streamed = [p.value for p in primes_1_mod_8(lo, hi)]
+            streamed = list(primes_1_mod_8(lo, hi))
             assert streamed == expected and streamed, lo
 
     @pytest.mark.parametrize("residue", range(8))
@@ -121,13 +156,13 @@ class TestPrimeStream:
         for lo in (residue, 10**4 + residue):
             hi = lo + 1000
             expected = [q for q in trial_division_primes(hi) if q >= lo and q % 8 == 1]
-            assert [p.value for p in primes_1_mod_8(lo, hi)] == expected, lo
+            assert list(primes_1_mod_8(lo, hi)) == expected, lo
 
     def test_wheel_keeps_its_presieve_primes(self):
         # hi above PRESIEVE^2 takes the Miller-Rabin path from 0, through
         # the odd primes below PRESIEVE that its pre-sieve strikes multiples of.
-        wheel = [p.value for p in islice(primes_1_mod_8(0, PRESIEVE**2 + 1), 2000)]
-        sieved = [p.value for p in islice(primes_1_mod_8(0, 10**5), 2000)]
+        wheel = list(islice(primes_1_mod_8(0, PRESIEVE**2 + 1), 2000))
+        sieved = list(islice(primes_1_mod_8(0, 10**5), 2000))
         assert len(sieved) == 2000 and wheel == sieved
 
     def test_each_prime_is_proven_once(self, monkeypatch):
@@ -148,7 +183,7 @@ class TestPrimeStream:
         lo, hi = 2**61, 2**61 + 10**4
         small = presieve_primes()
         survivors = [q for q in range(lo + 1, hi, 8) if all(q % r for r in small)]
-        wheel = [p.value for p in primes_1_mod_8(lo, hi)]
+        wheel = list(primes_1_mod_8(lo, hi))
         assert wheel == [q for q in survivors if is_prime(q)] and wheel
         assert calls == survivors  # once each, in order
         assert not [q for q in calls if any(q % r == 0 for r in small)]
@@ -158,9 +193,13 @@ class TestPrimeStream:
         assert calls == []
 
     def test_streamed_primes_equal_proven_ones(self):
-        for p in primes_1_mod_8(0, 200):
-            assert p == Prime(p.value) and hash(p) == hash(Prime(p.value))
-            assert p.value % 8 == 1
+        # The stream yields plain ints, on the sieve path and on the
+        # Miller-Rabin path, and Prime's own proof accepts each one.
+        for lo, hi in ((0, 200), (2**61, 2**61 + 2000)):
+            streamed = list(primes_1_mod_8(lo, hi))
+            assert streamed
+            for p in streamed:
+                assert type(p) is int and Prime(p).value == p and p % 8 == 1
 
     def test_range_validation(self):
         with pytest.raises(ValueError):
@@ -239,7 +278,7 @@ class TestScan:
         serial = self._csv(ScanConfig(lo=lo, hi=hi))
         assert self._csv(ScanConfig(lo=lo, hi=hi, jobs=jobs)) == serial
         listed = [int(row.split(",", 1)[0]) for row in serial.splitlines()[1:]]
-        assert listed == [p.value for p in primes_1_mod_8(lo, hi)]
+        assert listed == list(primes_1_mod_8(lo, hi))
 
     @pytest.mark.parametrize(
         "jobs, lo, hi, cpus, workers",
@@ -312,7 +351,7 @@ class TestSerialization:
         assert rows == ["17,1,4,3,1,-1,16,16,1,4,4,1,1,1", "41,5,4,3,2,+1,32,0,0,8,0,1,1,1",
                         "17,1,4,3,1,-1,16,16,1,,,,1,1"]
         # the scan formats the core's tuples, which are the Certificate's fields
-        assert certificate_csv_row(_certificate_fields(Prime(41), True)) == (
+        assert certificate_csv_row(_certificate_fields(41, True)) == (
             "41,5,4,3,2,+1,32,0,0,8,0,1,1,1")
         assert certificate_csv_row(rigged_fields(h=12, thm1_holds=False, thm2_holds=False)) == (
             "17,1,4,3,1,-1,16,16,1,12,4,0,0,1")
@@ -540,7 +579,7 @@ class TestJsonWriter:
         from cm_octic import criteria
 
         monkeypatch.setattr(criteria, "_i_and_sqrt2", lambda n: (2, 3))
-        cert = criteria.check_prime(Prime(41))
+        cert = criteria.check_prime(41)
         assert isinstance(cert, ErrorCertificate)
         assert main(argv) == 3
         assert capsys.readouterr().out == json.dumps(vars(cert), indent=2) + "\n"
@@ -640,7 +679,7 @@ class TestCliScan:
         real_fields = harness_mod._certificate_fields
 
         def fail_at_41(p, with_class_number):
-            if p.value == 41:
+            if p == 41:
                 return ErrorCertificate(p=41, stage="chi", message="boom")
             return real_fields(p, with_class_number)
 
@@ -729,14 +768,14 @@ class TestCliScan:
         real_fields = harness._certificate_fields
 
         def fail_at_10009(p, with_class_number):
-            if p.value == 10009:
+            if p == 10009:
                 return ErrorCertificate(p=10009, stage="chi", message="planted")
             return real_fields(p, with_class_number)
 
         monkeypatch.setattr(harness, "_certificate_fields", fail_at_10009)
         # Forked workers inherit the patch whatever the platform's default.
         monkeypatch.setattr(harness, "multiprocessing", multiprocessing.get_context("fork"))
-        expected = [p.value for p in primes_1_mod_8(0, 20000) if p.value != 10009]
+        expected = [p for p in primes_1_mod_8(0, 20000) if p != 10009]
         outputs = {}
         for jobs in (1, 2):
             for fmt in ("csv", "json"):
@@ -768,12 +807,17 @@ class TestCliScan:
         # flight, and JSON reads its spool back one row at a time: its
         # traced peak must stay put.  Holding every certificate until the
         # end took it from 0.46 MB to 1.73 MB at jobs=1.
+        # At jobs=2 both windows peak with 2 * workers segments outstanding.
         monkeypatch.setattr(harness, "_SEGMENT", 1 << 13)
+        outstanding = write_when_the_window_is_full(monkeypatch) if jobs > 1 else []
         target = tmp_path / f"scan.{fmt}"
         traced_scan_peak(1 << 16, fmt, jobs, target)  # warm-up: the sieve tables and root caches fill
         small = traced_scan_peak(1 << 16, fmt, jobs, target)
         large = traced_scan_peak(1 << 18, fmt, jobs, target)
         assert large <= 1.25 * small, (small, large)
+        if jobs > 1:
+            ahead = 2 * min(jobs, os.cpu_count() or 1)
+            assert len(outstanding) == 8 + 8 + 32 and max(outstanding) == ahead, outstanding
 
     def test_json_memory_matches_csv(self, tmp_path):
         # The indented JSON of rows read back from the spool weighs some 50
@@ -803,7 +847,7 @@ class TestCliScan:
             monkeypatch.setattr(harness, "_SEGMENT", segment)
         if rigged:
             monkeypatch.setattr(harness, "_certificate_fields",
-                                lambda p, with_class_number: rigged_fields(p=p.value, **rigged))
+                                lambda p, with_class_number: rigged_fields(p=p, **rigged))
         # Forked workers inherit the patches whatever the platform's default.
         monkeypatch.setattr(harness, "multiprocessing", multiprocessing.get_context("fork"))
         outputs = []
@@ -895,6 +939,15 @@ class TestCliOther:
 
     def test_classno_rejects_composite(self):
         assert main(["classno", "15"]) == 1
+
+    @pytest.mark.parametrize("argv", [["classno", "697"], ["check", "697"], ["trace", "697"],
+                                      ["classno", "9998200081"]])
+    def test_composite_1_mod_8_is_a_usage_error(self, argv, capsys):
+        # 697 = 17 * 41 and 99991^2 pass every residue-class check; check
+        # and trace reject them by check_prime's proof, classno by the count.
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"cm-octic: error: modulus must be prime, got {argv[1]}\n"
 
     def test_classno_rejects_wrong_class(self):
         assert main(["classno", "13"]) == 1

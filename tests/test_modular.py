@@ -142,22 +142,22 @@ class TestSqrtMod:
 
 class TestCanonicalRoots:
     def test_canonical_i_examples(self):
-        assert canonical_i(Prime(17)) == 4
-        assert canonical_i(Prime(41)) == 9
-        assert canonical_i(Prime(5)) == 2
+        assert canonical_i(17) == 4
+        assert canonical_i(41) == 9
+        assert canonical_i(5) == 2
 
     def test_canonical_sqrt2_examples(self):
-        assert canonical_sqrt2(Prime(17)) == 6
-        assert canonical_sqrt2(Prime(41)) == 17
-        assert canonical_sqrt2(Prime(97)) == 14
+        assert canonical_sqrt2(17) == 6
+        assert canonical_sqrt2(41) == 17
+        assert canonical_sqrt2(97) == 14
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
-            canonical_i(Prime(19))  # 19 = 3 (mod 4)
+            canonical_i(19)  # 19 = 3 (mod 4)
         with pytest.raises(ValueError):
-            canonical_sqrt2(Prime(13))  # 13 = 5 (mod 8)
+            canonical_sqrt2(13)  # 13 = 5 (mod 8)
         with pytest.raises(ValueError):
-            canonical_sqrt2(Prime(23))  # 2 is a square mod 23, but 23 = 7 (mod 8)
+            canonical_sqrt2(23)  # 2 is a square mod 23, but 23 = 7 (mod 8)
 
     def test_roots_square_back(self):
         # Every p = 1 (mod 8) below 3000, through the check selftest runs.
