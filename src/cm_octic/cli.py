@@ -185,12 +185,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     print(f"level-4 x candidates (+-1 +- sqrt2): {list(tr.level4_x)}")
     for fib in tr.fibers:
         tag = "square" if fib.x_is_square else "non-square"
-        if fib.points:
-            pts = ", ".join(f"({x},{y})#{c}" for (x, y), c
-                            in zip(fib.points, fib.preimage_counts))
-            print(f"  x = {fib.x:>6} [{tag}]  points and preimage counts: {pts}")
-        else:
-            print(f"  x = {fib.x:>6} [{tag}]  no rational point")
+        pts = ", ".join(f"({x},{y})#{c}" for (x, y), c in zip(fib.points, fib.preimage_counts))
+        print(f"  x = {fib.x:>6} [{tag}]  points and preimage counts: {pts}")
     if not tr.order8_applicable:
         print("32 does not divide #E, so no order-8 orbit step applies")
     elif tr.order8_point is None:

@@ -7,12 +7,12 @@ of its iterated kernels, and order bookkeeping via (a-1)^2 + b^2.
 
 Points are plain residues: (x, y) mod p, or None for the identity O.  The
 group law is one integer core (_add_int, _scalar_mul_int) that checks
-every result on the curve.  eta, its preimages, the point sampler and the
-order-8 search run on it (_eta_int, eta_preimages, _random_point_int,
-find_point_of_order), and so do the selftest and proof_trace.  The
-preimages come per x, both fibers above it at once; the level-4 points come
-without a square root (_level4_roots); the search decides most samples by
-2-descent on x alone (_descent_rejects) and projects only the rest.  The level
+every result on the curve.  eta, its preimages and the order-8 search run
+on it (_eta_int, eta_preimages, find_point_of_order), and so do the
+selftest and proof_trace.  The preimages come per x, both fibers above it
+at once; the level-4 points come without a square root (_level4_roots);
+the search walks x and decides most samples by 2-descent on x alone
+(_descent_rejects), taking a root y only for the sample it projects.  The level
 sets are residues too, from roots i and sqrt(2) that their caller passes
 in and eta_level_sets squares back.  The prime is a plain int n here, its
 root of -1 comes from the caller, and so does #E for the order-8 search:
@@ -189,20 +189,6 @@ def curve_order(n: int, i: int) -> int:
     return _curve_order(n, *two_squares(n, i))
 
 
-def _sample_x(seed: int, n: int) -> int:
-    # Walk x = seed, seed+1, ... mod n until x^3 - x is a square; x = 0 ends it.
-    x = seed % n
-    while jacobi(x * x * x - x, n) == -1:
-        x = (x + 1) % n
-    return x
-
-
-def _random_point_int(seed: int, n: int) -> tuple[int, int]:
-    # The first x of the walk from seed, with the smaller root y.
-    x = _sample_x(seed, n)
-    return x, sqrt_mod(x * x * x - x, n)[0]
-
-
 def _descent_rejects(x: int, v: int, n: int) -> bool:
     """Whether the 2-part of a sample above x has order < 8, decided from x
     alone when 2^v || #E(F_n) with v = 5 or 6; False, undecided, for v >= 7.
@@ -231,20 +217,24 @@ def find_point_of_order(n: int, order: int, seed: int = 0) -> tuple[int, int] | 
     project a sample into the 2-Sylow subgroup, measure its order 2^t there,
     and when 2^t >= 8 scale it down to exact order 8.  For 2^5 or 2^6 || order
     _descent_rejects decides each sample from x alone, and only the sample
-    that succeeds is projected.  _SAMPLE_RETRIES samples are taken, walking
-    x up from seed; None after them is no proof of absence.
+    that succeeds is projected.  _SAMPLE_RETRIES samples are taken: the walk
+    goes x = seed, seed + 1, ... mod n, a sample is each x with x^3 - x a
+    square (0 included), and its point is (x, y) with y the smaller root.
+    None after them is no proof of absence.
     """
     if order % 32:
         raise ValueError(f"no point of order 8 unless 32 divides #E(F_p) = {order}")
     v = (order & -order).bit_length() - 1  # 2^v || order
     odd_part = order >> v
-    x_seed = seed
+    x = (seed - 1) % n
     for _ in range(_SAMPLE_RETRIES):
-        x = _sample_x(x_seed, n)
-        x_seed = x + 1
+        # The next sample: walk x up until x^3 - x is a square; x = 0 ends it.
+        x = (x + 1) % n
+        while jacobi(x * x * x - x, n) == -1:
+            x = (x + 1) % n
         if _descent_rejects(x, v, n):
             continue
-        P = _random_point_int(x, n)
+        P = x, sqrt_mod(x * x * x - x, n)[0]
         # S = odd_part * P lies in the 2-Sylow subgroup, so its doublings
         # reach O within v steps; chain holds S, 2S, 4S, ... before O.
         chain, R = [], _scalar_mul_int(odd_part, P, n)

@@ -8,22 +8,25 @@ oracle lives with the oracle, in tests/conftest.py.
 
 For p = 1 (mod 8) the package gets i and sqrt(2) from _i_and_sqrt2: one
 power of the least non-residue z yields both, each squared back before
-use.  canonical_i and canonical_sqrt2 return the same ints, cached, and
-guard the residue class; canonical_i takes i straight from
-z^((p-1)/4), the same value for p = 1 (mod 8) and the only one defined for
-p = 5 (mod 8); the selftest requires both to equal _i_and_sqrt2's roots
-below 3000.  sqrt_mod and its core _sqrt_residue (Tonelli-Shanks) serve
-every other square root, among them the roots mod q of the class-number
-count and the points of the curve layer.  _sqrt_residue looks up a
-non-residue only when its first guess v^((q+1)/2) is not yet a root, which
-never happens for p = 3 (mod 4).  _nonresidue finds the least non-residue
-of p = 1 (mod 8) by reciprocity, from the non-residues mod odd primes <= 127.
+use.  canonical_i and canonical_sqrt2 guard the residue class and take the
+smaller root from sqrt_mod, cached; the selftest requires them to equal
+_i_and_sqrt2's roots below 3000.  sqrt_mod and its core _sqrt_residue
+(Tonelli-Shanks) serve every other square root, among them the roots mod q
+of the class-number count and the points of the curve layer.
+_sqrt_residue looks up a non-residue only when its first guess
+v^((q+1)/2) is not yet a root, which never happens for p = 3 (mod 4).
+_nonresidue finds the least non-residue of p = 1 (mod 4): 2 for p = 5
+(mod 8), and for p = 1 (mod 8) by reciprocity, from the non-residues mod
+odd primes <= 127, then by Jacobi symbols up to sqrt(p) + 1.  Both
+searches end on any modulus; past their bounds they raise ValueError,
+which only a modulus that is not prime reaches.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import isqrt
 
 from .errors import InvariantViolation
 
@@ -110,21 +113,24 @@ _NONRESIDUES = tuple((z, bytes(r not in squares for r in range(z)))
 
 
 def _nonresidue(n: int) -> int:
-    # The least quadratic non-residue mod the odd prime n.  It is prime, and
-    # 2 is one exactly when n = 3 or 5 (mod 8).  For n = 1 (mod 8), (z | n) =
-    # (n mod z | z) for odd primes z; past the table, and for n = 7 (mod 8),
-    # the Jacobi symbol of each odd z decides.
-    if n % 8 in (3, 5):
+    # The least quadratic non-residue mod the odd prime n = 1 (mod 4), the
+    # domain of both callers: _i_and_sqrt2 (n = 1 mod 8), and _sqrt_residue,
+    # which asks only when 4 | n - 1.  It is prime, and 2 is one exactly when
+    # n = 5 (mod 8); otherwise (z | n) = (n mod z | z) for odd primes z.  Past
+    # the table the Jacobi symbol of each odd z decides, up to isqrt(n) + 1.
+    # That bound holds for every odd prime n: let m be the least non-residue
+    # and k = ceil(n/m).  Then 0 < km - n < m, so km - n is a residue, so k is
+    # a non-residue, so k >= m, and (m - 1)m < n.  A search past it means n
+    # is not prime.
+    if n % 8 == 5:
         return 2
-    z = 3
-    if n % 8 == 1:
-        for z, marks in _NONRESIDUES:
-            if marks[n % z]:
-                return z
-        z += 2  # the first odd z past the table
-    while jacobi(z, n) != -1:
-        z += 2
-    return z
+    for z, marks in _NONRESIDUES:
+        if marks[n % z]:
+            return z
+    for z in range(z + 2, isqrt(n) + 2, 2):
+        if jacobi(z, n) == -1:
+            return z
+    raise ValueError(f"{n} is not prime: no non-residue up to its square root")
 
 
 def _sqrt_residue(v: int, n: int) -> int:
@@ -146,11 +152,15 @@ def _sqrt_residue(v: int, n: int) -> int:
         return r
     m, c = s, pow(_nonresidue(n), q, n)
     while t != 1:
+        # t has order 2^i < 2^m mod a prime n; a t that m - 1 squarings
+        # leave short of 1 means n is not prime.
         t2 = t
-        i = 0
-        while t2 != 1:
+        for i in range(1, m):
             t2 = t2 * t2 % n
-            i += 1
+            if t2 == 1:
+                break
+        else:
+            raise ValueError(f"{n} is not prime: Tonelli-Shanks finds no root of {v}")
         b = pow(c, 1 << (m - i - 1), n)
         m, c, t, r = i, b * b % n, t * b * b % n, r * b % n
     return r
@@ -191,17 +201,15 @@ def _i_and_sqrt2(n: int) -> tuple[int, int]:
 # bench/run.py's clear_root_caches empties both caches, so they stay cached under these names.
 @lru_cache(maxsize=512)
 def canonical_i(n: int) -> int:
-    """The smaller square root of -1 mod the prime n, +-z^((n-1)/4) for the
-    least non-residue z; requires n = 1 (mod 4).  For n = 1 (mod 8) that is
-    zeta^2, the i of _i_and_sqrt2."""
+    """The smaller square root of -1 mod the prime n, by sqrt_mod; requires n = 1 (mod 4)."""
     if n % 4 != 1:
         raise ValueError(f"-1 is a non-residue mod {n}; need p = 1 (mod 4)")
-    return _smaller_root(pow(_nonresidue(n), (n - 1) // 4, n), -1, n)
+    return sqrt_mod(-1, n)[0]
 
 
 @lru_cache(maxsize=512)
 def canonical_sqrt2(n: int) -> int:
-    """The smaller square root of 2 mod the prime n, +-(zeta - zeta^3); requires n = 1 (mod 8)."""
+    """The smaller square root of 2 mod the prime n, by sqrt_mod; requires n = 1 (mod 8)."""
     if n % 8 != 1:
         raise ValueError(f"no 8th root of unity mod {n}; need p = 1 (mod 8)")
-    return _i_and_sqrt2(n)[1]
+    return sqrt_mod(2, n)[0]

@@ -141,9 +141,10 @@ def check_symbols_exhaustive() -> str:
 
 
 def check_canonical_roots() -> str:
-    """canonical_i and canonical_sqrt2 square back to -1 and 2 for every
-    p = 1 (mod 8) < 3000, and equal the roots _i_and_sqrt2 gives the scans
-    and traces."""
+    """canonical_i and canonical_sqrt2, Tonelli-Shanks roots from sqrt_mod,
+    square back to -1 and 2 for every p = 1 (mod 8) < 3000, and equal the
+    roots _i_and_sqrt2 gives the scans and traces from one power of the
+    least non-residue."""
     primes = _primes_1_mod_8(3000)
     for v in primes:
         i = canonical_i(v)

@@ -12,15 +12,20 @@ and has no use for it.  So does nonresidue_by_jacobi, the search for the
 least non-residue that the package's reciprocity table replaced, and so
 does order8_walk_oracle, the order-8 search that projects every sample,
 against which the package's search, which rejects most samples by
-2-descent, is compared.
+2-descent, is compared.  Its x-walk, walk_point, is the tests' source of
+curve points and shares no code with the package's walk.
 """
 
 from __future__ import annotations
 
 import io
+import os
+import random
 from dataclasses import dataclass
 from math import isqrt
+from pathlib import Path
 
+import cm_octic
 from cm_octic.criteria import (
     Certificate,
     LevelFourFiber,
@@ -28,13 +33,7 @@ from cm_octic.criteria import (
     chi_one_plus_sqrt2,
     euler_symbol,
 )
-from cm_octic.curve import (
-    _SAMPLE_RETRIES,
-    _add_int,
-    _random_point_int,
-    _scalar_mul_int,
-    curve_order,
-)
+from cm_octic.curve import _SAMPLE_RETRIES, _add_int, _scalar_mul_int, curve_order
 from cm_octic.harness import ScanConfig, ScanReport, write_scan_csv
 from cm_octic.modular import canonical_i, canonical_sqrt2, jacobi, sqrt_mod
 from cm_octic.selftest import (  # noqa: F401  (re-exported to the tests)
@@ -48,6 +47,13 @@ from cm_octic.selftest import (  # noqa: F401  (re-exported to the tests)
 )
 
 
+def package_env() -> dict[str, str]:
+    """The environment for a child interpreter that imports this cm_octic."""
+    src = str(Path(cm_octic.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def nonresidue_by_jacobi(n: int) -> int:
     """The least quadratic non-residue mod the odd prime n, by the Jacobi
     symbol of 2 and then of each odd z in turn: the loop the package's
@@ -58,6 +64,17 @@ def nonresidue_by_jacobi(n: int) -> int:
     while jacobi(z, n) != -1:
         z += 2
     return z
+
+
+def seeded_primes(count: int, bits: int, seed: int, residue: int = 1) -> list[int]:
+    """count primes = residue (mod 8) of the given bit size, from random.Random(seed)."""
+    rng = random.Random(seed)
+    out: list[int] = []
+    while len(out) < count:
+        q = rng.randrange(1 << (bits - 1), 1 << bits) >> 3 << 3 | residue
+        if q >> (bits - 1) and sprp_prime_bases(q):
+            out.append(q)
+    return out
 
 
 def brute_two_squares(p: int) -> tuple[int, int]:
@@ -270,17 +287,28 @@ def field_eta_preimages_oracle(Q: tuple[FieldElement, FieldElement]) -> frozense
     return frozenset(found)
 
 
+def walk_point(seed: int, n: int) -> tuple[int, int]:
+    """The first point of the walk x = seed, seed + 1, ... mod the prime n:
+    the first x with x^3 - x a square (0 included), by Euler's criterion,
+    and y its smaller root.  The package's order-8 search walks the same x
+    with its own code, by Jacobi symbols."""
+    x = seed % n
+    while pow(x * x * x - x, (n - 1) // 2, n) == n - 1:
+        x = (x + 1) % n
+    return x, sqrt_mod(x * x * x - x, n)[0]
+
+
 def order8_walk_oracle(n: int, order: int, seed: int = 0) -> tuple[int, int] | None:
     """find_point_of_order with every sample projected into the 2-Sylow subgroup.
 
-    The same x-walk and the same number of samples, but each sample's order
-    there is measured by doubling, never judged from its x; the package's
-    sampler must return what this returns, None included.
+    The same x-walk, by walk_point, and the same number of samples, but each
+    sample's order there is measured by doubling, never judged from its x;
+    the package's sampler must return what this returns, None included.
     """
     v = (order & -order).bit_length() - 1
     x_seed = seed
     for _ in range(_SAMPLE_RETRIES):
-        P = _random_point_int(x_seed, n)
+        P = walk_point(x_seed, n)
         x_seed = P[0] + 1
         chain, R = [], _scalar_mul_int(order >> v, P, n)
         while R is not None:

@@ -395,10 +395,21 @@ class TestProofTrace:
         # A sample off the curve can only come from a bug; the first sum
         # built from it breaks the group law's check, and the CLI reports
         # an invariant violation, not a usage error.  At 2^5 || #E = 32 the
-        # sampler projects only samples whose x is a non-square, as 3 is mod 41.
-        monkeypatch.setattr(curve, "_random_point_int", lambda seed, n: (3, 5))
+        # sampler projects only samples whose x is a non-square; the first
+        # is x = 6 mod 41, whose y is planted as 3 (3^2 = 9, not 6^3 - 6 = 5).
+        # The eta-fibers take a root of 6^3 - 6 too, so the wrong root is
+        # planted only while the search runs.
+        real_sqrt, real_search = curve.sqrt_mod, criteria.find_point_of_order
+
+        def search_with_a_wrong_root(*args):
+            monkeypatch.setattr(curve, "sqrt_mod",
+                                lambda v, n: (3, 38) if v == 6 ** 3 - 6 else real_sqrt(v, n))
+            return real_search(*args)
+
+        monkeypatch.setattr(criteria, "find_point_of_order", search_with_a_wrong_root)
         assert main(["check", "41", "--trace"]) == 3
-        assert "is not on y^2 = x^3 - x over F_41" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "(6, 3) + (6, 3) = " in err and "is not on y^2 = x^3 - x over F_41" in err
 
     def test_eta_image_outside_the_fiber_is_an_invariant_violation(self, monkeypatch, capsys):
         # eta computed with -i is 1 - i, whose x-map sends the preimages of x0

@@ -16,7 +16,6 @@ from cm_octic.curve import (
     _add_int,
     _eta_int,
     _level4_roots,
-    _random_point_int,
     _scalar_mul_int,
     curve_order,
     eta_level_sets,
@@ -38,9 +37,11 @@ from conftest import (
     naive_point_count,
     order8_walk_oracle,
     residues,
+    seeded_primes,
     sprp_prime_bases,
     squares_mod,
     trial_division_primes,
+    walk_point,
 )
 
 I17 = 4  # canonical_i(17)
@@ -96,7 +97,7 @@ class TestGroupLaw:
 
     def test_axioms_on_sampled_triples(self):
         for v in (17, 41, 73):
-            pts = [_random_point_int(s, v) for s in range(8)]
+            pts = [walk_point(s, v) for s in range(8)]
             for A, B, C in itertools.islice(itertools.product(pts, repeat=3), 150):
                 assert _add_int(A, B, v) == _add_int(B, A, v)
                 assert _add_int(_add_int(A, B, v), C, v) == _add_int(A, _add_int(B, C, v), v)
@@ -110,7 +111,7 @@ class TestGroupLaw:
     def test_lagrange_sampled(self):
         n = curve_order(97, canonical_i(97))
         for s in range(0, 40, 3):
-            assert _scalar_mul_int(n, _random_point_int(s, 97), 97) is None
+            assert _scalar_mul_int(n, walk_point(s, 97), 97) is None
 
     def test_scalar_edge_cases(self):
         P = (1, 0)
@@ -122,7 +123,7 @@ class TestGroupLaw:
     @settings(deadline=None)
     @given(st.integers(-64, 64), st.integers(-64, 64))
     def test_scalar_linearity(self, m, n):
-        P = _random_point_int(3, 41)
+        P = walk_point(3, 41)
         assert _scalar_mul_int(m + n, P, 41) == _add_int(
             _scalar_mul_int(m, P, 41), _scalar_mul_int(n, P, 41), 41)
 
@@ -200,7 +201,7 @@ class TestGroupLawOracle:
     @pytest.mark.parametrize("v", ORACLE_PRIMES)
     def test_seeded_pairs(self, v):
         rng = random.Random(v)
-        sampled = [_random_point_int(rng.randrange(v), v) for _ in range(12)]
+        sampled = [walk_point(rng.randrange(v), v) for _ in range(12)]
         # the diagonal gives the doublings, the negations P + (-P)
         pts = sampled + [negate(A, v) for A in sampled] + [(0, 0), (1, 0), (v - 1, 0)]
         for A, B in itertools.product(pts, repeat=2):
@@ -210,7 +211,7 @@ class TestGroupLawOracle:
     def test_scalar_mul(self, v):
         rng = random.Random(v)
         for _ in range(8):
-            P = _random_point_int(rng.randrange(v), v)
+            P = walk_point(rng.randrange(v), v)
             k = rng.randrange(-(1 << 61), 1 << 61)
             expected = residues(field_scalar_mul_oracle(k, as_field(v, P)))
             assert _scalar_mul_int(k, P, v) == expected, (k, P)
@@ -224,7 +225,7 @@ class TestEta:
 
     def test_is_homomorphism(self):
         i = canonical_i(73)
-        pts = [_random_point_int(s, 73) for s in range(10)]
+        pts = [walk_point(s, 73) for s in range(10)]
         for A, B in itertools.combinations(pts, 2):
             assert _eta_int(_add_int(A, B, 73), 73, i) == _add_int(
                 _eta_int(A, 73, i), _eta_int(B, 73, i), 73)
@@ -333,17 +334,6 @@ class TestLevelSets:
             eta_level_sets(13, 5, 0)  # 13 = 5 (mod 8): 5^2 = -1, but 2 has no root
 
 
-def seeded_primes(count: int, bits: int, seed: int) -> list[int]:
-    """count primes = 1 (mod 8) of the given bit size, from random.Random(seed)."""
-    rng = random.Random(seed)
-    out: list[int] = []
-    while len(out) < count:
-        q = rng.randrange(1 << (bits - 1), 1 << bits) >> 3 << 3 | 1
-        if q >> (bits - 1) and sprp_prime_bases(q):
-            out.append(q)
-    return out
-
-
 class TestLevelFourPoints:
     @pytest.mark.parametrize("values", [
         pytest.param([v for v in trial_division_primes(10**4) if v % 8 == 1], id="below-10^4"),
@@ -378,7 +368,7 @@ class TestCounting:
 class TestSampling:
     @pytest.mark.parametrize("v,seed,xy", [(17, 0, (0, 0)), (41, 1, (1, 0)), (17, 2, (4, 3))])
     def test_walk_examples(self, v, seed, xy):
-        assert _random_point_int(seed, v) == xy
+        assert walk_point(seed, v) == xy
 
     def test_walk_replication(self):
         # independently replay the walk: first x >= seed with x^3 - x a square
@@ -387,7 +377,7 @@ class TestSampling:
             x = seed
             while (x**3 - x) % 41 not in sq | {0}:
                 x = (x + 1) % 41
-            px, py = _random_point_int(seed, 41)
+            px, py = walk_point(seed, 41)
             assert px == x
             rhs = (x**3 - x) % 41
             if rhs == 0:
@@ -396,7 +386,7 @@ class TestSampling:
                 assert py * py % 41 == rhs and py == min(py, 41 - py)
 
     def test_deterministic(self):
-        assert _random_point_int(7, 41) == _random_point_int(7, 41)
+        assert walk_point(7, 41) == walk_point(7, 41)
 
 
 def has_exact_order_8(p, xy):

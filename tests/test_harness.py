@@ -21,7 +21,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import cm_octic
 from cm_octic import harness, selftest
 from cm_octic.cli import _json as cli_json
 from cm_octic.cli import main
@@ -38,7 +37,7 @@ from cm_octic.harness import (
 )
 from cm_octic.modular import Prime, is_prime
 
-from conftest import streamed_scan, trial_division_primes
+from conftest import package_env, seeded_primes, streamed_scan, trial_division_primes
 
 PRESIEVE = 92682  # below PRESIEVE^2 the stream proves primes without Miller-Rabin
 
@@ -47,13 +46,6 @@ PRESIEVE = 92682  # below PRESIEVE^2 the stream proves primes without Miller-Rab
 def presieve_primes() -> list[int]:
     # The odd primes below PRESIEVE, by trial division.
     return trial_division_primes(PRESIEVE)[1:]
-
-
-def package_env() -> dict[str, str]:
-    # The environment for a child interpreter that imports this cm_octic.
-    src = str(Path(cm_octic.__file__).resolve().parents[1])
-    return {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
 def traced_scan_peak(hi: int, fmt: str, jobs: int, out: Path) -> int:
@@ -919,7 +911,35 @@ class TestCliScan:
         assert "error" in capsys.readouterr().err
 
 
+# (id, primes, sha256 over each argv, its exit status and its stdout) of
+# decompose and curve-order.  27 * 2^56 + 1 = 1 (mod 8) gives Tonelli-Shanks,
+# which canonical_i and canonical_sqrt2 run, its longest order loop at 61 bits.
+PINNED_ROOT_COMMANDS = (
+    ("below-2*10^4", [q for q in trial_division_primes(20000) if q % 4 == 1],
+     "b5f32b7ae57066bc5d295bbfbd8defb141086a28b8daea76146718643db439e1"),
+    ("seeded-61-bit-1-mod-8", seeded_primes(30, 61, 32, residue=1),
+     "7f9da14fda82be6d1d6038dc92035ab568c914cbcfb9dfd46ecd3432a25fd5f3"),
+    ("seeded-61-bit-5-mod-8", seeded_primes(30, 61, 32, residue=5),
+     "464ce8251255e2dcc4d08a0121cce59e702e8a541d91eba53f92d760e1c0b637"),
+    ("2^56-divides-p-1", [27 * 2**56 + 1],
+     "8b00ff17a3c8351a5e30fde986140df79f0e15ae2572f93e1f2239bd33e350c2"),
+)
+
+
 class TestCliOther:
+    @pytest.mark.parametrize("primes, digest",
+                             [pytest.param(primes, digest, id=name)
+                              for name, primes, digest in PINNED_ROOT_COMMANDS])
+    def test_root_commands_bytes_pinned(self, primes, digest, capsys):
+        # decompose and curve-order take their roots from canonical_i and
+        # canonical_sqrt2; their bytes must not move with how the roots are made.
+        h = hashlib.sha256()
+        for p in primes:
+            for command in ("decompose", "curve-order"):
+                status = main([command, str(p)])
+                h.update(f"{command} {p}: {status}\n{capsys.readouterr().out}".encode())
+        assert h.hexdigest() == digest
+
     def test_decompose_one_mod_eight(self, capsys):
         assert main(["decompose", "17"]) == 0
         doc = json.loads(capsys.readouterr().out)

@@ -1,6 +1,8 @@
 """Prime-field layer: primality, symbols, roots, canonical witnesses."""
 
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given
@@ -18,7 +20,13 @@ from cm_octic.modular import (
     sqrt_mod,
 )
 
-from conftest import nonresidue_by_jacobi, sprp_prime_bases, squares_mod, trial_division_primes
+from conftest import (
+    nonresidue_by_jacobi,
+    package_env,
+    sprp_prime_bases,
+    squares_mod,
+    trial_division_primes,
+)
 
 ODD_PRIMES_257 = [p for p in trial_division_primes(258) if p > 2]
 
@@ -184,9 +192,11 @@ class TestCanonicalRoots:
                          "_i_and_sqrt2 != canonical roots at 17"]
 
     def test_nonresidue_is_least(self):
-        # Both canonical roots are powers of _nonresidue(n); it must be the
-        # least non-residue, found here by squaring every residue.
-        for n in trial_division_primes(2000)[1:]:
+        # _i_and_sqrt2's roots and Tonelli-Shanks's c are powers of
+        # _nonresidue(n); it must be the least non-residue, found here by
+        # squaring every residue, for every n = 1 (mod 4), the domain of
+        # both callers.
+        for n in [n for n in trial_division_primes(2000) if n % 4 == 1]:
             squares = squares_mod(n)
             assert _nonresidue(n) == min(z for z in range(2, n) if z not in squares), n
 
@@ -222,3 +232,23 @@ class TestNonresidue:
         for n in nonresidue_cases():
             assert _nonresidue(n) == nonresidue_by_jacobi(n), n
 
+
+class TestSearchesEnd:
+    """A modulus that is not prime ends both searches of the root layer with ValueError."""
+
+    @pytest.mark.parametrize("call", ["sqrt_mod(7, 9)", "sqrt_mod(5, 21)", "canonical_i(9)",
+                                      "canonical_i(99991 ** 2)"])
+    def test_composite_modulus_raises(self, call):
+        # No Jacobi symbol mod the squares 9 and 99991^2 is -1, so only its
+        # bound stops _nonresidue.  Mod 21, 5 has Jacobi symbol +1 but no
+        # root, and Tonelli-Shanks's t = 17 squares to 16, 4, 16, ..., never
+        # 1, so only its bound stops the order loop.  A child runs each call,
+        # so a search without its bound fails here instead of hanging.
+        code = ("import time\nfrom cm_octic.modular import canonical_i, sqrt_mod\n"
+                f"start = time.perf_counter()\ntry:\n    {call}\nexcept ValueError as e:\n"
+                "    print(time.perf_counter() - start, e)\n")
+        done = subprocess.run([sys.executable, "-c", code], env=package_env(),
+                              capture_output=True, text=True, timeout=30)
+        assert done.returncode == 0 and done.stdout, done.stderr
+        seconds, message = done.stdout.split(" ", 1)
+        assert float(seconds) < 1 and "is not prime" in message, done.stdout
