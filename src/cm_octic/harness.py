@@ -1,13 +1,15 @@
 """Range scanning: prime streaming, parallel certificate checks, output.
 
 A scan cuts [lo, hi) into segments; each segment is streamed and checked
-by one worker.  Scans are deterministic: given the same configuration the
-emitted CSV/JSON bytes are identical regardless of worker count, because
-the per-prime work is pure and results are joined in segment order.
-Each segment comes back as its CSV text and its totals, and is written as
-soon as it arrives, so no scan holds every certificate at once.  Its rows
-are formatted from criteria's tuples of certificate fields, and only a
-counterexample becomes a Certificate.
+by one worker.  The stream sieves with a prefix of one cached table of odd
+primes per size class, the power of two above sqrt(hi) capped at
+_PRESIEVE, so a process sieves each table once.  Scans are deterministic:
+given the same configuration the emitted CSV/JSON bytes are identical
+regardless of worker count, because the per-prime work is pure and results
+are joined in segment order.  Each segment comes back as its CSV text and
+its totals, and is written as soon as it arrives, so no scan holds every
+certificate at once.  Its rows are formatted from criteria's tuples of
+certificate fields, and only a counterexample becomes a Certificate.
 """
 
 from __future__ import annotations
@@ -17,10 +19,11 @@ import json
 import multiprocessing
 import os
 from array import array
+from bisect import bisect_right
 from collections import Counter, deque
 from dataclasses import dataclass, field, fields
 from functools import cache
-from itertools import compress
+from itertools import compress, islice
 from math import isqrt
 from typing import Callable, Iterator, TextIO
 
@@ -31,8 +34,8 @@ from .modular import MODULUS_BOUND, is_prime
 # Candidates step by 8 from one segment start to the next, so _SEGMENT must
 # stay a multiple of 8.
 _SEGMENT = 1 << 18
-# isqrt(2**33) + 1: below _PRESIEVE^2 > 2^33 the pre-sieve alone proves
-# each prime, so Miller-Rabin starts above it.
+# isqrt(2**33) + 1: below _PRESIEVE^2 > 2^33 the sieve alone proves each
+# prime; above it the sieve stops at _PRESIEVE and Miller-Rabin decides.
 _PRESIEVE = 92682
 
 CSV_HEADER = "p,a,b,c,d,chi,n,n_mod_32,d_parity,h,h_mod_8,thm1,thm2,corollary"
@@ -93,30 +96,19 @@ class ScanReport:
         self.errors += part.errors
 
 
-def _simple_sieve(limit: int) -> list[int]:
-    # Primes strictly below limit.
-    if limit <= 2:
-        return []
-    flags = bytearray([1]) * limit
-    flags[0:2] = b"\x00\x00"
-    for i in range(2, isqrt(limit - 1) + 1):
-        if flags[i]:
-            flags[i * i :: i] = bytes(len(range(i * i, limit, i)))
-    return list(compress(range(limit), flags))
-
-
-def _odd_primes(limit: int) -> tuple[array, array]:
-    # The odd primes q < limit and -1/8 mod q for each.  (q mod 8) * q =
-    # q^2 = 1 (mod 8), so m = ((q mod 8) * q - 1) / 8 is an integer with
-    # 8m = -1 (mod q).
-    qs = array("i", _simple_sieve(limit)[1:])
-    return qs, array("i", [(q % 8 * q - 1) // 8 for q in qs])
-
-
 @cache
-def _presieve_primes() -> tuple[array, array]:
-    # The full table, built on the first window that needs all of it.
-    return _odd_primes(_PRESIEVE)
+def _odd_primes(limit: int) -> tuple[array, array]:
+    # The odd primes q < limit and -1/8 mod q for each, sieved over the odd
+    # numbers once per limit.  (q mod 8) * q = q^2 = 1 (mod 8), so m =
+    # ((q mod 8) * q - 1) / 8 is an integer with 8m = -1 (mod q).
+    odds = range(3, limit, 2)
+    flags = bytearray([1]) * len(odds)
+    for q in range(3, isqrt(limit - 1) + 1, 2):
+        if flags[(q - 3) // 2]:
+            k = (q * q - 3) // 2
+            flags[k::q] = bytes(len(odds[k::q]))
+    qs = array("i", compress(odds, flags))
+    return qs, array("i", [(q % 8 * q - 1) // 8 for q in qs])
 
 
 def primes_1_mod_8(lo: int, hi: int) -> Iterator[int]:
@@ -126,15 +118,17 @@ def primes_1_mod_8(lo: int, hi: int) -> Iterator[int]:
     # The candidates = 1 (mod 8) lose the multiples of each odd prime
     # q <= min(sqrt(hi - 1), _PRESIEVE - 1), other than q itself.  Below
     # _PRESIEVE^2 that proves each survivor prime; above it, is_prime does.
+    # Those q are a prefix of the table for their size class, one of at most 18.
     root = isqrt(hi - 1)
     proven = root < _PRESIEVE
-    qs, minus_inv8 = _odd_primes(root + 1) if proven else _presieve_primes()
+    qs, minus_inv8 = _odd_primes(min(1 << root.bit_length(), _PRESIEVE))
+    n = bisect_right(qs, root)
     start = max(lo + (1 - lo) % 8, 17)  # first value = 1 (mod 8) at or above lo
     for seg_lo in range(start, hi, _SEGMENT):
         candidates = range(seg_lo, min(seg_lo + _SEGMENT, hi), 8)
         m = len(candidates)
         alive = bytearray([1]) * m
-        for q, r in zip(qs, minus_inv8):
+        for q, r in islice(zip(qs, minus_inv8), n):
             k = seg_lo % q * r % q  # seg_lo + 8k = 0 (mod q)
             if k < m:
                 if seg_lo + 8 * k == q:

@@ -6,7 +6,6 @@ assertion failure carries the criterion number in its message.
 
 import io
 import time
-from math import isqrt
 
 from cm_octic import selftest
 from cm_octic.criteria import (
@@ -30,18 +29,9 @@ from conftest import (
     brute_two_squares,
     eight_decomposition_search,
     first_principles_chi,
+    sprp_prime_bases,
     streamed_scan,
 )
-
-
-def eratosthenes(limit: int) -> list[int]:
-    # independent of the package's segmented sieve
-    flags = bytearray([1]) * limit
-    flags[:2] = b"\x00\x00"
-    for i in range(2, isqrt(limit - 1) + 1):
-        if flags[i]:
-            flags[i * i :: i] = bytes(len(range(i * i, limit, i)))
-    return [i for i in range(limit) if flags[i]]
 
 
 def run_criterion(n: int, check) -> str:
@@ -94,7 +84,8 @@ def test_criterion_3_exhaustive_eta_suite():
 
 
 def test_criterion_4_million_scan():
-    expected = sum(1 for q in eratosthenes(10**6) if q % 8 == 1)
+    # Counted by strong-probable-prime tests, independent of the package's sieve.
+    expected = sum(1 for q in range(1, 10**6, 8) if sprp_prime_bases(q))
     t0 = time.perf_counter()
     report = scan(ScanConfig(lo=0, hi=10**6, jobs=1), lambda text: None)
     elapsed = time.perf_counter() - t0
@@ -108,7 +99,7 @@ def test_criterion_4_million_scan():
 
 
 def test_criterion_5_class_number_scan():
-    expected = sum(1 for q in eratosthenes(10**5) if q % 8 == 1)
+    expected = sum(1 for q in range(1, 10**5, 8) if sprp_prime_bases(q))
     t0 = time.perf_counter()
     report, certificates = streamed_scan(ScanConfig(lo=0, hi=10**5, class_number_cap=10**5))
     elapsed = time.perf_counter() - t0

@@ -37,7 +37,13 @@ from cm_octic.harness import (
 )
 from cm_octic.modular import Prime, is_prime
 
-from conftest import package_env, seeded_primes, streamed_scan, trial_division_primes
+from conftest import (
+    package_env,
+    seeded_primes,
+    sprp_prime_bases,
+    streamed_scan,
+    trial_division_primes,
+)
 
 PRESIEVE = 92682  # below PRESIEVE^2 the stream proves primes without Miller-Rabin
 
@@ -149,6 +155,26 @@ class TestPrimeStream:
             hi = lo + 1000
             expected = [q for q in trial_division_primes(hi) if q >= lo and q % 8 == 1]
             assert list(primes_1_mod_8(lo, hi)) == expected, lo
+
+    @pytest.mark.parametrize("k", range(2, 17))
+    def test_sieve_tables_meet_at_each_power_of_two(self, k):
+        # q < 2^k < q2 are the primes next to 2^k.  The first window ends
+        # below 4^k, so it sieves with the 2^k table, and its last odd prime
+        # q must strike q^2; the second ends at q2^2, in the next size class
+        # (capped at PRESIEVE for k = 16), which must hold q2.
+        q = next(n for n in range(2**k - 1, 2, -2) if sprp_prime_bases(n))
+        q2 = next(n for n in range(2**k + 1, 2**(k + 1), 2) if sprp_prime_bases(n))
+        windows = ((q * q, min(4**k, q * q + 2**14)), (max(4**k, q2 * q2 - 2**14), q2 * q2 + 1))
+        for lo, hi in windows:
+            expected = [n for n in range(lo + (1 - lo) % 8, hi, 8) if sprp_prime_bases(n)]
+            assert list(primes_1_mod_8(lo, hi)) == expected, (lo, hi)
+
+    def test_scan_sieves_each_table_once(self):
+        # Every segment of this window sieves with the PRESIEVE table, which
+        # its first segment builds and the rest take from the cache.
+        harness._odd_primes.cache_clear()
+        scan(ScanConfig(lo=2**33 - 2**21, hi=2**33, jobs=1), lambda text: None)
+        assert harness._odd_primes.cache_info().misses == 1
 
     def test_wheel_keeps_its_presieve_primes(self):
         # hi above PRESIEVE^2 takes the Miller-Rabin path from 0, through
@@ -591,6 +617,10 @@ PINNED_SCANS = (
     # take both the proven and the Miller-Rabin path
     ("csv-presieve-bound", ["scan", "--from", "8589834592", "--to", "8590053124"],
      "eb056730915bface11d283dd8541997b088b5238af522a95bfbd85e836de5353"),
+    # 23,594 primes; its segments below 2^32 sieve with the 2^16 table, and
+    # those above it with the PRESIEVE table, the cap of the 2^17 class
+    ("csv-size-classes", ["scan", "--from", str(2**32 - 2**20), "--to", str(2**32 + 2**20)],
+     "860b024a19afe31b894fcc43866c46af4b3c273cfe59b2d9efeaf1e1516b11ad"),
     # 119 primes just below the 2**62 modulus bound
     ("csv-modulus-bound", ["scan", "--from", str(2**62 - 20000), "--to", str(2**62)],
      "17b0f94745a0578eb9ce9948f6fc587c37473e8c972d550f10e16068a9c24bcd"),

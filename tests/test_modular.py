@@ -237,10 +237,11 @@ class TestSearchesEnd:
     """A modulus that is not prime ends both searches of the root layer with ValueError."""
 
     @pytest.mark.parametrize("call", ["sqrt_mod(7, 9)", "sqrt_mod(5, 21)", "canonical_i(9)",
-                                      "canonical_i(99991 ** 2)"])
+                                      "canonical_i(99991 ** 2)", "canonical_i((2**31 - 1) ** 2)"])
     def test_composite_modulus_raises(self, call):
-        # No Jacobi symbol mod the squares 9 and 99991^2 is -1, so only its
-        # bound stops _nonresidue.  Mod 21, 5 has Jacobi symbol +1 but no
+        # No Jacobi symbol mod a square is -1, so only _nonresidue's square
+        # check stops it: its search up to sqrt(n) + 1 would take about 2^30
+        # symbols mod (2^31 - 1)^2.  Mod 21, 5 has Jacobi symbol +1 but no
         # root, and Tonelli-Shanks's t = 17 squares to 16, 4, 16, ..., never
         # 1, so only its bound stops the order loop.  A child runs each call,
         # so a search without its bound fails here instead of hanging.
