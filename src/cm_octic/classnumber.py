@@ -25,10 +25,9 @@ The count takes about sqrt(p) steps, nearly all of them in C-level slices:
   a root beta in (-a/2, a/2] counts when c > a, that is beta^2 + p > a^2.
 
 The smallest prime factors, the weights and the odd primes depend on no
-p, so one module-level table serves every call.  It only grows: a call
-whose sqrt(4p/3) lies past its end rebuilds it at twice its size, or at
-that bound if larger.  One `classno` call builds only what it needs, and
-a scan rebuilds it O(log) times.
+p, so they are cached, one table per size class: the power of two above
+sqrt(4p/3).  One `classno` call builds only its own class, and a process
+builds each class once: under DEFAULT_CAP, 2^3 to 2^17.
 
 Neither tie of the reduction rule needs a branch.  a = c would need
 (a - beta)(a + beta) = p, so a = (p + 1)/2, far above the band; and
@@ -40,6 +39,7 @@ need ac even, i.e. beta^2 = -p = 3 (mod 4).
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import compress
 from math import isqrt
 
@@ -53,6 +53,7 @@ DEFAULT_CAP = 10_000_000_000
 _DOUBLE = bytes(2 * w % 256 for w in range(256))
 
 
+@cache
 def _factor_tables(top: int) -> tuple[list[int], bytearray, list[int]]:
     # spf, weight and the odd primes, for 0 <= a <= top.  For spf each q
     # marks its multiples from q^2 on, largest q first, so the smallest
@@ -66,17 +67,6 @@ def _factor_tables(top: int) -> tuple[list[int], bytearray, list[int]]:
         weight[q::q] = weight[q::q].translate(_DOUBLE)
     weight[::4] = bytes(len(range(0, top + 1, 4)))
     return spf, weight, primes
-
-
-_tables = _factor_tables(1)
-
-
-def _tables_to(top: int) -> tuple[list[int], bytearray, list[int]]:
-    global _tables
-    size = len(_tables[0]) - 1
-    if top > size:
-        _tables = _factor_tables(max(top, 2 * size))
-    return _tables
 
 
 def _roots_mod(a: int, n: int, spf: list[int], prime_roots: dict[int, int]) -> list[int]:
@@ -121,7 +111,7 @@ def class_number(n: int) -> int:
     if n < 17:  # 17 is the least prime = 1 (mod 8)
         raise ValueError(f"modulus must be prime, got {n}")
     sqrt_n, top = isqrt(n), isqrt(4 * n // 3)
-    spf, weight, primes = _tables_to(top)
+    spf, weight, primes = _factor_tables(1 << top.bit_length())
     # alive[a] = 0 once an odd prime of a is inert: -n is a non-residue mod q,
     # (-n)^((q-1)/2) = -1 by Euler's criterion; 0 there means q | n.  The
     # zeros come as a bytearray slice, which a bytearray takes without the

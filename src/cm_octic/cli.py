@@ -61,7 +61,9 @@ def _build_parser() -> _Parser:
     scan_p.add_argument("--to", dest="hi", type=int, required=True)
     scan_p.add_argument("--class-number-cap", type=int, default=0,
                         help="compute h(-4p) for p up to this bound (0 = never)")
-    scan_p.add_argument("--jobs", type=int, default=1)
+    scan_p.add_argument("--jobs", type=int, default=1,
+                        help="worker processes, capped at the CPU count and the segment "
+                             "count; one worker runs in-process")
     scan_p.add_argument("--format", choices=("csv", "json"), default="csv")
     scan_p.add_argument("--out", default=None, help="output path (default: stdout)")
 

@@ -183,20 +183,22 @@ def scan(config: ScanConfig, write: Callable[[str], object]) -> ScanReport:
     segment is checked, and only the totals are kept: memory is bounded by
     the segments in flight, not by the window.
     """
-    lo, hi, jobs = config.lo, config.hi, config.jobs
-    # About four segments per worker, each at most one sieve segment long.
-    step = min(_SEGMENT, -(-(hi - lo) // (4 * jobs)))
+    lo, hi = config.lo, config.hi
+    # One worker count sizes the segments and the pool: no more workers than
+    # the CPUs can run, about four segments for each, each at most one sieve
+    # segment long, and no more workers than segments.
+    workers = min(config.jobs, os.cpu_count() or 1)
+    step = min(_SEGMENT, -(-(hi - lo) // (4 * workers)))
     starts = range(lo, hi, step)
+    workers = min(workers, len(starts))
     segments = ((start, min(start + step, hi), config.class_number_cap) for start in starts)
     report = ScanReport()
     with contextlib.ExitStack() as stack:
-        if jobs == 1:
+        if workers == 1:
             parts = map(_check_segment, segments)
         else:
-            # A pool starts all its workers at once: no more than the segments
-            # or the CPUs can use.  Leaving this block terminates them, also
-            # when write raises while segments are still coming.
-            workers = min(jobs, len(starts), os.cpu_count() or 1)
+            # Leaving this block terminates the workers, also when write
+            # raises while segments are still coming.
             pool = stack.enter_context(multiprocessing.Pool(workers))
             parts = _in_order(pool, segments, 2 * workers)
         for text, part in parts:

@@ -2,6 +2,7 @@
 
 import random
 from functools import cache
+from math import isqrt
 
 import pytest
 
@@ -29,17 +30,18 @@ class TestClassNumber:
             assert class_number(v) == h, v
 
     @pytest.mark.parametrize("order", ["descending", "shuffled"])
-    def test_tables_serve_any_order(self, order, monkeypatch):
-        # From an empty factor table: descending, the table built for the
-        # largest p serves every smaller one; shuffled, it grows several
-        # times and is reused in between.
-        monkeypatch.setattr(classnumber, "_tables", classnumber._factor_tables(1))
+    def test_tables_serve_any_order(self, order):
+        # From no cached factor tables, descending or shuffled, each size
+        # class of sqrt(4p/3) is built once and serves every later p in it.
+        classnumber._factor_tables.cache_clear()
         expected = box_class_numbers_below_20000()
         primes = sorted(expected, reverse=True)
         if order == "shuffled":
             random.Random(20).shuffle(primes)
         for v in primes:
             assert class_number(v) == expected[v], v
+        classes = {1 << isqrt(4 * v // 3).bit_length() for v in primes}
+        assert classnumber._factor_tables.cache_info().misses == len(classes)
 
     @pytest.mark.parametrize(
         "v",

@@ -292,29 +292,23 @@ class TestScan:
             (17, 18, 2),
         ],
     )
-    def test_segments_neither_lose_nor_repeat_primes(self, lo, hi, jobs):
+    def test_segments_neither_lose_nor_repeat_primes(self, lo, hi, jobs, monkeypatch):
         serial = self._csv(ScanConfig(lo=lo, hi=hi))
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: jobs)  # a pool on any runner
         assert self._csv(ScanConfig(lo=lo, hi=hi, jobs=jobs)) == serial
         listed = [int(row.split(",", 1)[0]) for row in serial.splitlines()[1:]]
         assert listed == list(primes_1_mod_8(lo, hi))
 
-    @pytest.mark.parametrize(
-        "jobs, lo, hi, cpus, workers",
-        [
-            (100_000, 0, 100, 8, 8),  # capped by the CPUs
-            (3, 89, 98, 8, 3),  # by the jobs
-            (6, 17, 18, 8, 1),  # by the one segment
-            (4, 0, 100, None, 1),  # an unknown CPU count counts as one
-        ],
-    )
-    def test_pool_size_is_capped(self, jobs, lo, hi, cpus, workers, monkeypatch):
-        # A fake pool records its size and maps in-process, so no worker is
-        # ever started here.
-        sizes = []
+    @staticmethod
+    def _fake_pool(monkeypatch, cpus):
+        # Patches the CPU count, and the pool with one that records its size
+        # and its apply_async calls and maps in-process, so no worker is
+        # ever started.  Returns the record.
+        seen = SimpleNamespace(sizes=[], calls=0)
 
         class FakePool:
             def __init__(self, processes):
-                sizes.append(processes)
+                seen.sizes.append(processes)
 
             def __enter__(self):
                 return self
@@ -323,14 +317,38 @@ class TestScan:
                 return False
 
             def apply_async(self, fn, args):
+                seen.calls += 1
                 result = fn(*args)
                 return SimpleNamespace(get=lambda: result)
 
-        serial = self._csv(ScanConfig(lo=lo, hi=hi))
         monkeypatch.setattr(harness.multiprocessing, "Pool", FakePool)
         monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
+        return seen
+
+    @pytest.mark.parametrize(
+        "jobs, lo, hi, cpus, workers",
+        [
+            (100_000, 0, 100, 8, 8),  # capped by the CPUs
+            (3, 89, 98, 8, 3),  # by the jobs
+            (6, 17, 18, 8, 1),  # by the one segment
+            (4, 0, 100, None, 1),  # an unknown CPU count counts as one
+            (2, 0, 100, 1, 1),  # by the one CPU
+        ],
+    )
+    def test_pool_size_is_capped(self, jobs, lo, hi, cpus, workers, monkeypatch):
+        # One worker runs in-process and starts no pool.
+        serial = self._csv(ScanConfig(lo=lo, hi=hi))
+        seen = self._fake_pool(monkeypatch, cpus)
         assert self._csv(ScanConfig(lo=lo, hi=hi, jobs=jobs)) == serial
-        assert sizes == [workers]
+        assert seen.sizes == ([workers] if workers > 1 else [])
+
+    def test_segments_are_sized_for_the_workers_started(self, monkeypatch):
+        # jobs = 10^4 on two CPUs starts two workers, so the window is cut
+        # into about four segments for each, not four for each job.
+        serial = self._csv(ScanConfig(lo=0, hi=10**4))
+        seen = self._fake_pool(monkeypatch, 2)
+        assert self._csv(ScanConfig(lo=0, hi=10**4, jobs=10**4)) == serial
+        assert seen.sizes == [2] and seen.calls == 8
 
     def test_workers_stay_close_to_a_slow_writer(self, monkeypatch):
         # 32 segments at jobs=2 and a writer far slower than the workers: no
@@ -350,6 +368,7 @@ class TestScan:
         monkeypatch.setattr(harness, "primes_1_mod_8", counting_stream)
         # Forked workers inherit the patches whatever the platform's default.
         monkeypatch.setattr(harness, "multiprocessing", fork)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)  # a pool on any runner
         ahead = []
 
         def slow_write(text):
@@ -774,6 +793,7 @@ class TestCliScan:
                 return super().write(text)
 
         monkeypatch.setattr(cli_mod, "open", lambda path, mode: FailingSink(), raising=False)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)  # a pool on any runner
         argv = ["scan", "--from", "0", "--to", "4000000", "--jobs", "2", "--out", "scan.csv"]
         if status is None:
             with pytest.raises(KeyboardInterrupt):
@@ -797,6 +817,7 @@ class TestCliScan:
         monkeypatch.setattr(harness, "_certificate_fields", fail_at_10009)
         # Forked workers inherit the patch whatever the platform's default.
         monkeypatch.setattr(harness, "multiprocessing", multiprocessing.get_context("fork"))
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)  # a pool on any runner
         expected = [p for p in primes_1_mod_8(0, 20000) if p != 10009]
         outputs = {}
         for jobs in (1, 2):
@@ -831,6 +852,7 @@ class TestCliScan:
         # end took it from 0.46 MB to 1.73 MB at jobs=1.
         # At jobs=2 both windows peak with 2 * workers segments outstanding.
         monkeypatch.setattr(harness, "_SEGMENT", 1 << 13)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: jobs)  # a pool on any runner
         outstanding = write_when_the_window_is_full(monkeypatch) if jobs > 1 else []
         target = tmp_path / f"scan.{fmt}"
         traced_scan_peak(1 << 16, fmt, jobs, target)  # warm-up: the sieve tables and root caches fill
