@@ -35,7 +35,8 @@ from .modular import MODULUS_BOUND, is_prime
 # stay a multiple of 8.
 _SEGMENT = 1 << 18
 # isqrt(2**33) + 1: below _PRESIEVE^2 > 2^33 the sieve alone proves each
-# prime; above it the sieve stops at _PRESIEVE and Miller-Rabin decides.
+# prime; above it the sieve stops at _PRESIEVE and is_prime's Baillie-PSW
+# test decides.
 _PRESIEVE = 92682
 
 CSV_HEADER = "p,a,b,c,d,chi,n,n_mod_32,d_parity,h,h_mod_8,thm1,thm2,corollary"
@@ -117,7 +118,8 @@ def primes_1_mod_8(lo: int, hi: int) -> Iterator[int]:
         raise ValueError(f"need 0 <= lo < hi <= 2**62, got [{lo}, {hi})")
     # The candidates = 1 (mod 8) lose the multiples of each odd prime
     # q <= min(sqrt(hi - 1), _PRESIEVE - 1), other than q itself.  Below
-    # _PRESIEVE^2 that proves each survivor prime; above it, is_prime does.
+    # _PRESIEVE^2 that proves each survivor prime; above it, is_prime's
+    # Baillie-PSW test proves each survivor.
     # Those q are a prefix of the table for their size class, one of at most 18.
     root = isqrt(hi - 1)
     proven = root < _PRESIEVE

@@ -6,6 +6,13 @@ Python integers would happily go further.  A Prime is the proof of that,
 made once where a value enters; the field-element arithmetic of the test
 oracle lives with the oracle, in tests/conftest.py.
 
+is_prime is the package's one primality test: Baillie-PSW, that is trial
+division up to 37, a strong base-2 test and a strong Lucas test with
+Selfridge's parameters (Baillie & Wagstaff, Math. Comp. 35, 1980;
+Pomerance, Selfridge & Wagstaff, Math. Comp. 35, 1980).  It is exact below
+2**64: no base-2 strong pseudoprime on Feitsma's list of those below 2**64
+passes the Lucas test, as Gilchrist checked.
+
 For p = 1 (mod 8) the package gets i and sqrt(2) from _i_and_sqrt2: one
 power of the least non-residue z yields both, each squared back before
 use.  canonical_i and canonical_sqrt2 guard the residue class and take the
@@ -34,14 +41,17 @@ MODULUS_BOUND = 1 << 62
 
 _TRIAL_DIVISORS = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
-# Sinclair's bases make Miller-Rabin deterministic for every n < 2**64.  Each
-# is reduced mod n first, and a base that becomes 0 is skipped: it says
-# nothing about n, and the primes 73, 193, 407521 and 299210837 divide one.
-_MR_BASES = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
-
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality test, exact for all 64-bit inputs."""
+    """Baillie-PSW primality test, exact for every n below 2**64.
+
+    Trial division by the primes up to 37, then a strong probable-prime
+    test to base 2 and a strong Lucas test with Selfridge's parameters
+    (Baillie & Wagstaff, Lucas pseudoprimes, Math. Comp. 35, 1980;
+    Pomerance, Selfridge & Wagstaff, The pseudoprimes to 25 * 10^9, 1980).
+    No composite below 2**64 passes both halves: Gilchrist checked every
+    base-2 strong pseudoprime on Feitsma's list of those below 2**64.
+    """
     if n < 0:
         raise ValueError("is_prime expects a nonnegative integer")
     if n < 2:
@@ -49,25 +59,59 @@ def is_prime(n: int) -> bool:
     for q in _TRIAL_DIVISORS:
         if n % q == 0:
             return n == q
-    d = n - 1
-    r = 0
+    return _strong_base2(n) and _strong_lucas(n)
+
+
+def _strong_base2(n: int) -> bool:
+    # The strong probable-prime test to base 2 of the odd n > 2: with
+    # n - 1 = d * 2^s, d odd, 2^d = 1 or 2^(d * 2^r) = -1 (mod n) for some r < s.
+    d, s = n - 1, 0
     while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in _MR_BASES:
-        a %= n
-        if a == 0:
-            continue
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+        d, s = d // 2, s + 1
+    x = pow(2, d, n)
+    if x == 1 or x == n - 1:
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def _strong_lucas(n: int) -> bool:
+    # The strong Lucas probable-prime test of the odd n > 2 with Selfridge's
+    # parameters: D is the first of 5, -7, 9, -11, ... with (D | n) = -1,
+    # P = 1 and Q = (1 - D)/4.  With n + 1 = d * 2^s, d odd, n passes when
+    # U_d = 0 or V_(d * 2^r) = 0 (mod n) for some r < s.  A square has no
+    # such D, so it is rejected before the search, which would not end.
+    if isqrt(n) ** 2 == n:
+        return False
+    D = 5
+    while (j := jacobi(D, n)) != -1:
+        if j == 0 and abs(D) != n:
+            return False  # D and n share a proper factor
+        D = -D - 2 if D > 0 else 2 - D
+    Q = (1 - D) // 4
+    d, s = n + 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    # U_k, V_k and Q^k along the bits of d, with U and V scaled by a common
+    # power of two c and Q^k by c^2.  The addition step is then
+    # 2U_(k+1) = U_k + V_k, 2V_(k+1) = D U_k + V_k, with no halving mod n,
+    # and its results are reduced by the next doubling.  The test asks only
+    # whether U or V is 0 mod the odd n, which the scaling does not change.
+    U, V, Qk = 1, 1, Q
+    for bit in bin(d)[3:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":
+            U, V, Qk = U + V, D * U + V, 4 * Q * Qk
+    if U % n == 0 or V % n == 0:
+        return True
+    for _ in range(s - 1):
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+        if V == 0:
+            return True
+    return False
 
 
 @dataclass(frozen=True)

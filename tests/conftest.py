@@ -1,8 +1,8 @@
 """Shared test oracles.
 
 Everything here is deliberately naive and independent of the package's own
-algorithms: trial division or a strong-probable-prime test on other bases
-instead of the package's Miller-Rabin, double loops instead of
+algorithms: trial division or a strong-probable-prime test to twelve bases
+instead of the package's Baillie-PSW test, double loops instead of
 Tonelli-Shanks or Cornacchia, full-box enumeration instead of pruned walks.
 Frozen expected values in the tests were produced by these oracles.  The
 oracles that `cm-octic selftest` also needs live in cm_octic.selftest and
@@ -101,8 +101,8 @@ def sprp_prime_bases(n: int) -> bool:
     """Primality by the strong-probable-prime test to the first 12 prime bases.
 
     Exact for every n below 3.3 * 10**24 (Sorenson & Webster 2015), so it
-    decides every modulus the package accepts; of is_prime's bases it
-    shares only 2.
+    decides every modulus the package accepts.  With is_prime's Baillie-PSW
+    test it shares only the strong test to base 2.
     """
     if n < 2:
         return False
@@ -123,6 +123,51 @@ def sprp_prime_bases(n: int) -> bool:
         else:
             return False
     return True
+
+
+def strong_lucas_by_matrix(n: int) -> bool:
+    """The strong Lucas probable-prime test of the odd n > 2 with Selfridge's
+    parameters, from the definition.
+
+    A square fails.  Otherwise D is the first of 5, -7, 9, -11, ... with
+    Jacobi symbol (D | n) = -1, P = 1 and Q = (1 - D)/4.  With n + 1 = d * 2^s,
+    d odd, n passes when U_d = 0 or V_(d * 2^r) = 0 (mod n) for some r < s.
+    U_d and U_(d+1) come from the d-th power of the matrix [[P, -Q], [1, 0]],
+    V_d = 2U_(d+1) - P U_d, and V_2k = V_k^2 - 2Q^k: no halving and no
+    addition formula.
+    """
+    if isqrt(n) ** 2 == n:
+        return False
+    D = 5
+    while (j := jacobi(D, n)) != -1:
+        if j == 0 and abs(D) != n:
+            return False
+        D = -D - 2 if D > 0 else 2 - D
+    Q = (1 - D) // 4
+    d, s = n + 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+
+    def times(x, y):
+        return tuple(tuple(sum(a * b for a, b in zip(row, col)) % n for col in zip(*y))
+                     for row in x)
+
+    # [[U_(k+1), -Q U_k], [U_k, -Q U_(k-1)]] = [[1, -Q], [1, 0]]^k.
+    power, base, k = ((1, 0), (0, 1)), ((1, -Q), (1, 0)), d
+    while k:
+        if k & 1:
+            power = times(power, base)
+        base = times(base, base)
+        k >>= 1
+    u_next, u = power[0][0], power[1][0]
+    if u == 0:
+        return True
+    v, qk = (2 * u_next - u) % n, pow(Q, d, n)
+    for _ in range(s):
+        if v == 0:
+            return True
+        v, qk = (v * v - 2 * qk) % n, qk * qk % n
+    return False
 
 
 @dataclass(frozen=True)

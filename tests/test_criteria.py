@@ -120,7 +120,7 @@ class TestFastPathOracle:
     )
     def test_scan_rows_are_check_prime_certificates(self, lo, hi, cap, jobs):
         # Below 92682^2 the stream's sieve proves each prime, above it
-        # Miller-Rabin does; the second window carries class numbers.
+        # is_prime does; the second window carries class numbers.
         report, certificates = streamed_scan(ScanConfig(lo=lo, hi=hi, class_number_cap=cap,
                                                         jobs=jobs))
         primes = list(primes_1_mod_8(lo, hi))

@@ -45,7 +45,7 @@ from conftest import (
     trial_division_primes,
 )
 
-PRESIEVE = 92682  # below PRESIEVE^2 the stream proves primes without Miller-Rabin
+PRESIEVE = 92682  # below PRESIEVE^2 the stream proves primes without is_prime
 
 
 @cache
@@ -135,7 +135,7 @@ class TestPrimeStream:
 
     def test_matches_trial_division_across_presieve_bound(self):
         # [PRESIEVE^2 - 10^4, PRESIEVE^2) is proven by the pre-sieve alone;
-        # [PRESIEVE^2, PRESIEVE^2 + 10^4) sends its survivors to Miller-Rabin.
+        # [PRESIEVE^2, PRESIEVE^2 + 10^4) sends its survivors to is_prime.
         # Both lie below (PRESIEVE + 1)^2, so trial division by the odd
         # primes below PRESIEVE decides each candidate.
         for lo, hi in ((PRESIEVE**2 - 10**4, PRESIEVE**2), (PRESIEVE**2, PRESIEVE**2 + 10**4)):
@@ -177,7 +177,7 @@ class TestPrimeStream:
         assert harness._odd_primes.cache_info().misses == 1
 
     def test_wheel_keeps_its_presieve_primes(self):
-        # hi above PRESIEVE^2 takes the Miller-Rabin path from 0, through
+        # hi above PRESIEVE^2 takes the is_prime path from 0, through
         # the odd primes below PRESIEVE that its pre-sieve strikes multiples of.
         wheel = list(islice(primes_1_mod_8(0, PRESIEVE**2 + 1), 2000))
         sieved = list(islice(primes_1_mod_8(0, 10**5), 2000))
@@ -212,7 +212,7 @@ class TestPrimeStream:
 
     def test_streamed_primes_equal_proven_ones(self):
         # The stream yields plain ints, on the sieve path and on the
-        # Miller-Rabin path, and Prime's own proof accepts each one.
+        # is_prime path, and Prime's own proof accepts each one.
         for lo, hi in ((0, 200), (2**61, 2**61 + 2000)):
             streamed = list(primes_1_mod_8(lo, hi))
             assert streamed
@@ -633,7 +633,7 @@ PINNED_SCANS = (
     ("csv-wheel", ["scan", "--from", str(2**61), "--to", str(2**61 + 20000)],
      "b9fd66aad0d9e1d0b6fd984b9ecb3425ba6d2e0747e14f2563e99db2eb3629a3"),
     # 2,369 primes; spans 2^33 and PRESIEVE^2, so its scan segments
-    # take both the proven and the Miller-Rabin path
+    # take both the proven and the is_prime path
     ("csv-presieve-bound", ["scan", "--from", "8589834592", "--to", "8590053124"],
      "eb056730915bface11d283dd8541997b088b5238af522a95bfbd85e836de5353"),
     # 23,594 primes; its segments below 2^32 sieve with the 2^16 table, and
@@ -1013,10 +1013,14 @@ class TestCliOther:
         assert main(["classno", "15"]) == 1
 
     @pytest.mark.parametrize("argv", [["classno", "697"], ["check", "697"], ["trace", "697"],
-                                      ["classno", "9998200081"]])
+                                      ["classno", "9998200081"], ["check", "8321"],
+                                      ["check", "5777"], ["check", "1194649"]])
     def test_composite_1_mod_8_is_a_usage_error(self, argv, capsys):
         # 697 = 17 * 41 and 99991^2 pass every residue-class check; check
         # and trace reject them by check_prime's proof, classno by the count.
+        # 8321 and 1093^2 are base-2 strong pseudoprimes and 5777 a strong
+        # Lucas one, none with a factor up to 37: one half of the proof
+        # alone rejects each.
         assert main(argv) == 1
         out, err = capsys.readouterr()
         assert out == "" and err == f"cm-octic: error: modulus must be prime, got {argv[1]}\n"

@@ -13,6 +13,8 @@ from cm_octic.modular import (
     Prime,
     _nonresidue,
     _sqrt_residue,
+    _strong_base2,
+    _strong_lucas,
     canonical_i,
     canonical_sqrt2,
     is_prime,
@@ -25,6 +27,7 @@ from conftest import (
     package_env,
     sprp_prime_bases,
     squares_mod,
+    strong_lucas_by_matrix,
     trial_division_primes,
 )
 
@@ -53,8 +56,8 @@ class TestIsPrime:
         assert all(m % q for q in range(2, 10**6))
 
     def test_agrees_with_trial_division_exhaustive(self):
-        small = set(trial_division_primes(2000))
-        for n in range(2000):
+        small = set(trial_division_primes(2 * 10**5))
+        for n in range(2 * 10**5):
             assert is_prime(n) == (n in small), n
 
     @given(st.integers(min_value=0, max_value=10**6))
@@ -83,8 +86,47 @@ class TestIsPrime:
 
     @pytest.mark.parametrize("n", [73, 193, 407521, 299210837])
     def test_primes_dividing_a_base(self, n):
-        # Each divides one of is_prime's bases, which must then be skipped.
+        # Each divides one of Sinclair's seven Miller-Rabin bases, which the
+        # Baillie-PSW test replaced and which skipped such a base; they stay
+        # as primes that a return to those bases would have to accept.
         assert is_prime(n) and sprp_prime_bases(n)
+
+    @pytest.mark.parametrize("n", [2047, 3277, 4033, 4681, 8321, 1093**2, 3511**2])
+    def test_base2_strong_pseudoprimes_need_the_lucas_half(self, n):
+        # Each passes the base-2 half.  Trial division stops the first four,
+        # whose least factors are 23, 29, 37 and 31; 8321 = 53 * 157 and the
+        # squares of the Wieferich primes 1093 and 3511 reach the square
+        # check and the Lucas step.
+        assert _strong_base2(n) and not is_prime(n) and not sprp_prime_bases(n)
+
+    @pytest.mark.parametrize("n", [5459, 5777, 10877, 16109, 18971])
+    def test_strong_lucas_pseudoprimes_need_the_base2_half(self, n):
+        # Each passes the strong Lucas half and has no factor up to 37, so
+        # only the base-2 half rejects it.
+        assert _strong_lucas(n) and not _strong_base2(n)
+        assert not is_prime(n) and not sprp_prime_bases(n)
+
+    def test_strong_lucas_pseudoprimes_below_10_5(self):
+        # The composites below 10^5 with no factor up to 37, the only ones
+        # is_prime hands to the Lucas half, that pass it: the strong Lucas
+        # pseudoprimes with Selfridge's parameters (OEIS A217255).  Another
+        # D sequence or another Lucas step passes other composites.
+        small = set(trial_division_primes(10**5))
+        passing = [n for n in range(41, 10**5, 2)
+                   if n not in small and all(n % q for q in range(3, 38, 2))
+                   and _strong_lucas(n)]
+        assert passing == [5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199,
+                           40309, 58519, 75077, 97439]
+
+    @pytest.mark.parametrize("lo", [10**4, 2**33, 2**61, 2**62 - 10**6])
+    def test_strong_lucas_matches_the_definition(self, lo):
+        # _strong_lucas leaves out the halvings of its addition step, so it
+        # is compared with the test from its definition on 500 consecutive
+        # odd n from a seeded start in [lo, lo + 10^6), primes and composites.
+        start = random.Random(lo).randrange(lo, lo + 10**6 - 1000) | 1
+        window = range(start, start + 1000, 2)
+        passing = [n for n in window if _strong_lucas(n)]
+        assert passing == [n for n in window if strong_lucas_by_matrix(n)] and passing
 
 
 class TestPrime:
