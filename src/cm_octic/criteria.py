@@ -16,7 +16,7 @@ and the eta-orbit of a point of order 8 when 32 | n.  It reads chi and the
 roots i and sqrt(2) off the certificate check_prime made.  check_prime
 proves p prime, and _certificate_fields, which trusts it, makes the fields:
 check_prime builds a Certificate of them, a scan (whose stream proves its
-primes) its CSV row, and a Certificate only for a counterexample.
+primes) a row of harness._SCHEMA, and a Certificate only for a counterexample.
 """
 
 from __future__ import annotations

@@ -436,12 +436,19 @@ def streamed_scan(config: ScanConfig) -> tuple[ScanReport, list[Certificate]]:
     """A scan's report and its certificates, read back from the CSV rows it streamed."""
     buf = io.StringIO()
     report = write_scan_csv(config, buf)
+    header, *rows = buf.getvalue().splitlines()
     certificates = []
-    for row in buf.getvalue().splitlines()[1:]:
-        p, a, b, c, d, chi, n, n_mod_32, _, h, _, thm1, thm2, corollary = row.split(",")
+    for row in rows:
+        cell = dict(zip(header.split(","), row.split(","), strict=True))
+        number = {k: int(cell[k]) for k in ("p", "a", "b", "c", "d", "chi", "n", "n_mod_32")}
+        h = int(cell["h"]) if cell["h"] else None
+        # the two columns that are not fields follow from the fields
+        if (cell["d_parity"], cell["h_mod_8"]) != (str(number["d"] % 2),
+                                                   "" if h is None else str(h % 8)):
+            raise AssertionError(f"d_parity or h_mod_8 disagrees with d or h: {row}")
         certificates.append(Certificate(
-            p=int(p), a=int(a), b=int(b), c=int(c), d=int(d), chi=int(chi), n=int(n),
-            n_mod_32=int(n_mod_32), h=int(h) if h else None, thm2_holds=thm2 == "1",
-            thm1_holds=thm1 == "1" if thm1 else None, corollary_holds=corollary == "1",
+            **number, h=h, thm2_holds=cell["thm2"] == "1",
+            thm1_holds=cell["thm1"] == "1" if cell["thm1"] else None,
+            corollary_holds=cell["corollary"] == "1",
         ))
     return report, certificates

@@ -10,7 +10,7 @@ from collections import Counter
 from pathlib import Path
 
 import cm_octic
-from cm_octic import modular
+from cm_octic import harness, modular
 from cm_octic.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -23,6 +23,15 @@ def test_readme_library_snippet_runs():
     blocks = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
     assert len(blocks) == 1
     exec(compile(blocks[0], str(README), "exec"), {})
+
+
+def test_readme_csv_schema_block_is_scan_output(capsys):
+    section = README.read_text().split("## Scan CSV schema\n", 1)[1]
+    block = re.match(r"\s*```\n(.*?)```", section, re.S)
+    assert block, "the schema section opens with a code block"
+    assert main(["scan", "--from", "0", "--to", "42", "--class-number-cap", "100"]) == 0
+    lines = capsys.readouterr().out.splitlines(keepends=True)
+    assert block[1] == "".join(lines[:3])
 
 
 def test_every_exported_name_resolves():
@@ -71,6 +80,12 @@ def test_names_the_benchmark_uses_resolve(capsys):
     assert warm == ["check", "41", "--trace", "--seed", "0"]
     assert main(warm) == 0
     assert '"consistent": true' in capsys.readouterr().out
+
+
+def test_benchmark_csv_header_is_the_scans():
+    # bench/checks.py imports nothing from the package, so it keeps its own
+    # copy of the header to check the scan's output against.
+    assert bench_constant("checks.py", "CSV_HEADER") == harness.CSV_HEADER
 
 
 def test_every_benchmark_span_is_called(monkeypatch, tmp_path):

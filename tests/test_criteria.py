@@ -79,6 +79,17 @@ class TestChi:
         with pytest.raises(InvariantViolation, match=f"{s + 1} is not a square root of 2"):
             chi_one_plus_sqrt2(v, s + 1)
 
+    @pytest.mark.parametrize("lo", [10**6, 10**12, 2**61], ids=["above-1e6", "above-1e12",
+                                                               "above-2^61"])
+    def test_matches_jacobi_of_a_tonelli_shanks_root(self, lo):
+        # check_prime takes chi by Euler's criterion on the root of 2 that a
+        # power of a non-residue gives; here the binary Jacobi symbol takes it
+        # on the root Tonelli-Shanks gives.
+        primes = list(islice(primes_1_mod_8(lo, lo + 10**6), 300))
+        assert len(primes) == 300
+        for v in primes:
+            assert check_prime(v).chi == jacobi(1 + canonical_sqrt2(v), v), v
+
     def test_rejects_wrong_residue_class(self):
         # 2 is a non-residue mod 13 = 5 (mod 8), so no s can pass as its root.
         for s in range(13):

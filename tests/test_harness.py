@@ -24,12 +24,11 @@ from hypothesis import strategies as st
 from cm_octic import harness, selftest
 from cm_octic.cli import _json as cli_json
 from cm_octic.cli import main
-from cm_octic.criteria import Certificate, ErrorCertificate, _certificate_fields
+from cm_octic.criteria import Certificate, ErrorCertificate, _certificate_fields, check_prime
 from cm_octic.errors import InvariantViolation
 from cm_octic.harness import (
     CSV_HEADER,
     ScanConfig,
-    certificate_csv_row,
     primes_1_mod_8,
     scan,
     write_scan_csv,
@@ -110,6 +109,12 @@ def first_difference(got: str, want: str) -> tuple[int, str | None, str | None] 
     """
     pairs = zip_longest(got.splitlines(keepends=True), want.splitlines(keepends=True))
     return next(((k, g, w) for k, (g, w) in enumerate(pairs, 1) if g != w), None)
+
+
+def scan_csv(config: ScanConfig) -> str:
+    buf = io.StringIO()
+    write_scan_csv(config, buf)
+    return buf.getvalue()
 
 
 def rigged_fields(**overrides) -> tuple:
@@ -274,12 +279,6 @@ class TestScan:
         assert all(c.thm1_holds is True for c in with_h)
         assert all(c.thm1_holds is None for c in without)
 
-    @staticmethod
-    def _csv(cfg):
-        buf = io.StringIO()
-        write_scan_csv(cfg, buf)
-        return buf.getvalue()
-
     @pytest.mark.parametrize(
         "lo, hi, jobs",
         [
@@ -293,9 +292,9 @@ class TestScan:
         ],
     )
     def test_segments_neither_lose_nor_repeat_primes(self, lo, hi, jobs, monkeypatch):
-        serial = self._csv(ScanConfig(lo=lo, hi=hi))
+        serial = scan_csv(ScanConfig(lo=lo, hi=hi))
         monkeypatch.setattr(harness.os, "cpu_count", lambda: jobs)  # a pool on any runner
-        assert self._csv(ScanConfig(lo=lo, hi=hi, jobs=jobs)) == serial
+        assert scan_csv(ScanConfig(lo=lo, hi=hi, jobs=jobs)) == serial
         listed = [int(row.split(",", 1)[0]) for row in serial.splitlines()[1:]]
         assert listed == list(primes_1_mod_8(lo, hi))
 
@@ -337,17 +336,17 @@ class TestScan:
     )
     def test_pool_size_is_capped(self, jobs, lo, hi, cpus, workers, monkeypatch):
         # One worker runs in-process and starts no pool.
-        serial = self._csv(ScanConfig(lo=lo, hi=hi))
+        serial = scan_csv(ScanConfig(lo=lo, hi=hi))
         seen = self._fake_pool(monkeypatch, cpus)
-        assert self._csv(ScanConfig(lo=lo, hi=hi, jobs=jobs)) == serial
+        assert scan_csv(ScanConfig(lo=lo, hi=hi, jobs=jobs)) == serial
         assert seen.sizes == ([workers] if workers > 1 else [])
 
     def test_segments_are_sized_for_the_workers_started(self, monkeypatch):
         # jobs = 10^4 on two CPUs starts two workers, so the window is cut
         # into about four segments for each, not four for each job.
-        serial = self._csv(ScanConfig(lo=0, hi=10**4))
+        serial = scan_csv(ScanConfig(lo=0, hi=10**4))
         seen = self._fake_pool(monkeypatch, 2)
-        assert self._csv(ScanConfig(lo=0, hi=10**4, jobs=10**4)) == serial
+        assert scan_csv(ScanConfig(lo=0, hi=10**4, jobs=10**4)) == serial
         assert seen.sizes == [2] and seen.calls == 8
 
     def test_workers_stay_close_to_a_slow_writer(self, monkeypatch):
@@ -381,17 +380,29 @@ class TestScan:
 
 
 class TestSerialization:
-    def test_csv_golden_rows(self):
-        with_h = streamed_scan(ScanConfig(lo=0, hi=42, class_number_cap=100))[1]
-        without = streamed_scan(ScanConfig(lo=0, hi=42))[1]
-        rows = [certificate_csv_row(dataclasses.astuple(c)) for c in (*with_h[:2], without[0])]
-        assert rows == ["17,1,4,3,1,-1,16,16,1,4,4,1,1,1", "41,5,4,3,2,+1,32,0,0,8,0,1,1,1",
-                        "17,1,4,3,1,-1,16,16,1,,,,1,1"]
+    def test_csv_golden_rows(self, monkeypatch):
+        def rows(config):
+            return scan_csv(config).splitlines()[1:]
+
+        assert rows(ScanConfig(lo=0, hi=42, class_number_cap=100)) == [
+            "17,1,4,3,1,-1,16,16,1,4,4,1,1,1", "41,5,4,3,2,+1,32,0,0,8,0,1,1,1"]
+        assert rows(ScanConfig(lo=0, hi=42)) == [
+            "17,1,4,3,1,-1,16,16,1,,,,1,1", "41,5,4,3,2,+1,32,0,0,,,,1,1"]
+        # the scan formats whatever tuple the core returns, here with a class
+        # number whose chain fails beside a failed curve criterion
+        monkeypatch.setattr(harness, "_certificate_fields", lambda p, with_class_number: (
+            rigged_fields(p=p, h=12, thm1_holds=False, thm2_holds=False)))
+        assert rows(ScanConfig(lo=0, hi=18)) == ["17,1,4,3,1,-1,16,16,1,12,4,0,0,1"]
+
+    def test_columns_agree_with_certificate(self):
+        # Every Certificate field, less "_holds", is a column, which the JSON
+        # item reads it from; the other columns are derived from fields.
+        columns = CSV_HEADER.split(",")
+        names = [f.name.removesuffix("_holds") for f in dataclasses.fields(Certificate)]
+        assert [name for name in names if name not in columns] == []
+        assert [column for column in columns if column not in names] == ["d_parity", "h_mod_8"]
         # the scan formats the core's tuples, which are the Certificate's fields
-        assert certificate_csv_row(_certificate_fields(41, True)) == (
-            "41,5,4,3,2,+1,32,0,0,8,0,1,1,1")
-        assert certificate_csv_row(rigged_fields(h=12, thm1_holds=False, thm2_holds=False)) == (
-            "17,1,4,3,1,-1,16,16,1,12,4,0,0,1")
+        assert Certificate(*_certificate_fields(41, True)) == check_prime(41, True)
 
     def test_csv_layout(self):
         buf = io.StringIO()
@@ -910,8 +921,7 @@ class TestCliScan:
         assert doc["counterexamples"] == (doc["certificates"] if rigged else [])
         assert doc["primes_checked"] == report.primes_checked == len(certificates)
         if segment:  # the spooled rows fill more than four segments
-            assert sum(len(certificate_csv_row(dataclasses.astuple(c))) + 1
-                       for c in certificates) > 4 * segment
+            assert len(scan_csv(ScanConfig(lo=0, hi=hi))) - len(CSV_HEADER + "\n") > 4 * segment
         else:
             assert len(certificates) == (5 if rigged else 0)
 
