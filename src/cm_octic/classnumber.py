@@ -113,9 +113,11 @@ def class_number(n: int) -> int:
     sqrt_n, top = isqrt(n), isqrt(4 * n // 3)
     spf, weight, primes = _factor_tables(1 << top.bit_length())
     # alive[a] = 0 once an odd prime of a is inert: -n is a non-residue mod q,
-    # (-n)^((q-1)/2) = -1 by Euler's criterion; 0 there means q | n.  The
-    # zeros come as a bytearray slice, which a bytearray takes without the
-    # copy it makes of a bytes value.
+    # (-n)^((q-1)/2) = -1 by Euler's criterion; 0 there means q | n.  This
+    # stays a power rather than jacobi: one C-level pow on q < 2^17, whose
+    # 0 is also the count's proof that n is prime.  The zeros come as a
+    # bytearray slice, which a bytearray takes without the copy it makes of
+    # a bytes value.
     alive, zero = bytearray(b"\1") * (top + 1), bytearray(top + 1)
     for q in primes:
         if q > top:

@@ -2,7 +2,8 @@
 
 Exit codes: 0 all checks passed, 1 usage, configuration or output-file
 error, 2 a counterexample was found, 3 an internal invariant was violated,
-141 the reader of standard output closed it early.
+130 interrupted by SIGINT, 141 the reader of standard output closed it
+early.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_COUNTEREXAMPLE = 2
 EXIT_INVARIANT = 3
+EXIT_INTERRUPTED = 130  # 128 + SIGINT, what a shell reports for Ctrl-C
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, what a shell reports for `... | head`
 
 
@@ -194,9 +196,11 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     elif tr.order8_point is None:
         print("order-8 point: none found in the samples, so the orbit step did not run")
     else:
+        landed = ("the orbit missed the level-4 set" if tr.orbit_landed_x is None else
+                  f"landed on {tr.orbit_landed_x} "
+                  f"({'square' if tr.orbit_landed_is_square else 'non-square'})")
         print(f"order-8 point: {tr.order8_point}; orbit x-coordinates under 1+i: "
-              f"{tr.orbit_x}; landed on {tr.orbit_landed_x} "
-              f"({'square' if tr.orbit_landed_is_square else 'non-square'})")
+              f"{tr.orbit_x}; {landed}")
     print(f"trace consistent: {tr.consistent}")
     return EXIT_OK if tr.consistent else EXIT_COUNTEREXAMPLE
 
@@ -240,6 +244,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except InvariantViolation as exc:
         print(f"cm-octic: internal invariant violated: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
+    except KeyboardInterrupt:
+        # Pool workers ignore SIGINT, so this is the only report of it.
+        print("cm-octic: interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 if __name__ == "__main__":

@@ -2,7 +2,7 @@
 
 For p = 1 (mod 8), write p = a^2 + b^2 (a odd, b even > 0, a + b = 1 mod 4)
 and p = c^2 + 8*d^2 (c, d > 0), let n = #E(F_p) = (a-1)^2 + b^2 for
-E: y^2 = x^3 - x, and let chi = (1 + sqrt(2) | p) via Euler's criterion.
+E: y^2 = x^3 - x, and let chi = (1 + sqrt(2) | p), a Jacobi symbol.
 Each certificate independently evaluates:
 
   curve criterion    chi = +1  <=>  n = 0 (mod 32)
@@ -31,19 +31,6 @@ from .errors import InvariantViolation
 from .modular import Prime, _i_and_sqrt2, _smaller_root, jacobi
 
 
-def euler_symbol(u: int, n: int) -> int:
-    """Euler's criterion: u^((n-1)/2) mod the odd prime n resolved into
-    {-1, 0, +1}; u is a residue in [0, n)."""
-    if u == 0:
-        return 0
-    e = pow(u, (n - 1) // 2, n)
-    if e == 1:
-        return 1
-    if e == n - 1:
-        return -1
-    raise InvariantViolation(f"Euler's criterion returned {e} mod {n}")
-
-
 def chi_one_plus_sqrt2(n: int, s: int) -> int:
     """The quadratic character of 1 + sqrt(2) mod the prime n = 1 (mod 8),
     for a root s of 2 mod n.
@@ -51,14 +38,15 @@ def chi_one_plus_sqrt2(n: int, s: int) -> int:
     Well defined: replacing sqrt(2) by its negative gives the symbol of
     1 - sqrt2, and (1 + sqrt2)(1 - sqrt2) = -1 with (-1 | p) = +1, so the
     two symbols multiply to +1: they are equal, and both roots give the
-    same value.  An s with s^2 != 2 (mod n) raises InvariantViolation.
+    same value.  An s with s^2 != 2 (mod n), or a symbol other than +-1,
+    raises InvariantViolation.
     """
     if (s * s - 2) % n:
         raise InvariantViolation(f"{s} is not a square root of 2 mod {n}")
-    u = (s + 1) % n
-    if u == 0:
-        raise InvariantViolation(f"1 + sqrt(2) vanished mod {n}")
-    return euler_symbol(u, n)
+    chi = jacobi(s + 1, n)
+    if chi not in (1, -1):
+        raise InvariantViolation(f"(1 + sqrt(2) | {n}) = {chi}, not +-1")
+    return chi
 
 
 @dataclass(frozen=True)
@@ -203,7 +191,7 @@ def proof_trace(cert: Certificate, seed: int = 0) -> ProofTrace:
         raise InvariantViolation(f"the certificate's (a, b, c, d) do not decompose p={n}")
     i = _smaller_root(cert.a * pow(cert.b, -1, n) % n, -1, n)
     s = _smaller_root(i * cert.c * pow(2 * cert.d, -1, n) % n, 2, n)
-    chi_conjugate = euler_symbol((1 - s) % n, n)
+    chi_conjugate = jacobi(1 - s, n)
     minus_one = jacobi(-1, n)
     jac_ok = chi * chi_conjugate == minus_one == 1
     order = curve_order(n, i)

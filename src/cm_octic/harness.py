@@ -18,6 +18,7 @@ import contextlib
 import json
 import multiprocessing
 import os
+import signal
 from array import array
 from bisect import bisect_right
 from collections import Counter, deque
@@ -206,8 +207,10 @@ def scan(config: ScanConfig, write: Callable[[str], object]) -> ScanReport:
             parts = map(_check_segment, segments)
         else:
             # Leaving this block terminates the workers, also when write
-            # raises while segments are still coming.
-            pool = stack.enter_context(multiprocessing.Pool(workers))
+            # raises while segments are still coming.  The workers ignore
+            # SIGINT, so Ctrl-C interrupts only this process.
+            pool = stack.enter_context(multiprocessing.Pool(
+                workers, signal.signal, (signal.SIGINT, signal.SIG_IGN)))
             parts = _in_order(pool, segments, 2 * workers)
         for text, part in parts:
             write(text)

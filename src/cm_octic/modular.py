@@ -139,14 +139,15 @@ def jacobi(a: int, n: int) -> int:
     a %= n
     sign = 1
     while a:
-        while a % 2 == 0:
-            a //= 2
-            if n % 8 in (3, 5):
+        if not a & 1:
+            # a = 2^k * odd in one shift; each 2 is -1 for n = 3, 5 (mod 8).
+            k = (a & -a).bit_length() - 1
+            a >>= k
+            if k & 1 and n & 7 in (3, 5):
                 sign = -sign
-        a, n = n, a
-        if a % 4 == 3 and n % 4 == 3:
+        if a & n & 2:  # reciprocity: both are 3 (mod 4)
             sign = -sign
-        a %= n
+        a, n = n % a, a
     return sign if n == 1 else 0
 
 

@@ -14,7 +14,7 @@ checks, so the command and the tests certify one thing.
 
 The expected values come from the naive oracles below (trial division,
 exhaustive squaring, a double-loop point enumeration, a table point count,
-a bounded c^2 + 8d^2 search, chi from a searched sqrt(2), h(-4p) from the
+a bounded c^2 + 8d^2 search, chi by Euler's criterion, h(-4p) from the
 full (a, b, c) box), never from the package's own root extraction,
 descents, form counting or point sampling.  The primes p = 1 (mod 8) the
 checks loop over come from trial division too, not from the scan's prime
@@ -27,7 +27,7 @@ from __future__ import annotations
 from math import gcd, isqrt
 from typing import Callable
 
-from .criteria import Certificate, check_prime, euler_symbol
+from .criteria import Certificate, check_prime
 from .curve import _add_int, _eta_int, _scalar_mul_int, curve_order, eta_preimages
 from .decompose import eight_decomposition, two_squares
 from .errors import InvariantViolation
@@ -65,7 +65,7 @@ def curve_points_oracle(v: int) -> list[tuple[int, int] | None]:
 
 
 def first_principles_chi(v: int) -> int:
-    """chi(1 + sqrt2) mod v from a searched sqrt(2), no package helpers."""
+    """chi(1 + sqrt2) mod v by Euler's criterion on a searched sqrt(2)."""
     r = next(r for r in range(v) if r * r % v == 2)
     return 1 if pow(1 + r, (v - 1) // 2, v) == 1 else -1
 
@@ -121,14 +121,13 @@ def _require(ok: bool, what: str, *where: object) -> None:
 
 
 def check_symbols_exhaustive() -> str:
-    """jacobi, Euler's criterion and sqrt_mod agree with exhaustive squaring
-    for every odd prime <= 257."""
+    """jacobi and sqrt_mod agree with exhaustive squaring for every odd
+    prime <= 257."""
     for v in trial_division_primes(258)[1:]:
         squares = squares_mod(v)
         for a in range(v):
             expected = 0 if a == 0 else (1 if a in squares else -1)
             _require(jacobi(a, v) == expected, "jacobi disagrees with squaring", v, a)
-            _require(euler_symbol(a, v) == expected, "Euler's criterion disagrees", v, a)
             roots = sqrt_mod(a, v)
             if expected == -1:
                 _require(roots is None, "sqrt_mod rooted a non-residue", v, a)

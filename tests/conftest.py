@@ -2,8 +2,9 @@
 
 Everything here is deliberately naive and independent of the package's own
 algorithms: trial division or a strong-probable-prime test to twelve bases
-instead of the package's Baillie-PSW test, double loops instead of
-Tonelli-Shanks or Cornacchia, full-box enumeration instead of pruned walks.
+instead of the package's Baillie-PSW test, Euler's criterion instead of its
+binary Jacobi symbol, double loops instead of Tonelli-Shanks or
+Cornacchia, full-box enumeration instead of pruned walks.
 Frozen expected values in the tests were produced by these oracles.  The
 oracles that `cm-octic selftest` also needs live in cm_octic.selftest and
 are re-exported here.  FieldElement, the F_p arithmetic of the curve and
@@ -26,13 +27,7 @@ from math import isqrt
 from pathlib import Path
 
 import cm_octic
-from cm_octic.criteria import (
-    Certificate,
-    LevelFourFiber,
-    ProofTrace,
-    chi_one_plus_sqrt2,
-    euler_symbol,
-)
+from cm_octic.criteria import Certificate, LevelFourFiber, ProofTrace
 from cm_octic.curve import _SAMPLE_RETRIES, _add_int, _scalar_mul_int, curve_order
 from cm_octic.harness import ScanConfig, ScanReport, write_scan_csv
 from cm_octic.modular import canonical_i, canonical_sqrt2, jacobi, sqrt_mod
@@ -64,6 +59,16 @@ def nonresidue_by_jacobi(n: int) -> int:
     while jacobi(z, n) != -1:
         z += 2
     return z
+
+
+def euler_criterion(u: int, p: int) -> int:
+    """The Legendre symbol (u | p) for an odd prime p, by Euler's criterion:
+    u^((p-1)/2) mod p is 1, p - 1 or 0.  The tests' quadratic-character
+    oracle, which shares nothing with the package's binary Jacobi symbol."""
+    e = pow(u, (p - 1) // 2, p)
+    if e not in (0, 1, p - 1):
+        raise AssertionError(f"Euler's criterion returned {e} mod {p}")
+    return -1 if e == p - 1 else e
 
 
 def seeded_primes(count: int, bits: int, seed: int, residue: int = 1) -> list[int]:
@@ -371,12 +376,13 @@ def field_proof_trace_oracle(v: int, seed: int = 0) -> ProofTrace:
     level-4 x-values are built here from a field-element sqrt(2), and their
     points from field_sqrt.  The order-8 residues come from
     order8_walk_oracle, and their point is rebuilt with field_point and its
-    exact order judged by field_scalar_mul_oracle.
+    exact order judged by field_scalar_mul_oracle.  Every quadratic symbol,
+    chi, its conjugate and (-1 | p) among them, is Euler's criterion.
     """
     s = element(v, canonical_sqrt2(v))
-    chi = chi_one_plus_sqrt2(v, s.residue)
-    chi_conjugate = euler_symbol((1 - s).residue, v)
-    minus_one = jacobi(-1, v)
+    chi = euler_criterion((1 + s).residue, v)
+    chi_conjugate = euler_criterion((1 - s).residue, v)
+    minus_one = euler_criterion(-1, v)
     jac_ok = chi * chi_conjugate == minus_one == 1
     n = curve_order(v, canonical_i(v))
     level4 = tuple(sorted(x.residue for x in {1 + s, 1 - s, s - 1, -1 - s}))
@@ -394,7 +400,7 @@ def field_proof_trace_oracle(v: int, seed: int = 0) -> ProofTrace:
                 pts.append((xr, yr))
                 counts.append(cnt)
                 preimage_ok = preimage_ok and (cnt > 0 if chi == 1 else cnt == 0)
-        fibers.append(LevelFourFiber(x=xr, x_is_square=jacobi(xr, v) == 1,
+        fibers.append(LevelFourFiber(x=xr, x_is_square=euler_criterion(xr, v) == 1,
                                      points=tuple(pts), preimage_counts=tuple(counts)))
     if chi == 1:
         preimage_ok = preimage_ok and n % 32 == 0
@@ -420,7 +426,7 @@ def field_proof_trace_oracle(v: int, seed: int = 0) -> ProofTrace:
             if landed is None:
                 order8_ok = False
             else:
-                landed_sq = jacobi(landed, v) == 1
+                landed_sq = euler_criterion(landed, v) == 1
                 order8_ok = landed_sq
     return ProofTrace(
         p=v, chi=chi, chi_conjugate=chi_conjugate, minus_one_symbol=minus_one,

@@ -12,7 +12,6 @@ from cm_octic.criteria import (
     Certificate,
     check_prime,
     chi_one_plus_sqrt2,
-    euler_symbol,
     proof_trace,
 )
 from cm_octic.harness import (
@@ -22,12 +21,13 @@ from cm_octic.harness import (
     write_scan_csv,
     write_scan_json,
 )
-from cm_octic.modular import canonical_sqrt2, jacobi, sqrt_mod
+from cm_octic.modular import canonical_sqrt2, sqrt_mod
 
 from conftest import (
     box_class_number,
     brute_two_squares,
     eight_decomposition_search,
+    euler_criterion,
     first_principles_chi,
     sprp_prime_bases,
     streamed_scan,
@@ -118,13 +118,13 @@ def test_criterion_6_well_definedness():
     checked = 0
     for v in primes_1_mod_8(0, 10**6):
         lo, hi = sqrt_mod(2, v)
-        s_lo = euler_symbol((lo + 1) % v, v)
-        s_hi = euler_symbol((hi + 1) % v, v)
+        s_lo = euler_criterion(lo + 1, v)
+        s_hi = euler_criterion(hi + 1, v)
         assert s_lo == s_hi == chi_one_plus_sqrt2(v, canonical_sqrt2(v)), \
             f"criterion-6: chi depends on the root at {v}"
-        assert s_lo * euler_symbol((1 - lo) % v, v) == 1, \
+        assert s_lo * euler_criterion(1 - lo, v) == 1, \
             f"criterion-6: conjugate product != +1 at {v}"
-        assert jacobi(-1, v) == 1, f"criterion-6: (-1|p) != +1 at {v}"
+        assert euler_criterion(-1, v) == 1, f"criterion-6: (-1|p) != +1 at {v}"
         checked += 1
     elapsed = time.perf_counter() - t0
     print(f"[PASS] criterion-6: chi well defined over both roots for "

@@ -16,15 +16,21 @@ from cm_octic.criteria import (
     ErrorCertificate,
     check_prime,
     chi_one_plus_sqrt2,
-    euler_symbol,
     proof_trace,
 )
 from cm_octic.cli import main
 from cm_octic.errors import InvariantViolation
 from cm_octic.harness import ScanConfig, primes_1_mod_8
-from cm_octic.modular import canonical_i, canonical_sqrt2, jacobi, sqrt_mod
+from cm_octic.modular import canonical_i, canonical_sqrt2, sqrt_mod
 
-from conftest import field_proof_trace_oracle, sprp_prime_bases, streamed_scan
+from conftest import (
+    euler_criterion,
+    field_proof_trace_oracle,
+    sprp_prime_bases,
+    squares_mod,
+    streamed_scan,
+    trial_division_primes,
+)
 
 
 def norm_form_gcd(p: int, r: int, k: int) -> tuple[int, int]:
@@ -55,20 +61,8 @@ def tonelli_shanks_certificate(v: int) -> tuple[int, ...]:
     assert c * c + 2 * y * y == v and y % 2 == 0
     d = y // 2
     assert c * c + 8 * d * d == v
-    s = sqrt_mod(2, v)[0]
-    e = pow(1 + s, (v - 1) // 2, v)
-    assert e in (1, v - 1)
-    return a, b, c, d, 1 if e == 1 else -1, (a - 1) ** 2 + b * b
-
-
-class TestEulerSymbol:
-    def test_zero(self):
-        assert euler_symbol(0, 17) == 0
-
-    def test_matches_jacobi_exhaustively(self):
-        for v in (17, 41, 113):
-            for r in range(v):
-                assert euler_symbol(r, v) == jacobi(r, v)
+    chi = euler_criterion(1 + sqrt_mod(2, v)[0], v)
+    return a, b, c, d, chi, (a - 1) ** 2 + b * b
 
 
 class TestChi:
@@ -81,14 +75,21 @@ class TestChi:
 
     @pytest.mark.parametrize("lo", [10**6, 10**12, 2**61], ids=["above-1e6", "above-1e12",
                                                                "above-2^61"])
-    def test_matches_jacobi_of_a_tonelli_shanks_root(self, lo):
-        # check_prime takes chi by Euler's criterion on the root of 2 that a
-        # power of a non-residue gives; here the binary Jacobi symbol takes it
+    def test_matches_euler_of_a_tonelli_shanks_root(self, lo):
+        # check_prime takes chi by the binary Jacobi symbol on the root of 2
+        # that a power of a non-residue gives; here Euler's criterion takes it
         # on the root Tonelli-Shanks gives.
         primes = list(islice(primes_1_mod_8(lo, lo + 10**6), 300))
         assert len(primes) == 300
         for v in primes:
-            assert check_prime(v).chi == jacobi(1 + canonical_sqrt2(v), v), v
+            assert check_prime(v).chi == euler_criterion(1 + canonical_sqrt2(v), v), v
+
+    def test_euler_oracle_matches_squaring(self):
+        # The oracle above, against exhaustive squaring on every odd prime <= 257.
+        for v in trial_division_primes(258)[1:]:
+            squares = squares_mod(v)
+            assert [euler_criterion(r, v) for r in range(v)] == [
+                0 if r == 0 else 1 if r in squares else -1 for r in range(v)], v
 
     def test_rejects_wrong_residue_class(self):
         # 2 is a non-residue mod 13 = 5 (mod 8), so no s can pass as its root.
@@ -234,9 +235,9 @@ class TestStageFailures:
              "order mismatch for p=41: (a-1)^2+b^2=52 but p+1-2a=32"),
             (decompose, "_cornacchia", lambda n, r, k: (5, 4) if k == 1 else (3, 3),
              "eight_decomposition", "3^2 + 8*3^2 != 41"),
-            (criteria, "pow", lambda *args: 5, "chi", "Euler's criterion returned 5 mod 41"),
+            (criteria, "jacobi", lambda a, n: 0, "chi", "(1 + sqrt(2) | 41) = 0, not +-1"),
         ],
-        ids=["two-squares-sum", "curve-order", "eight-sum", "euler"],
+        ids=["two-squares-sum", "curve-order", "eight-sum", "symbol"],
     )
     def test_integer_forms_keep_their_checks(self, module, name, fake, stage, message,
                                              monkeypatch):
@@ -431,6 +432,43 @@ class TestProofTrace:
         assert main(["check", "41", "--trace"]) == 3
         assert "is not above x = " in capsys.readouterr().err
 
+    def test_orbit_that_misses_level4_is_a_counterexample(self, monkeypatch, capsys):
+        # (0, 0) is in eta's kernel, so its orbit is O, O and never reaches
+        # +-1 +- sqrt2: the order-8 judge must fail, and the prose say why.
+        monkeypatch.setattr(criteria, "find_point_of_order", lambda n, order, seed: (0, 0))
+        tr = proof_trace(check_prime(41))
+        assert tr.orbit_x == (None, None) and tr.orbit_landed_x is None
+        assert not tr.order8_direction_holds and not tr.consistent
+        assert tr.jac_identity_holds and tr.preimage_direction_holds
+        assert main(["check", "41", "--trace"]) == 2
+        assert json.loads(capsys.readouterr().out)["trace"]["consistent"] is False
+        assert main(["trace", "41"]) == 2
+        out = capsys.readouterr().out
+        assert "the orbit missed the level-4 set" in out and "landed on" not in out
+        assert out.endswith("trace consistent: False\n")
+
+    @pytest.mark.parametrize("planted", ["conjugate", "minus-one"])
+    def test_broken_symbol_identity_is_a_counterexample(self, planted, monkeypatch, capsys):
+        # chi is taken before the fault applies: the trace's own symbols of
+        # 1 - sqrt2 and of -1 are the only negative arguments jacobi sees.
+        real = criteria.jacobi
+
+        def planted_jacobi(a, n):
+            hit = a < 0 and (a == -1) == (planted == "minus-one")
+            return -real(a, n) if hit else real(a, n)
+
+        cert = check_prime(41)
+        monkeypatch.setattr(criteria, "jacobi", planted_jacobi)
+        tr = proof_trace(cert)
+        assert (tr.chi, tr.chi_conjugate, tr.minus_one_symbol) == (
+            (1, -1, 1) if planted == "conjugate" else (1, 1, -1))
+        assert not tr.jac_identity_holds and not tr.consistent
+        assert tr.preimage_direction_holds and tr.order8_direction_holds
+        assert main(["check", "41", "--trace"]) == 2
+        assert json.loads(capsys.readouterr().out)["trace"]["consistent"] is False
+        assert main(["trace", "41"]) == 2
+        assert capsys.readouterr().out.endswith("trace consistent: False\n")
+
     @pytest.mark.parametrize("v", [912165368213634649, 4518101904374809])
     def test_order8_search_projects_one_sample(self, v, monkeypatch):
         # The two primes whose seed-0 walk rejects the most samples; 2^5 || #E
@@ -478,8 +516,9 @@ class TestProofTrace:
         # check --trace derives i, sqrt(2) and chi once, in check_prime; the
         # trace reads them off the certificate.  It takes one Jacobi symbol
         # per level-4 x, and eta_preimages its own one only above a square
-        # x, so 4 at chi = -1 (p = 17) and 8 at chi = +1 (p = 41).  The
-        # document is written without json.dumps.
+        # x; chi and its conjugate are the symbols of 1 + sqrt2 and 1 - sqrt2,
+        # two more.  So 6 at chi = -1 (p = 17) and 10 at chi = +1 (p = 41).
+        # The document is written without json.dumps.
         package = [mod for name, mod in sys.modules.items()
                    if name == "cm_octic" or name.startswith("cm_octic.")]
         counts: Counter[str] = Counter()
@@ -504,7 +543,7 @@ class TestProofTrace:
         assert main(["check", str(p), "--trace"]) == 0
         assert json.loads(capsys.readouterr().out)["trace"]["level4_x"] == list(level4)
         assert counts == {"_i_and_sqrt2": 1, "chi_one_plus_sqrt2": 1,
-                          "jacobi": 4 if p == 17 else 8}
+                          "jacobi": 6 if p == 17 else 10}
 
     @pytest.mark.parametrize("forge", ["d+1", "b=0", "foreign", "curve_order"])
     def test_a_certificate_the_trace_cannot_reproduce_is_an_invariant_violation(

@@ -8,6 +8,7 @@ import multiprocessing
 import multiprocessing.pool
 import os
 import re
+import signal
 import subprocess
 import sys
 import time
@@ -94,7 +95,7 @@ def write_when_the_window_is_full(monkeypatch) -> list[int]:
         return real_scan(config, write_full)
 
     monkeypatch.setattr(harness, "multiprocessing",
-                        SimpleNamespace(Pool=lambda n: HandingPool(n, context=fork)))
+                        SimpleNamespace(Pool=lambda n, *init: HandingPool(n, *init, context=fork)))
     monkeypatch.setattr(harness, "scan", scan_with_full_windows)
     return outstanding
 
@@ -306,7 +307,7 @@ class TestScan:
         seen = SimpleNamespace(sizes=[], calls=0)
 
         class FakePool:
-            def __init__(self, processes):
+            def __init__(self, processes, *initializer):
                 seen.sizes.append(processes)
 
             def __enter__(self):
@@ -784,11 +785,13 @@ class TestCliScan:
         assert calls == []
 
     @pytest.mark.parametrize(
-        "exc, status",
-        [(OSError(28, "No space left on device"), 1), (KeyboardInterrupt(), None)],
+        "exc, status, err",
+        [(OSError(28, "No space left on device"), 1,
+          "cm-octic: error: [Errno 28] No space left on device\n"),
+         (KeyboardInterrupt(), 130, "cm-octic: interrupted\n")],
         ids=["os-error", "interrupt"],
     )
-    def test_failing_sink_stops_the_workers(self, exc, status, capsys, monkeypatch):
+    def test_failing_sink_stops_the_workers(self, exc, status, err, capsys, monkeypatch):
         # The --out file fails after the header and the first segment, while
         # the pool still has segments to check.  The workers are gone when
         # main returns, not once garbage collection reaches the pool.
@@ -806,12 +809,8 @@ class TestCliScan:
         monkeypatch.setattr(cli_mod, "open", lambda path, mode: FailingSink(), raising=False)
         monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)  # a pool on any runner
         argv = ["scan", "--from", "0", "--to", "4000000", "--jobs", "2", "--out", "scan.csv"]
-        if status is None:
-            with pytest.raises(KeyboardInterrupt):
-                main(argv)
-        else:
-            assert main(argv) == status
-            assert "No space left on device" in capsys.readouterr().err
+        assert main(argv) == status
+        assert capsys.readouterr().err == err
         assert multiprocessing.active_children() == []
 
     def test_error_in_a_middle_segment(self, tmp_path, capsys, monkeypatch):
@@ -956,6 +955,30 @@ class TestCliScan:
         child.stderr.close()
         assert child.wait(timeout=60) == 141, err
         assert "Traceback" not in err and "Exception ignored" not in err
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_interrupt_exits_130_with_one_line(self, jobs, tmp_path):
+        # SIGINT to the whole process group, as Ctrl-C sends it, once rows
+        # are in the file: only the parent reports it, in one line.
+        out = tmp_path / "scan.csv"
+        child = subprocess.Popen(
+            [sys.executable, "-m", "cm_octic.cli", "scan", "--from", "0", "--to", str(10**8),
+             "--jobs", str(jobs), "--out", str(out)],
+            env=package_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            start_new_session=True)
+        try:
+            deadline = time.monotonic() + 60
+            while not (out.exists() and out.stat().st_size > len(CSV_HEADER) + 1):
+                assert child.poll() is None and time.monotonic() < deadline
+                time.sleep(0.01)
+            os.killpg(child.pid, signal.SIGINT)
+            stdout, err = child.communicate(timeout=60)
+        finally:
+            if child.poll() is None:
+                os.killpg(child.pid, signal.SIGKILL)
+                child.wait()
+        assert child.returncode == 130, err
+        assert stdout == "" and err == "cm-octic: interrupted\n"
 
     @pytest.mark.parametrize(
         "extra",

@@ -3,9 +3,10 @@
 import random
 import subprocess
 import sys
+from math import prod
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cm_octic import criteria, modular, selftest
@@ -23,6 +24,7 @@ from cm_octic.modular import (
 )
 
 from conftest import (
+    euler_criterion,
     nonresidue_by_jacobi,
     package_env,
     sprp_prime_bases,
@@ -32,6 +34,33 @@ from conftest import (
 )
 
 ODD_PRIMES_257 = [p for p in trial_division_primes(258) if p > 2]
+
+
+def odd_factors(n: int) -> list[int]:
+    # The prime factors of the odd n, with multiplicity, by trial division.
+    factors, q = [], 3
+    while q * q <= n:
+        while n % q == 0:
+            factors.append(q)
+            n //= q
+        q += 2
+    return factors + [n] * (n > 1)
+
+
+def next_odd_prime(x: int) -> int:
+    # The least odd prime >= x, by the twelve-base strong test.
+    x |= 1
+    while not sprp_prime_bases(x):
+        x += 2
+    return x
+
+
+@st.composite
+def odd_semiprimes(draw) -> tuple[int, int]:
+    # Odd primes p <= q with p * q < 2^62; prime gaps below 2^64 are under 1600.
+    p = next_odd_prime(draw(st.integers(3, 2**31)))
+    q = next_odd_prime(draw(st.integers(3, 2**62 // p - 1600)))
+    return min(p, q), max(p, q)
 
 
 def lucas_lehmer_mersenne(e: int) -> bool:
@@ -147,7 +176,7 @@ class TestJacobi:
         assert jacobi(0, 17) == 0
 
     def test_exhaustive_against_squares(self):
-        # jacobi and Euler's criterion against squaring, every odd prime <= 257;
+        # jacobi against squaring, every odd prime <= 257;
         # sqrt_mod's two roots square back, sorted and negatives of each
         # other, and it finds none for a non-residue.
         selftest.check_symbols_exhaustive()
@@ -163,6 +192,26 @@ class TestJacobi:
     )
     def test_multiplicative(self, a, b, v):
         assert jacobi(a * b, v) == jacobi(a, v) * jacobi(b, v)
+
+    def test_composite_moduli_exhaustive(self):
+        # (a | n) is the product of the Legendre symbols (a | q) over n's
+        # prime factors q, each from a table of squares: every odd n < 2000,
+        # composites and 1 included, and every a in [-n, 2n).
+        legendre = {q: [0] + [1 if r in squares else -1 for r in range(1, q)]
+                    for q in trial_division_primes(2000)[1:] for squares in [squares_mod(q)]}
+        for n in range(1, 2000, 2):
+            factors = odd_factors(n)
+            expected = [prod(legendre[q][a % q] for q in factors) for a in range(n)]
+            assert [jacobi(a, n) for a in range(-n, 2 * n)] == expected * 3, n
+
+    @settings(deadline=None)
+    @given(odd_semiprimes(), st.integers(-(2**64), 2**64), st.sampled_from([1, 0, -1]))
+    def test_semiprime_moduli(self, pq, a, shared):
+        # As _strong_lucas asks it of composites: (a | pq) = (a | p)(a | q)
+        # by Euler's criterion, also for a sharing p or q, where it is 0.
+        p, q = pq
+        a *= {1: 1, 0: p, -1: q}[shared]
+        assert jacobi(a, p * q) == euler_criterion(a, p) * euler_criterion(a, q), (a, p, q)
 
 
 class TestSqrtMod:
