@@ -10,14 +10,14 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
+import errno
 import os
+import stat
 import sys
 import time
+from collections.abc import Sequence
 from functools import cache
-from typing import Sequence
 
-from . import selftest
 from .classnumber import class_number
 from .criteria import Certificate, check_prime, proof_trace
 from .curve import curve_order
@@ -64,10 +64,12 @@ def _build_parser() -> _Parser:
     scan_p.add_argument("--class-number-cap", type=int, default=0,
                         help="compute h(-4p) for p up to this bound (0 = never)")
     scan_p.add_argument("--jobs", type=int, default=1,
-                        help="worker processes, capped at the CPU count and the segment "
-                             "count; one worker runs in-process")
+                        help="worker processes, capped at the CPUs this process may run on "
+                             "and the segment count; one worker runs in-process")
     scan_p.add_argument("--format", choices=("csv", "json"), default="csv")
-    scan_p.add_argument("--out", default=None, help="output path (default: stdout)")
+    scan_p.add_argument("--out", default=None,
+                        help="output path (default: stdout); a new or regular file is written "
+                             "as OUT.partial and renamed to OUT when the scan is done")
 
     decompose_p = sub.add_parser("decompose", help="print p = a^2+b^2 and p = c^2+8d^2")
     decompose_p.add_argument("p", type=int)
@@ -87,7 +89,8 @@ def _build_parser() -> _Parser:
 
 def _json(value: object, pad: str = "\n") -> str:
     """json.dumps(value, indent=2) without json's pure-Python encoder; pad is the newline and
-    indent of value.  Keys need no escaping; leaves besides ints, bools and None use json.dumps."""
+    indent of value.  Keys need no escaping; leaves besides ints, bools and None use json.dumps,
+    imported only then: a Certificate and its trace hold no other leaf."""
     if value is None or value is True or value is False:
         return "null" if value is None else "true" if value else "false"
     inner = pad + "  "
@@ -98,7 +101,11 @@ def _json(value: object, pad: str = "\n") -> str:
     if isinstance(value, (list, tuple)):
         items = [int.__repr__(v) if type(v) is int else _json(v, inner) for v in value]
         return "[" + inner + ("," + inner).join(items) + pad + "]" if items else "[]"
-    return int.__repr__(value) if isinstance(value, int) else json.dumps(value)
+    if isinstance(value, int):
+        return int.__repr__(value)
+    import json
+
+    return json.dumps(value)
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
@@ -119,6 +126,33 @@ def _cmd_check(args: argparse.Namespace) -> int:
     return status
 
 
+def _open_out(path: str | None) -> tuple[contextlib.AbstractContextManager, str | None]:
+    """The sink for scan's --out PATH, and the partial file to rename onto PATH, if any.
+
+    A new PATH, or a regular file with one link, is written as PATH.partial
+    with PATH's permission bits and renamed onto it once the writer returns,
+    so PATH never holds a scan cut short.  PATH.partial must not exist: it may
+    hold the rows of an earlier scan that was cut short.  Anything else (stdout,
+    a device, a FIFO, a symlink, a hard link) is written in place, as a rename
+    would replace what it is; a directory fails to open.  All of it happens
+    before the scan, so a bad path costs no work."""
+    if path is None:
+        return contextlib.nullcontext(sys.stdout), None
+    try:
+        st = os.lstat(path)
+    except FileNotFoundError:
+        st = None
+    if st is not None and not (stat.S_ISREG(st.st_mode) and st.st_nlink == 1):
+        return open(path, "w"), None
+    if st is not None and not os.access(path, os.W_OK):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+    partial = path + ".partial"
+    sink = open(partial, "x")
+    if st is not None:
+        os.chmod(partial, stat.S_IMODE(st.st_mode))
+    return sink, partial
+
+
 def _cmd_scan(args: argparse.Namespace) -> int:
     config = ScanConfig(
         lo=args.lo,
@@ -126,13 +160,18 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         class_number_cap=args.class_number_cap,
         jobs=args.jobs,
     )
-    # The sink is opened before the scan, so a bad --out path costs no work.
-    sink = contextlib.nullcontext(sys.stdout) if args.out is None else open(args.out, "w")
     write = write_scan_csv if args.format == "csv" else write_scan_json
+    sink, partial = _open_out(args.out)
     t0 = time.perf_counter()
-    with sink as fh:
-        # Certified rows are written even when some prime broke an invariant.
-        report = write(config, fh)
+    try:
+        with sink as fh:
+            # Certified rows are written even when some prime broke an invariant.
+            report = write(config, fh)
+    except KeyboardInterrupt as exc:
+        exc.args = (partial,)  # main's one line names the partial file, if any
+        raise
+    if partial is not None:
+        os.replace(partial, args.out)
     elapsed = time.perf_counter() - t0
     if report.errors:
         for err in report.errors:
@@ -206,6 +245,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_selftest(_args: argparse.Namespace) -> int:
+    from . import selftest  # its checks and oracles are loaded for this command alone
+
     return EXIT_OK if selftest.run_all() else EXIT_INVARIANT
 
 
@@ -244,9 +285,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     except InvariantViolation as exc:
         print(f"cm-octic: internal invariant violated: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
-    except KeyboardInterrupt:
-        # Pool workers ignore SIGINT, so this is the only report of it.
-        print("cm-octic: interrupted", file=sys.stderr)
+    except KeyboardInterrupt as exc:
+        # Pool workers ignore SIGINT, so this is the only report of it.  A
+        # scan cut short puts its partial file, if any, in the exception.
+        partial = exc.args[0] if exc.args else None
+        kept = f"; the rows written so far are in {partial}" if partial else ""
+        print(f"cm-octic: interrupted{kept}", file=sys.stderr)
         return EXIT_INTERRUPTED
 
 

@@ -15,18 +15,16 @@ _SCHEMA, from criteria's tuple; only a counterexample becomes a Certificate.
 from __future__ import annotations
 
 import contextlib
-import json
-import multiprocessing
+import io
 import os
-import signal
 from array import array
 from bisect import bisect_right
 from collections import Counter, deque
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field, fields
 from functools import cache
 from itertools import compress, islice
 from math import isqrt
-from typing import Callable, Iterator, TextIO
 
 from .classnumber import DEFAULT_CAP
 from .criteria import Certificate, ErrorCertificate, _all_hold, _certificate_fields
@@ -185,6 +183,14 @@ def _in_order(pool, segments: Iterator[tuple[int, int, int]],
         yield pending.popleft().get()
 
 
+def _cpus() -> int:
+    # The CPUs this process may run on: under an affinity mask, as set by
+    # taskset or a container's cpuset, fewer than os.cpu_count() reports.
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def scan(config: ScanConfig, write: Callable[[str], object]) -> ScanReport:
     """Check every prime p = 1 (mod 8) in [lo, hi).
 
@@ -194,9 +200,9 @@ def scan(config: ScanConfig, write: Callable[[str], object]) -> ScanReport:
     """
     lo, hi = config.lo, config.hi
     # One worker count sizes the segments and the pool: no more workers than
-    # the CPUs can run, about four segments for each, each at most one sieve
-    # segment long, and no more workers than segments.
-    workers = min(config.jobs, os.cpu_count() or 1)
+    # the CPUs this process may run on, about four segments for each, each at
+    # most one sieve segment long, and no more workers than segments.
+    workers = min(config.jobs, _cpus())
     step = min(_SEGMENT, -(-(hi - lo) // (4 * workers)))
     starts = range(lo, hi, step)
     workers = min(workers, len(starts))
@@ -206,9 +212,14 @@ def scan(config: ScanConfig, write: Callable[[str], object]) -> ScanReport:
         if workers == 1:
             parts = map(_check_segment, segments)
         else:
+            # Imported here, where a pool starts: every other command and
+            # every one-worker scan would pay for them at start-up.
             # Leaving this block terminates the workers, also when write
             # raises while segments are still coming.  The workers ignore
             # SIGINT, so Ctrl-C interrupts only this process.
+            import multiprocessing
+            import signal
+
             pool = stack.enter_context(multiprocessing.Pool(
                 workers, signal.signal, (signal.SIGINT, signal.SIG_IGN)))
             parts = _in_order(pool, segments, 2 * workers)
@@ -218,13 +229,13 @@ def scan(config: ScanConfig, write: Callable[[str], object]) -> ScanReport:
     return report
 
 
-def write_scan_csv(config: ScanConfig, out: TextIO) -> ScanReport:
+def write_scan_csv(config: ScanConfig, out: io.TextIOBase) -> ScanReport:
     """Scan, writing the CSV header and then each segment's rows as they come."""
     out.write(CSV_HEADER + "\n")
     return scan(config, out.write)
 
 
-def write_scan_json(config: ScanConfig, out: TextIO) -> ScanReport:
+def write_scan_json(config: ScanConfig, out: io.TextIOBase) -> ScanReport:
     """Scan, writing the document json.dump(indent=2) would write.
 
     Its header (counts, aggregate, counterexamples) comes first but is known
@@ -232,6 +243,7 @@ def write_scan_json(config: ScanConfig, out: TextIO) -> ScanReport:
     as segments finish.  After the header they are read back one at a time,
     each filling _ITEM as an item of the certificate list.
     """
+    import json
     import tempfile
 
     with tempfile.TemporaryFile("w+") as spool:

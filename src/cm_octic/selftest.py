@@ -24,8 +24,8 @@ hold under `python -O`.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from math import gcd, isqrt
-from typing import Callable
 
 from .criteria import Certificate, check_prime
 from .curve import _add_int, _eta_int, _scalar_mul_int, curve_order, eta_preimages

@@ -5,6 +5,7 @@ survives python -O."""
 import ast
 import importlib
 import re
+import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
@@ -12,6 +13,8 @@ from pathlib import Path
 import cm_octic
 from cm_octic import harness, modular
 from cm_octic.cli import main
+
+from conftest import package_env
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -121,3 +124,50 @@ def test_every_benchmark_span_is_called(monkeypatch, tmp_path):
                  "--out", str(tmp_path / "high.csv")]) == 0
     assert [f"{module}.{func}" for module, func, _ in layers
             if counts[f"{module}.{func}"] == 0] == []
+
+
+# Run by a fresh `python -S`, so that no .pth file of site-packages imports
+# anything first: the modules `import cm_octic.cli` adds, then the exit status
+# and the modules added so far after each command in argv order.  The CPU
+# count is two, so that --jobs 2 starts a pool on any runner.
+_IMPORTS_CHILD = """
+import contextlib, io, os, sys
+before = set(sys.modules)
+import cm_octic.cli
+print(*sorted(set(sys.modules) - before))
+os.sched_getaffinity = lambda pid: {0, 1}
+os.cpu_count = lambda: 2
+for argv in %r:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        status = cm_octic.cli.main(argv)
+    print(status, *sorted(set(sys.modules) - before))
+"""
+
+
+def test_a_command_imports_only_what_it_runs(tmp_path):
+    # Start-up is mostly imports, so the cli loads at import only what every
+    # command needs, and each heavy module where it is used: json for a
+    # non-int leaf and the JSON scan, multiprocessing for a pool.  The layers
+    # bench/tracing.py wraps must all be loaded, as its install() finds them
+    # in sys.modules.
+    heavy = {"multiprocessing", "json", "tempfile", "typing", "cm_octic.selftest"}
+    layers = {f"cm_octic.{module}" for module, _, _ in bench_constant("tracing.py", "LAYERS")}
+    window = ["scan", "--from", "0", "--to", "10000"]
+    commands = [["check", "41", "--trace"],
+                [*window, "--out", "jobs1.csv"],
+                [*window, "--format", "json", "--out", "jobs1.json"],
+                [*window, "--jobs", "2", "--out", "jobs2.csv"]]
+    done = subprocess.run([sys.executable, "-S", "-c", _IMPORTS_CHILD % (commands,)],
+                          cwd=tmp_path, env=package_env(), capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    first, *rest = [line.split() for line in done.stdout.splitlines()]
+    imported = set(first)
+    assert imported & heavy == set() and layers <= imported, first
+    assert [status for status, *_ in rest] == ["0"] * len(commands)
+    check, scan_csv, scan_json, scan_jobs2 = [set(added) for _, *added in rest]
+    assert check & heavy == set(), sorted(check)
+    assert scan_csv & heavy == set(), sorted(scan_csv)
+    assert "json" in scan_json and "multiprocessing" not in scan_json, sorted(scan_json)
+    assert "multiprocessing" in scan_jobs2, sorted(scan_jobs2)
+    assert (tmp_path / "jobs1.csv").read_text() == (tmp_path / "jobs2.csv").read_text()

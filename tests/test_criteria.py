@@ -10,7 +10,7 @@ from itertools import islice
 
 import pytest
 
-from cm_octic import criteria, curve, decompose, harness, modular, selftest
+from cm_octic import criteria, curve, decompose, modular, selftest
 from cm_octic.criteria import (
     Certificate,
     ErrorCertificate,
@@ -295,7 +295,7 @@ class TestStageFailures:
         monkeypatch.setattr(criteria, "_curve_order",
                             lambda n, a, b: real(n, a, b) + (8 if n == 41 else 0))
         # Forked workers inherit the patch whatever the platform's default.
-        monkeypatch.setattr(harness, "multiprocessing", multiprocessing.get_context("fork"))
+        monkeypatch.setattr(multiprocessing, "Pool", multiprocessing.get_context("fork").Pool)
         message = "n != (a-1)^2 + b^2 at p=41"
         assert check_prime(41) == ErrorCertificate(p=41, stage="certificate",
                                                    message=message)
@@ -327,7 +327,7 @@ class TestStageFailures:
             monkeypatch.setattr(criteria, "two_squares", pair)
             monkeypatch.setattr(criteria, "_curve_order", lambda n, a, b: (a - 1) ** 2 + b * b)
             message = "#E(F_p) = 10217 is not divisible by 8 at p=10009"
-        monkeypatch.setattr(harness, "multiprocessing", multiprocessing.get_context("fork"))
+        monkeypatch.setattr(multiprocessing, "Pool", multiprocessing.get_context("fork").Pool)
         assert check_prime(10009) == ErrorCertificate(p=10009, stage="certificate",
                                                       message=message)
         assert main(["scan", "--from", "0", "--to", "20000", "--jobs", str(jobs)]) == 3

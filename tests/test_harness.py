@@ -11,6 +11,7 @@ import re
 import signal
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
 from functools import cache
@@ -94,10 +95,21 @@ def write_when_the_window_is_full(monkeypatch) -> list[int]:
             write(text)
         return real_scan(config, write_full)
 
-    monkeypatch.setattr(harness, "multiprocessing",
-                        SimpleNamespace(Pool=lambda n, *init: HandingPool(n, *init, context=fork)))
+    monkeypatch.setattr(multiprocessing, "Pool",
+                        lambda n, *init: HandingPool(n, *init, context=fork))
     monkeypatch.setattr(harness, "scan", scan_with_full_windows)
     return outstanding
+
+
+def allow_cpus(monkeypatch, cpus: int | None) -> None:
+    # Lets this process run on `cpus` CPUs, as the scan counts them: by the
+    # affinity mask, or, where the platform has none (cpus None), by
+    # os.cpu_count(), which may not know.
+    if cpus is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
 
 
 def first_difference(got: str, want: str) -> tuple[int, str | None, str | None] | None:
@@ -294,7 +306,7 @@ class TestScan:
     )
     def test_segments_neither_lose_nor_repeat_primes(self, lo, hi, jobs, monkeypatch):
         serial = scan_csv(ScanConfig(lo=lo, hi=hi))
-        monkeypatch.setattr(harness.os, "cpu_count", lambda: jobs)  # a pool on any runner
+        allow_cpus(monkeypatch, jobs)  # a pool on any runner
         assert scan_csv(ScanConfig(lo=lo, hi=hi, jobs=jobs)) == serial
         listed = [int(row.split(",", 1)[0]) for row in serial.splitlines()[1:]]
         assert listed == list(primes_1_mod_8(lo, hi))
@@ -321,8 +333,8 @@ class TestScan:
                 result = fn(*args)
                 return SimpleNamespace(get=lambda: result)
 
-        monkeypatch.setattr(harness.multiprocessing, "Pool", FakePool)
-        monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(multiprocessing, "Pool", FakePool)
+        allow_cpus(monkeypatch, cpus)
         return seen
 
     @pytest.mark.parametrize(
@@ -340,6 +352,21 @@ class TestScan:
         serial = scan_csv(ScanConfig(lo=lo, hi=hi))
         seen = self._fake_pool(monkeypatch, cpus)
         assert scan_csv(ScanConfig(lo=lo, hi=hi, jobs=jobs)) == serial
+        assert seen.sizes == ([workers] if workers > 1 else [])
+
+    @pytest.mark.parametrize("mask, workers", [({0}, 1), (None, 4)], ids=["masked", "no-mask"])
+    def test_workers_count_the_cpus_this_process_may_use(self, mask, workers, monkeypatch,
+                                                         capsys):
+        # The machine has four CPUs.  Under an affinity mask of one, as
+        # `taskset -c 0` sets it, os.cpu_count() still says four, but --jobs 4
+        # runs in-process and starts no pool.  Where the platform has no mask,
+        # os.cpu_count() caps the workers.
+        seen = self._fake_pool(monkeypatch, None)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        if mask:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: mask, raising=False)
+        assert main(["scan", "--from", "0", "--to", "10000", "--jobs", "4"]) == 0
+        assert capsys.readouterr().out == scan_csv(ScanConfig(lo=0, hi=10**4))
         assert seen.sizes == ([workers] if workers > 1 else [])
 
     def test_segments_are_sized_for_the_workers_started(self, monkeypatch):
@@ -367,8 +394,8 @@ class TestScan:
         monkeypatch.setattr(harness, "_SEGMENT", 1 << 13)
         monkeypatch.setattr(harness, "primes_1_mod_8", counting_stream)
         # Forked workers inherit the patches whatever the platform's default.
-        monkeypatch.setattr(harness, "multiprocessing", fork)
-        monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)  # a pool on any runner
+        monkeypatch.setattr(multiprocessing, "Pool", fork.Pool)
+        allow_cpus(monkeypatch, 2)  # a pool on any runner
         ahead = []
 
         def slow_write(text):
@@ -778,17 +805,21 @@ class TestCliScan:
     def test_bad_out_path_fails_before_scanning(self, tmp_path, capsys, monkeypatch):
         calls = []
         monkeypatch.setattr(harness, "scan", calls.append)
+        # A directory at the path would fail only at the final rename, so it
+        # is refused before its partial file is made.
         for target in (tmp_path, tmp_path / "missing" / "scan.csv"):
             assert main(["scan", "--from", "0", "--to", "100", "--out", str(target)]) == 1
             err = capsys.readouterr().err.splitlines()
             assert len(err) == 1 and err[0].startswith("cm-octic: error: ")
         assert calls == []
+        assert not tmp_path.with_name(tmp_path.name + ".partial").exists()
 
     @pytest.mark.parametrize(
         "exc, status, err",
         [(OSError(28, "No space left on device"), 1,
           "cm-octic: error: [Errno 28] No space left on device\n"),
-         (KeyboardInterrupt(), 130, "cm-octic: interrupted\n")],
+         (KeyboardInterrupt(), 130,
+          "cm-octic: interrupted; the rows written so far are in scan.csv.partial\n")],
         ids=["os-error", "interrupt"],
     )
     def test_failing_sink_stops_the_workers(self, exc, status, err, capsys, monkeypatch):
@@ -807,11 +838,105 @@ class TestCliScan:
                 return super().write(text)
 
         monkeypatch.setattr(cli_mod, "open", lambda path, mode: FailingSink(), raising=False)
-        monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)  # a pool on any runner
+        allow_cpus(monkeypatch, 2)  # a pool on any runner
         argv = ["scan", "--from", "0", "--to", "4000000", "--jobs", "2", "--out", "scan.csv"]
         assert main(argv) == status
         assert capsys.readouterr().err == err
         assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_failing_writer_leaves_only_the_partial_file(self, jobs, tmp_path, capsys,
+                                                         monkeypatch):
+        # The writer raises after the header and the first segment, one of
+        # eight 2^18 wide at either job count.  No file appears at the --out
+        # path, and its partial file holds exactly what was written.
+        import cm_octic.cli as cli_mod
+
+        class FailingFile:
+            def __init__(self, fh):
+                self.fh, self.writes = fh, 0
+
+            def write(self, text):
+                self.writes += 1
+                if self.writes > 2:
+                    raise OSError(28, "No space left on device")
+                return self.fh.write(text)
+
+        real_write = cli_mod.write_scan_csv
+        monkeypatch.setattr(cli_mod, "write_scan_csv",
+                            lambda config, fh: real_write(config, FailingFile(fh)))
+        monkeypatch.setattr(multiprocessing, "Pool", multiprocessing.get_context("fork").Pool)
+        allow_cpus(monkeypatch, 2)  # a pool on any runner
+        out = tmp_path / "scan.csv"
+        argv = ["scan", "--from", "0", "--to", str(1 << 21), "--jobs", str(jobs),
+                "--out", str(out)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "cm-octic: error: [Errno 28] No space left on device\n"
+        assert not out.exists()
+        assert (tmp_path / "scan.csv.partial").read_text() == scan_csv(ScanConfig(lo=0, hi=1 << 18))
+
+    @pytest.mark.parametrize("kind", ["fifo", "symlink", "hard-link"])
+    def test_out_a_rename_would_replace_is_written_in_place(self, kind, tmp_path, capsys):
+        # A FIFO, a symlink and a file with a second link stay what they are,
+        # and the rows reach what they lead to; no partial file is made.
+        out, seen = tmp_path / "out.csv", tmp_path / "seen.csv"
+        if kind == "fifo":
+            os.mkfifo(out)
+            reader = threading.Thread(target=lambda: seen.write_bytes(out.read_bytes()),
+                                      daemon=True)
+            reader.start()
+        else:
+            seen.write_text("old\n")
+            if kind == "symlink":
+                out.symlink_to(seen)
+            else:
+                os.link(seen, out)
+        before = out.lstat()
+        assert main(["scan", "--from", "0", "--to", "2000", "--out", str(out)]) == 0
+        if kind == "fifo":
+            reader.join(timeout=60)
+        assert seen.read_text() == scan_csv(ScanConfig(lo=0, hi=2000))
+        after = out.lstat()
+        assert (after.st_ino, after.st_mode) == (before.st_ino, before.st_mode)
+        assert not (tmp_path / "out.csv.partial").exists()
+
+    def test_existing_out_is_replaced_whole_with_its_mode(self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "scan.csv"
+        out.write_text("old\n")
+        out.chmod(0o640)
+        assert main(["scan", "--from", "0", "--to", "2000", "--out", str(out)]) == 0
+        assert out.read_text() == scan_csv(ScanConfig(lo=0, hi=2000))
+        assert out.stat().st_mode & 0o7777 == 0o640
+        # An F this user may not write is refused, as opening it would be;
+        # os.access stands in for a user other than root, who may write any.
+        capsys.readouterr()
+        monkeypatch.setattr(os, "access", lambda path, mode: False)
+        assert main(["scan", "--from", "0", "--to", "100", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"cm-octic: error: [Errno 13] Permission denied: '{out}'\n"
+        assert out.read_text() == scan_csv(ScanConfig(lo=0, hi=2000))
+        assert not (tmp_path / "scan.csv.partial").exists()
+
+    def test_partial_file_of_an_earlier_scan_is_kept(self, tmp_path, capsys, monkeypatch):
+        # The rows an interrupted scan left are not overwritten by the next
+        # scan to the same F: it is refused before it starts.
+        calls = []
+        monkeypatch.setattr(harness, "scan", calls.append)
+        out, partial = tmp_path / "scan.csv", tmp_path / "scan.csv.partial"
+        partial.write_text(CSV_HEADER + "\n")
+        assert main(["scan", "--from", "0", "--to", "100", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"cm-octic: error: [Errno 17] File exists: '{partial}'\n"
+        assert calls == []
+        assert partial.read_text() == CSV_HEADER + "\n" and not out.exists()
+
+    def test_interrupt_to_stdout_names_no_file(self, capsys, monkeypatch):
+        import cm_octic.cli as cli_mod
+
+        def interrupted(config, fh):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli_mod, "write_scan_csv", interrupted)
+        assert main(["scan", "--from", "0", "--to", "100"]) == 130
+        assert capsys.readouterr().err == "cm-octic: interrupted\n"
 
     def test_error_in_a_middle_segment(self, tmp_path, capsys, monkeypatch):
         # [0, 20000) is 4 segments at jobs=1 and 8 at jobs=2, and p = 10009
@@ -826,8 +951,8 @@ class TestCliScan:
 
         monkeypatch.setattr(harness, "_certificate_fields", fail_at_10009)
         # Forked workers inherit the patch whatever the platform's default.
-        monkeypatch.setattr(harness, "multiprocessing", multiprocessing.get_context("fork"))
-        monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)  # a pool on any runner
+        monkeypatch.setattr(multiprocessing, "Pool", multiprocessing.get_context("fork").Pool)
+        allow_cpus(monkeypatch, 2)  # a pool on any runner
         expected = [p for p in primes_1_mod_8(0, 20000) if p != 10009]
         outputs = {}
         for jobs in (1, 2):
@@ -838,6 +963,7 @@ class TestCliScan:
                 assert main(argv) == 3
                 assert capsys.readouterr().err == "invariant violation at p=10009 [chi]: planted\n"
                 outputs[jobs, fmt] = target.read_text()
+                assert not target.with_name(target.name + ".partial").exists()
         rows = outputs[1, "csv"].splitlines()
         assert rows[0] == CSV_HEADER
         assert [int(row.split(",", 1)[0]) for row in rows[1:]] == expected
@@ -862,7 +988,7 @@ class TestCliScan:
         # end took it from 0.46 MB to 1.73 MB at jobs=1.
         # At jobs=2 both windows peak with 2 * workers segments outstanding.
         monkeypatch.setattr(harness, "_SEGMENT", 1 << 13)
-        monkeypatch.setattr(harness.os, "cpu_count", lambda: jobs)  # a pool on any runner
+        allow_cpus(monkeypatch, jobs)  # a pool on any runner
         outstanding = write_when_the_window_is_full(monkeypatch) if jobs > 1 else []
         target = tmp_path / f"scan.{fmt}"
         traced_scan_peak(1 << 16, fmt, jobs, target)  # warm-up: the sieve tables and root caches fill
@@ -870,7 +996,7 @@ class TestCliScan:
         large = traced_scan_peak(1 << 18, fmt, jobs, target)
         assert large <= 1.25 * small, (small, large)
         if jobs > 1:
-            ahead = 2 * min(jobs, os.cpu_count() or 1)
+            ahead = 2 * jobs  # the CPUs allowed above
             assert len(outstanding) == 8 + 8 + 32 and max(outstanding) == ahead, outstanding
 
     def test_json_memory_matches_csv(self, tmp_path):
@@ -903,7 +1029,7 @@ class TestCliScan:
             monkeypatch.setattr(harness, "_certificate_fields",
                                 lambda p, with_class_number: rigged_fields(p=p, **rigged))
         # Forked workers inherit the patches whatever the platform's default.
-        monkeypatch.setattr(harness, "multiprocessing", multiprocessing.get_context("fork"))
+        monkeypatch.setattr(multiprocessing, "Pool", multiprocessing.get_context("fork").Pool)
         outputs = []
         for jobs in (1, 2):
             buf = io.StringIO()
@@ -959,8 +1085,10 @@ class TestCliScan:
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_interrupt_exits_130_with_one_line(self, jobs, tmp_path):
         # SIGINT to the whole process group, as Ctrl-C sends it, once rows
-        # are in the file: only the parent reports it, in one line.
+        # are in the partial file: only the parent reports it, in one line
+        # that names that file, and no file appears at the --out path.
         out = tmp_path / "scan.csv"
+        partial = tmp_path / "scan.csv.partial"
         child = subprocess.Popen(
             [sys.executable, "-m", "cm_octic.cli", "scan", "--from", "0", "--to", str(10**8),
              "--jobs", str(jobs), "--out", str(out)],
@@ -968,7 +1096,7 @@ class TestCliScan:
             start_new_session=True)
         try:
             deadline = time.monotonic() + 60
-            while not (out.exists() and out.stat().st_size > len(CSV_HEADER) + 1):
+            while not (partial.exists() and partial.stat().st_size > len(CSV_HEADER) + 1):
                 assert child.poll() is None and time.monotonic() < deadline
                 time.sleep(0.01)
             os.killpg(child.pid, signal.SIGINT)
@@ -978,7 +1106,10 @@ class TestCliScan:
                 os.killpg(child.pid, signal.SIGKILL)
                 child.wait()
         assert child.returncode == 130, err
-        assert stdout == "" and err == "cm-octic: interrupted\n"
+        assert stdout == ""
+        assert err == f"cm-octic: interrupted; the rows written so far are in {partial}\n"
+        assert not out.exists()
+        assert partial.read_text().startswith(CSV_HEADER + "\n17,")
 
     @pytest.mark.parametrize(
         "extra",
